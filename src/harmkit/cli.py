@@ -9,7 +9,7 @@ comments). Unknown keys are rejected. Keys:
 
   train_file, val_file, checkpoint   paths (report is optional)
   max_tokens, hash_bits, ngram       featurizer
-  embed_dim, hidden_dim, num_classes, num_targets   model
+  embed_dim, hidden_dim              model
   epochs, batch_size, learning_rate, optimizer, seed, task   training
   tau, lambda                        contrastive loss
 
@@ -50,8 +50,7 @@ class ConfigError(ValueError):
 
 
 _PATH_KEYS = ("train_file", "val_file", "checkpoint", "report")
-_INT_KEYS = ("max_tokens", "hash_bits", "ngram", "embed_dim", "hidden_dim",
-             "num_classes", "num_targets", "epochs", "batch_size", "seed")
+_INT_KEYS = ("max_tokens", "hash_bits", "ngram", "embed_dim", "hidden_dim", "epochs", "batch_size", "seed")
 _FLOAT_KEYS = ("learning_rate", "tau", "lambda")
 _STR_KEYS = ("optimizer", "task")
 _REQUIRED_KEYS = ("train_file", "val_file", "checkpoint")
@@ -118,8 +117,6 @@ def parse_run_config(path: str | Path) -> RunConfig:
             vocab_size=feature.vocab_size,
             embed_dim=get_int("embed_dim", 64),
             hidden_dim=get_int("hidden_dim", 64),
-            num_classes=get_int("num_classes", 4),
-            num_targets=get_int("num_targets", 5),
             seed=seed,
         )
         contrastive = ContrastiveConfig(tau=get_float("tau", 0.1), lam=get_float("lambda", 0.5))
@@ -208,14 +205,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     data = corpus.load_jsonl(args.input, task=args.task, require_labels=False)
     docs = batch_encode([ex.text for ex in data], feature_cfg)
     acts = forward_batch(params, docs)
-    with Path(args.output).open("w", encoding="utf-8") as fh:
-        if args.task == "harm":
-            probs = softmax(acts.class_logits)
-            for ex, row in zip(data, probs):
-                rec = {"id": ex.id, "probs": [float(x) for x in row], "label": int(np.argmax(row))}
-                fh.write(json.dumps(rec) + "\n")
-        else:
-            sigmas = sigmoid(acts.target_logits)
+    if args.task == "harm":
+        probs = softmax(acts.class_logits)
+        ensembles.write_prediction_file(args.output, [ex.id for ex in data], probs, np.argmax(probs, axis=1))
+    else:
+        sigmas = sigmoid(acts.target_logits)
+        with Path(args.output).open("w", encoding="utf-8") as fh:
             for ex, row in zip(data, sigmas):
                 flags = (row >= args.eta).astype(int)
                 if flags.sum() == 0:
@@ -230,59 +225,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_gold(path: str, task: str) -> dict[str, object]:
-    gold = corpus.load_jsonl(path, task=task)
-    if task == "harm":
-        return {ex.id: ex.harm for ex in gold}
-    return {ex.id: ex.targets for ex in gold}
-
-
-def _report_for_labels(doc_ids: list[str], labels: list[int], gold_path: str) -> metrics.MetricsReport:
-    gold_by_id = _load_gold(gold_path, "harm")
-    missing = [d for d in doc_ids if d not in gold_by_id]
+def _gold_for(doc_ids: list[str], gold_path: str, task: str) -> list:
+    gold = {ex.id: ex.harm if task == "harm" else ex.targets for ex in corpus.load_jsonl(gold_path, task=task)}
+    missing = [d for d in doc_ids if d not in gold]
     if missing:
         raise ConfigError(f"gold file lacks ids {missing}")
-    gold = [gold_by_id[d] for d in doc_ids]
-    return metrics.classification_report(metrics.confusion(gold, labels))
+    return [gold[d] for d in doc_ids]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pred_path = Path(args.pred)
-    if not pred_path.exists():
-        raise ConfigError(f"prediction file not found: {pred_path}")
     if args.task == "harm":
-        doc_ids: list[str] = []
-        labels: list[int] = []
-        with pred_path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if "id" not in rec or "label" not in rec:
-                    raise ConfigError(f"{pred_path}:{line_no}: record needs 'id' and 'label'")
-                doc_ids.append(str(rec["id"]))
-                labels.append(int(rec["label"]))
-        report = _report_for_labels(doc_ids, labels, args.gold)
+        doc_ids, labels = [], []
+        for line_no, rec in corpus.read_records(pred_path):
+            doc_ids.append(rec["id"])
+            labels.append(corpus.parse_label(rec.get("label"), line_no, pred_path))
+        report = metrics.classification_report(metrics.confusion(_gold_for(doc_ids, args.gold, "harm"), labels))
     else:
-        gold_by_id = _load_gold(args.gold, "targets")
-        doc_ids = []
-        sigma_rows = []
-        with pred_path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if "id" not in rec or "sigmas" not in rec:
-                    raise ConfigError(f"{pred_path}:{line_no}: record needs 'id' and 'sigmas'")
-                doc_ids.append(str(rec["id"]))
-                sigma_rows.append([float(x) for x in rec["sigmas"]])
-        missing = [d for d in doc_ids if d not in gold_by_id]
-        if missing:
-            raise ConfigError(f"gold file lacks ids {missing}")
-        gold_rows = [gold_by_id[d] for d in doc_ids]
-        report = metrics.multilabel_report(gold_rows, np.asarray(sigma_rows), eta=args.eta)
+        doc_ids, sigmas = corpus.read_rows(pred_path, "sigmas", corpus.NUM_TARGETS, low=0.0, high=1.0)
+        report = metrics.multilabel_report(_gold_for(doc_ids, args.gold, "targets"), sigmas, eta=args.eta)
 
     report_json = report.to_json()
     if args.report:
@@ -312,7 +273,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     ensembles.write_prediction_file(args.output, doc_ids, probs, labels)
     summary = {"predictions": args.output, "strategy": args.strategy, "n": len(doc_ids)}
     if args.gold:
-        report = _report_for_labels(doc_ids, labels, args.gold)
+        report = metrics.classification_report(metrics.confusion(_gold_for(doc_ids, args.gold, "harm"), labels))
         if args.report:
             Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
         summary["macro_f1"] = report.macro_f1

@@ -14,12 +14,15 @@ collapsed to single spaces.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 NUM_CLASSES = 4
 NUM_TARGETS = 5
@@ -70,19 +73,87 @@ class DatasetSplit:
     stratify: bool = field(default=True)
 
 
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, record)`` for every nonblank line of a UTF-8 JSONL file.
+
+    This is the one reader behind every JSONL input. Each record must be a
+    JSON object whose ``id`` is present, not null, nonempty after ``str()``
+    and unique within the file; ``record["id"]`` is replaced by that string.
+    Any violation raises ValueError naming ``path:line``.
+    """
+    p = Path(path)
+    seen: set[str] = set()
+    with p.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise ValueError(f"{p}:{line_no}: malformed JSON: nested too deeply") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"{p}:{line_no}: record is not a JSON object")
+            if rec.get("id") is None or not str(rec["id"]):
+                raise ValueError(f"{p}:{line_no}: missing or empty field 'id'")
+            rec_id = rec["id"] = str(rec["id"])
+            if rec_id in seen:
+                raise ValueError(f"{p}:{line_no}: duplicate id {rec_id!r}")
+            seen.add(rec_id)
+            yield line_no, rec
+
+
+def parse_label(label: object, line_no: int, path: Path) -> int:
+    """Return a harm label in 0..3, or raise ValueError naming ``path:line``."""
+    if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < NUM_CLASSES:
+        raise ValueError(f"{path}:{line_no}: label {label!r} outside {{0..{NUM_CLASSES - 1}}}")
+    return label
+
+
+def read_rows(path: str | Path, key: str, size: int,
+              low: float = -math.inf, high: float = math.inf) -> tuple[list[str], np.ndarray]:
+    """Read the ids and the ``key`` lists of a JSONL file's records, in file order.
+
+    Each ``key`` value must be a list of ``size`` entries that convert like
+    ``float()`` to finite numbers within [low, high]. The check runs once over
+    the stacked float64 (N, size) array; only on failure is the file read
+    again to name the first offending record by ``path:line``.
+    """
+
+    def stack(rows: list) -> np.ndarray | None:
+        try:
+            arr = np.array(rows, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if arr.shape != (len(rows), size) or not np.all(np.isfinite(arr) & (arr >= low) & (arr <= high)):
+            return None
+        return arr
+
+    p = Path(path)
+    ids, rows = [], []
+    for _, rec in read_records(p):
+        ids.append(rec["id"])
+        rows.append(rec.get(key))
+    if not rows:
+        raise ValueError(f"{p}: no records found")
+    arr = stack(rows)
+    if arr is None:
+        line_no = next(n for n, rec in read_records(p) if stack([rec.get(key)]) is None)
+        bounds = f" in [{low:g}, {high:g}]" if math.isfinite(low) else ""
+        raise ValueError(f"{p}:{line_no}: '{key}' must be a list of {size} finite numbers{bounds}")
+    return ids, arr
+
+
 def _parse_record(raw: dict, line_no: int, path: Path, task: str, require_labels: bool) -> LabeledExample:
-    for key in ("id", "text"):
-        if key not in raw:
-            raise ValueError(f"{path}:{line_no}: missing required field '{key}'")
-    rec_id = str(raw["id"])
+    if "text" not in raw:
+        raise ValueError(f"{path}:{line_no}: missing required field 'text'")
     text = normalize_text(str(raw["text"]))
 
     harm = None
     if raw.get("label") is not None:
-        label = raw["label"]
-        if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < NUM_CLASSES:
-            raise ValueError(f"{path}:{line_no}: label {label!r} outside {{0..{NUM_CLASSES - 1}}}")
-        harm = label
+        harm = parse_label(raw["label"], line_no, path)
 
     targets = None
     if raw.get("targets") is not None:
@@ -99,7 +170,7 @@ def _parse_record(raw: dict, line_no: int, path: Path, task: str, require_labels
         if task == "both" and harm is None and targets is None:
             raise ValueError(f"{path}:{line_no}: record carries neither 'label' nor 'targets'")
 
-    return LabeledExample(id=rec_id, text=text, harm=harm, targets=targets)
+    return LabeledExample(id=raw["id"], text=text, harm=harm, targets=targets)
 
 
 def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True) -> list[LabeledExample]:
@@ -108,30 +179,12 @@ def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True
     task selects which label fields are mandatory: 'harm' requires ``label``,
     'targets' requires ``targets``, 'both' requires at least one of the two.
     ``require_labels=False`` relaxes all label requirements (prediction-time
-    inputs). Blank lines are skipped.
+    inputs). Record-level rules are those of ``read_records``.
     """
     if task not in ("harm", "targets", "both"):
         raise ValueError(f"unknown task {task!r}")
     p = Path(path)
-    examples: list[LabeledExample] = []
-    seen: set[str] = set()
-    with p.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
-            if not isinstance(raw, dict):
-                raise ValueError(f"{p}:{line_no}: record is not a JSON object")
-            example = _parse_record(raw, line_no, p, task, require_labels)
-            if example.id in seen:
-                raise ValueError(f"{p}:{line_no}: duplicate id {example.id!r}")
-            seen.add(example.id)
-            examples.append(example)
-    return examples
+    return [_parse_record(raw, line_no, p, task, require_labels) for line_no, raw in read_records(p)]
 
 
 def save_jsonl(examples: Iterable[LabeledExample], path: str | Path) -> None:

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import NUM_CLASSES, read_rows
 from .metrics import MetricsReport
 
 _ROW_SUM_TOL = 1e-6
@@ -41,32 +42,15 @@ class MemberPrediction:
             )
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError(f"member {self.member_id!r}: duplicate document ids")
-        if np.any(self.probs < -_ROW_SUM_TOL) or np.any(
+        if not np.all(np.isfinite(self.probs)) or np.any(self.probs < -_ROW_SUM_TOL) or np.any(
             np.abs(self.probs.sum(axis=1) - 1.0) > _ROW_SUM_TOL
         ):
             raise ValueError(f"member {self.member_id!r}: rows are not probability distributions")
 
 
 def load_member_file(path: str | Path) -> MemberPrediction:
-    p = Path(path)
-    doc_ids: list[str] = []
-    rows: list[list[float]] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
-            if "id" not in rec or "probs" not in rec:
-                raise ValueError(f"{p}:{line_no}: record needs 'id' and 'probs'")
-            doc_ids.append(str(rec["id"]))
-            rows.append([float(x) for x in rec["probs"]])
-    if not rows:
-        raise ValueError(f"{p}: no predictions found")
-    return MemberPrediction(member_id=p.name, doc_ids=doc_ids, probs=np.asarray(rows))
+    doc_ids, probs = read_rows(path, "probs", NUM_CLASSES)
+    return MemberPrediction(member_id=Path(path).name, doc_ids=doc_ids, probs=probs)
 
 
 def write_prediction_file(

@@ -11,7 +11,7 @@ Checkpoint layout (little-endian throughout):
   matrices in declaration order as row-major float32 | crc32 u32 of all
   preceding bytes.
 Header: u32 fields max_tokens, hash_bits, ngram, vocab_size, embed_dim,
-hidden_dim, num_classes, num_targets, then the model seed as u64.
+hidden_dim, num_classes (=4), num_targets (=5), then the model seed as u64.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import NUM_CLASSES, NUM_TARGETS
 from .featurizer import EncodedDoc, FeatureConfig
 
 _MAGIC = b"HPC1"
@@ -36,12 +37,10 @@ class ModelConfig:
     vocab_size: int
     embed_dim: int = 64
     hidden_dim: int = 64
-    num_classes: int = 4
-    num_targets: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "num_classes", "num_targets"):
+        for name in ("vocab_size", "embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.seed < 2**64:
@@ -106,10 +105,10 @@ def init_params(cfg: ModelConfig) -> ModelParams:
         embed=glorot(cfg.vocab_size, cfg.embed_dim),
         w1=glorot(cfg.embed_dim, cfg.hidden_dim),
         b1=np.zeros(cfg.hidden_dim),
-        wc=glorot(cfg.hidden_dim, cfg.num_classes),
-        bc=np.zeros(cfg.num_classes),
-        wt=glorot(cfg.hidden_dim, cfg.num_targets),
-        bt=np.zeros(cfg.num_targets),
+        wc=glorot(cfg.hidden_dim, NUM_CLASSES),
+        bc=np.zeros(NUM_CLASSES),
+        wt=glorot(cfg.hidden_dim, NUM_TARGETS),
+        bt=np.zeros(NUM_TARGETS),
     )
 
 
@@ -193,10 +192,10 @@ def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:
         (model_cfg.vocab_size, model_cfg.embed_dim),
         (model_cfg.embed_dim, model_cfg.hidden_dim),
         (model_cfg.hidden_dim,),
-        (model_cfg.hidden_dim, model_cfg.num_classes),
-        (model_cfg.num_classes,),
-        (model_cfg.hidden_dim, model_cfg.num_targets),
-        (model_cfg.num_targets,),
+        (model_cfg.hidden_dim, NUM_CLASSES),
+        (NUM_CLASSES,),
+        (model_cfg.hidden_dim, NUM_TARGETS),
+        (NUM_TARGETS,),
     ]
 
 
@@ -223,8 +222,8 @@ def save_params(
         model_cfg.vocab_size,
         model_cfg.embed_dim,
         model_cfg.hidden_dim,
-        model_cfg.num_classes,
-        model_cfg.num_targets,
+        NUM_CLASSES,
+        NUM_TARGETS,
         model_cfg.seed,
     )
     blob = bytearray()
@@ -254,13 +253,13 @@ def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConf
     if len(blob) < 9 + header_len:
         raise ValueError(f"{path}: truncated at offset {len(blob)} (header incomplete)")
     fields = struct.unpack_from(_HEADER_FMT, blob, 9)
+    if fields[6:8] != (NUM_CLASSES, NUM_TARGETS):
+        raise ValueError(f"{path}: {fields[6]} classes, {fields[7]} targets; expected {NUM_CLASSES}, {NUM_TARGETS}")
     feature_cfg = FeatureConfig(max_tokens=fields[0], hash_bits=fields[1], ngram=fields[2])
     model_cfg = ModelConfig(
         vocab_size=fields[3],
         embed_dim=fields[4],
         hidden_dim=fields[5],
-        num_classes=fields[6],
-        num_targets=fields[7],
         seed=fields[8],
     )
     if model_cfg.vocab_size != feature_cfg.vocab_size:

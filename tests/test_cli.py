@@ -103,6 +103,15 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", str(config)]) == 2
         assert "foo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["num_classes", "num_targets"])
+    def test_removed_shape_keys_rejected(self, tmp_path, split_files, capsys, key):
+        # The corpus format fixes 4 classes and 5 targets; the keys are gone.
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "shape.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc", **{key: 4 if key == "num_classes" else 5})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
     def test_missing_required_key(self, tmp_path, split_files, capsys):
         train_path, val_path = split_files
         config = tmp_path / "missing.cfg"
@@ -287,6 +296,50 @@ class TestEvaluateCommand:
         pred = tmp_path / "pred.jsonl"
         pred.write_text('{"id": "zz", "label": 0}\n', encoding="utf-8")
         assert cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 2
+
+
+class TestMalformedInput:
+    """Each case is a defect once seen in a reader: every one must exit 2
+    with a message naming the offending path:line, never a traceback."""
+
+    GOLD = [
+        {"id": "a", "text": "t", "label": 0, "targets": [1, 0, 0, 0, 0]},
+        {"id": "b", "text": "t", "label": 1, "targets": [0, 1, 0, 0, 0]},
+    ]
+
+    @pytest.mark.parametrize("command, lines, line_no", [
+        pytest.param("ensemble", ['{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25]}',
+                                  '{"id": "b", "probs": [NaN, 0.5, 0.25, 0.25]}'], 2, id="member-nan-prob"),
+        pytest.param("ensemble", ["5"], 1, id="member-scalar-line"),
+        pytest.param("ensemble", ['["id", "probs"]'], 1, id="member-array-line"),
+        pytest.param("ensemble", ['{"id": "a", "probs": [0.2, 0.2, 0.2, 0.2, 0.2]}'], 1, id="member-five-probs"),
+        pytest.param("ensemble", ['{"id": "a", "probs": [0.5, "x", 0.25, 0.25]}'], 1, id="member-string-prob"),
+        pytest.param("ensemble", ['{"probs": [0.25, 0.25, 0.25, 0.25]}'], 1, id="member-missing-id"),
+        pytest.param("evaluate", ["5"], 1, id="pred-scalar-line"),
+        pytest.param("evaluate", ['["id", "label"]'], 1, id="pred-array-line"),
+        pytest.param("evaluate", ['{"id": "a", "label": 0}', '{"id": "b", "label": 1}',
+                                  '{"id": "a", "label": 1}'], 3, id="pred-duplicate-id"),
+        pytest.param("evaluate", ['{"id": "a", "label": 0}', '{"id": "b", "label": "x"}'], 2, id="pred-string-label"),
+        pytest.param("evaluate", ['{"id": "a", "label": 7}'], 1, id="pred-label-7"),
+        pytest.param("evaluate", ['{"id": "a", "label": 0}', '{"id": "b", "label":'], 2, id="pred-bad-json"),
+        pytest.param("evaluate", ['{"id": null, "label": 0}'], 1, id="pred-null-id"),
+        pytest.param("evaluate-targets", ['{"id": "a", "sigmas": [NaN, 0.1, 0.1, 0.1, 0.1]}'], 1, id="sigmas-nan"),
+        pytest.param("evaluate-targets", ['{"id": "a", "sigmas": [1.5, 0.1, 0.1, 0.1, 0.1]}'], 1, id="sigmas-above-1"),
+        pytest.param("evaluate-targets", ["5"], 1, id="sigmas-scalar-line"),
+    ])
+    def test_exit_2_names_path_and_line(self, tmp_path, capsys, command, lines, line_no):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps(rec) + "\n" for rec in self.GOLD), encoding="utf-8")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if command == "ensemble":
+            argv = ["ensemble", "--members", str(bad), str(FIXTURES / "member1.jsonl"),
+                    "--strategy", "avg", "--output", str(tmp_path / "o.jsonl")]
+        else:
+            task = "targets" if command == "evaluate-targets" else "harm"
+            argv = ["evaluate", "--gold", str(gold), "--pred", str(bad), "--task", task]
+        assert cli.main(argv) == 2
+        assert f"{bad}:{line_no}:" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -278,6 +278,11 @@ class TestInvariants:
         with pytest.raises(ValueError, match="at least 2"):
             majority_vote([a])
 
+    def test_nan_row_rejected(self):
+        # NaN compares false against both tolerances, so it needs its own check.
+        with pytest.raises(ValueError, match="distribution"):
+            make_member("a", ["x"], [[float("nan"), 0.5, 0.25, 0.25]])
+
 
 class TestIo:
     def test_round_trip(self, tmp_path):

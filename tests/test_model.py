@@ -1,12 +1,14 @@
 """Forward pass, prediction rules, and checkpoint format."""
 
 import math
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from harmkit.corpus import NUM_CLASSES, NUM_TARGETS
 from harmkit.featurizer import EncodedDoc, FeatureConfig
 from harmkit.model import (
     ModelConfig,
@@ -75,8 +77,8 @@ class TestInit:
         for arr, fan_in, fan_out in [
             (params.embed, cfg.vocab_size, cfg.embed_dim),
             (params.w1, cfg.embed_dim, cfg.hidden_dim),
-            (params.wc, cfg.hidden_dim, cfg.num_classes),
-            (params.wt, cfg.hidden_dim, cfg.num_targets),
+            (params.wc, cfg.hidden_dim, NUM_CLASSES),
+            (params.wt, cfg.hidden_dim, NUM_TARGETS),
         ]:
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(arr) < bound)
@@ -276,6 +278,21 @@ class TestCheckpoint:
         blob[4] = 2
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version 2"):
+            load_params(path)
+
+    @pytest.mark.parametrize("field, value, counts", [(6, 6, "6 classes, 5 targets"), (7, 4, "4 classes, 4 targets")])
+    def test_header_shape_counts_fixed(self, tmp_path, field, value, counts):
+        # Header slots 6 and 7 hold the class and target counts, which the
+        # corpus format fixes at 4 and 5.
+        fcfg = FeatureConfig(hash_bits=8)
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        path = tmp_path / "shape.hpc"
+        save_params(init_params(cfg), cfg, fcfg, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 9 + 4 * field, value)
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {counts}; expected 4, 5")):
             load_params(path)
 
     def test_truncated_file(self, tmp_path):
