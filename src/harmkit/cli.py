@@ -25,18 +25,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus, ensembles, metrics, synth
 from .featurizer import FeatureConfig, batch_encode
 from .losses import ContrastiveConfig, NonFiniteLossError
-from .model import (
-    ModelConfig,
-    forward_batch,
-    load_params,
-    sigmoid,
-    softmax,
-)
+from .model import ModelConfig, forward_batch, load_params, predict
 from .trainer import TrainConfig, grad_check, train
 
 EXIT_OK = 0
@@ -204,17 +196,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     params, _, feature_cfg = load_params(args.checkpoint)
     data = corpus.load_jsonl(args.input, task=args.task, require_labels=False)
     docs = batch_encode([ex.text for ex in data], feature_cfg)
-    acts = forward_batch(params, docs)
+    scores, decisions = predict(forward_batch(params, docs), args.task, args.eta)
     if args.task == "harm":
-        probs = softmax(acts.class_logits)
-        ensembles.write_prediction_file(args.output, [ex.id for ex in data], probs, np.argmax(probs, axis=1))
+        ensembles.write_prediction_file(args.output, [ex.id for ex in data], scores, decisions)
     else:
-        sigmas = sigmoid(acts.target_logits)
         with Path(args.output).open("w", encoding="utf-8") as fh:
-            for ex, row in zip(data, sigmas):
-                flags = (row >= args.eta).astype(int)
-                if flags.sum() == 0:
-                    flags[int(np.argmax(row))] = 1
+            for ex, row, flags in zip(data, scores, decisions):
                 rec = {
                     "id": ex.id,
                     "sigmas": [float(x) for x in row],

@@ -83,26 +83,42 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """
     p = Path(path)
     seen: set[str] = set()
-    with p.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
-            except RecursionError as exc:
-                raise ValueError(f"{p}:{line_no}: malformed JSON: nested too deeply") from exc
-            if not isinstance(rec, dict):
-                raise ValueError(f"{p}:{line_no}: record is not a JSON object")
-            if rec.get("id") is None or not str(rec["id"]):
-                raise ValueError(f"{p}:{line_no}: missing or empty field 'id'")
-            rec_id = rec["id"] = str(rec["id"])
-            if rec_id in seen:
-                raise ValueError(f"{p}:{line_no}: duplicate id {rec_id!r}")
-            seen.add(rec_id)
-            yield line_no, rec
+    try:
+        with p.open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
+                except RecursionError as exc:
+                    raise ValueError(f"{p}:{line_no}: malformed JSON: nested too deeply") from exc
+                if not isinstance(rec, dict):
+                    raise ValueError(f"{p}:{line_no}: record is not a JSON object")
+                if rec.get("id") is None or not str(rec["id"]):
+                    raise ValueError(f"{p}:{line_no}: missing or empty field 'id'")
+                rec_id = rec["id"] = str(rec["id"])
+                if rec_id in seen:
+                    raise ValueError(f"{p}:{line_no}: duplicate id {rec_id!r}")
+                seen.add(rec_id)
+                yield line_no, rec
+    except UnicodeDecodeError as exc:
+        # Text mode decodes a chunk ahead of the line loop, so the failing
+        # line is found by a binary re-read that only a bad file pays for.
+        # bytes.splitlines breaks lines where text mode does (\n, \r, \r\n).
+        lines = p.read_bytes().splitlines()
+        line_no = next(n for n, raw in enumerate(lines, start=1) if not _is_utf8(raw))
+        raise ValueError(f"{p}:{line_no}: not valid UTF-8: {exc.reason}") from exc
+
+
+def _is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def parse_label(label: object, line_no: int, path: Path) -> int:

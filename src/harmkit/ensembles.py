@@ -128,6 +128,8 @@ def weighted_average_ensemble(
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (stack.shape[0],):
         raise ValueError(f"{stack.shape[0]} members but {w.size} weights")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {list(weights)}")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:

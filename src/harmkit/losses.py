@@ -2,7 +2,11 @@
 
 Covers softmax cross-entropy (harm head), mean binary cross-entropy
 (targets head), the supervised in-batch InfoNCE contrastive loss, and the
-combined objective ce + lambda * nce. The backward pass is hand-derived;
+combined objective ce + lambda * nce. Each term has one implementation:
+``gradients`` takes its loss values from ``cross_entropy``,
+``binary_cross_entropy`` and ``_info_nce_backward`` (whose value is
+``info_nce``), so the closed-form fixtures on those functions test the loss
+that training minimizes. The backward pass is hand-derived;
 `harmkit.trainer.grad_check` verifies every partial against central finite
 differences.
 
@@ -18,12 +22,13 @@ case).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .featurizer import EncodedDoc
-from .model import BatchActivations, ModelParams, forward_batch, sigmoid, softmax
+from .model import BatchActivations, ModelParams, forward_batch, normalize_rows, sigmoid, softmax
 
 _LOG_CLAMP = 1e-12
 
@@ -40,70 +45,47 @@ class ContrastiveConfig:
     lam: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.lam < 0.0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
 
 
-@dataclass
-class GradientSet:
-    """Partial derivatives of the batch loss, shape-matched to ModelParams."""
-
-    embed: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    wc: np.ndarray
-    bc: np.ndarray
-    wt: np.ndarray
-    bt: np.ndarray
-
-    FIELDS = ModelParams.FIELDS
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in self.FIELDS]
+class GradientSet(ModelParams):
+    """Partial derivatives of the batch loss, one array per ModelParams field."""
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "GradientSet":
         return cls(**{name: np.zeros_like(arr) for name, arr in params.arrays()})
 
 
-def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(x @ y / (nx * ny))
+def cross_entropy(probs: np.ndarray, classes: np.ndarray | int) -> float:
+    """Batch-mean negative log probability of the true class, clamped at 1e-12.
 
-
-def cross_entropy(probs: np.ndarray, true_class: int) -> float:
-    """Negative log probability of the true class, clamped at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= true_class < probs.shape[-1]:
-        raise ValueError(f"true_class {true_class} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(probs[true_class], _LOG_CLAMP)))
+    probs is (B, C) with B class indices; a single (C,) row with one index is
+    a batch of one.
+    """
+    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    classes = np.atleast_1d(np.asarray(classes)).astype(np.int64)
+    batch, num_classes = probs.shape
+    if classes.shape != (batch,):
+        raise ValueError(f"{batch} probability rows but {classes.size} class labels")
+    if classes.min() < 0 or classes.max() >= num_classes:
+        raise ValueError(f"class labels must be in 0..{num_classes - 1}")
+    picked = probs[np.arange(batch), classes]
+    return float(np.mean(-np.log(np.maximum(picked, _LOG_CLAMP))))
 
 
 def binary_cross_entropy(sigmas: np.ndarray, targets: tuple[int, ...] | np.ndarray) -> float:
-    """Mean over targets of the per-flag binary cross-entropy."""
+    """Batch mean over rows of the per-row mean binary cross-entropy.
+
+    sigmas and targets share one shape: (B, T), or (T,) for a single row.
+    """
     sigmas = np.clip(np.asarray(sigmas, dtype=np.float64), _LOG_CLAMP, 1.0 - _LOG_CLAMP)
     t = np.asarray(targets, dtype=np.float64)
     if sigmas.shape != t.shape:
         raise ValueError(f"shape mismatch: {sigmas.shape} vs {t.shape}")
-    return float(np.mean(-(t * np.log(sigmas) + (1.0 - t) * np.log(1.0 - sigmas))))
-
-
-def _normalize_rows(reps: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(reps, axis=1)
-    out = np.zeros_like(reps)
-    nonzero = norms > 0.0
-    out[nonzero] = reps[nonzero] / norms[nonzero, None]
-    return out
+    return float(np.mean(-(t * np.log(sigmas) + (1.0 - t) * np.log(1.0 - sigmas)).mean(axis=-1)))
 
 
 def info_nce(reps: np.ndarray, labels: np.ndarray, tau: float) -> float:
@@ -117,27 +99,7 @@ def info_nce(reps: np.ndarray, labels: np.ndarray, tau: float) -> float:
         raise ValueError(f"contrastive batch needs at least 2 members, got {n}")
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-
-    z_hat = _normalize_rows(reps)
-    sims = z_hat @ z_hat.T
-    pos_mask = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
-
-    per_anchor = []
-    for i in range(n):
-        positives = np.flatnonzero(pos_mask[i])
-        if positives.size == 0:
-            continue
-        others = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        log_denom = _logsumexp(sims[i, others] / tau)
-        per_anchor.append(float(np.mean(log_denom - sims[i, positives] / tau)))
-    if not per_anchor:
-        return 0.0
-    return float(np.mean(per_anchor))
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = x.max()
-    return float(m + np.log(np.exp(x - m).sum()))
+    return _info_nce_backward(normalize_rows(reps)[0], labels, tau)[0]
 
 
 def combined_loss(ce: float, nce: float, cfg: ContrastiveConfig) -> float:
@@ -202,13 +164,9 @@ def _harm_backward(
     grads: GradientSet,
 ) -> tuple[float, np.ndarray]:
     batch = acts.z.shape[0]
-    num_classes = acts.class_logits.shape[1]
     classes = classes.astype(np.int64)
-    if classes.min() < 0 or classes.max() >= num_classes:
-        raise ValueError(f"class labels must be in 0..{num_classes - 1}")
     probs = softmax(acts.class_logits)
-    picked = probs[np.arange(batch), classes]
-    mean_ce = float(np.mean(-np.log(np.maximum(picked, _LOG_CLAMP))))
+    mean_ce = cross_entropy(probs, classes)
     _check_finite(mean_ce, "cross-entropy")
 
     d_logits = probs.copy()
@@ -280,10 +238,7 @@ def _targets_backward(
         raise ValueError(f"target labels must be ({batch}, {n_targets}), got {target_rows.shape}")
     sigmas = sigmoid(acts.target_logits)
     t = target_rows.astype(np.float64)
-    clamped = np.clip(sigmas, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
-    loss = float(np.mean(
-        -(t * np.log(clamped) + (1.0 - t) * np.log(1.0 - clamped)).mean(axis=1)
-    ))
+    loss = binary_cross_entropy(sigmas, t)
     _check_finite(loss, "binary cross-entropy")
 
     d_logits = (sigmas - t) / (n_targets * batch)

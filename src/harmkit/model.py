@@ -6,6 +6,10 @@ target-identity logits). The L2-normalized hidden vector is the
 representation used by the contrastive objective, so cosine similarity
 between documents reduces to a dot product.
 
+``forward_batch`` is the only forward pass, and ``predict`` the only rule
+that turns its activations into scores and decisions: training, validation,
+the CLI and the tests all go through these two.
+
 Checkpoint layout (little-endian throughout):
   magic ``HPC1`` | version u8 (=1) | header_len u32 | header | parameter
   matrices in declaration order as row-major float32 | crc32 u32 of all
@@ -69,14 +73,6 @@ class ModelParams:
 
 
 @dataclass
-class Representation:
-    """Hidden vector z and its L2-normalized copy (zero maps to zero)."""
-
-    z: np.ndarray
-    z_hat: np.ndarray
-
-
-@dataclass
 class BatchActivations:
     """Every intermediate the backward pass needs, batched row-wise."""
 
@@ -124,21 +120,19 @@ def forward_batch(params: ModelParams, docs: list[EncodedDoc]) -> BatchActivatio
         h0[i] = params.embed[doc.ids].mean(axis=0)
 
     z = np.tanh(h0 @ params.w1 + params.b1)
-    z_norm = np.linalg.norm(z, axis=1)
-    z_hat = np.zeros_like(z)
-    nonzero = z_norm > 0.0
-    z_hat[nonzero] = z[nonzero] / z_norm[nonzero, None]
-
+    z_hat, z_norm = normalize_rows(z)
     class_logits = z @ params.wc + params.bc
     target_logits = z @ params.wt + params.bt
     return BatchActivations(h0, z, z_norm, z_hat, class_logits, target_logits)
 
 
-def forward(params: ModelParams, doc: EncodedDoc) -> tuple[Representation, np.ndarray, np.ndarray]:
-    """Single-document forward: (representation, class logits, target logits)."""
-    acts = forward_batch(params, [doc])
-    rep = Representation(z=acts.z[0], z_hat=acts.z_hat[0])
-    return rep, acts.class_logits[0], acts.target_logits[0]
+def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x scaled to unit L2 norm, and the norms; zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=1)
+    out = np.zeros_like(x)
+    nonzero = norms > 0.0
+    out[nonzero] = x[nonzero] / norms[nonzero, None]
+    return out, norms
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -160,31 +154,25 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_proba(params: ModelParams, doc: EncodedDoc) -> np.ndarray:
-    _, class_logits, _ = forward(params, doc)
-    return softmax(class_logits)
+def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and decisions of a batch, row-aligned with its documents.
 
-
-def predict_label(params: ModelParams, doc: EncodedDoc) -> int:
-    """Argmax class; ties resolve to the smallest class index."""
-    return int(np.argmax(predict_proba(params, doc)))
-
-
-def predict_multilabel(params: ModelParams, doc: EncodedDoc, eta: float = 0.5) -> tuple[int, ...]:
-    """Select every target with sigmoid >= eta; argmax singleton if none qualify."""
+    harm: softmax probabilities and their argmax, ties going to the smallest
+    class index. targets: sigmoids and 0/1 flags ``sigma >= eta``; a row with
+    no flag set gets the argmax singleton instead.
+    """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
-    _, _, target_logits = forward(params, doc)
-    sigmas = sigmoid(target_logits)
-    flags = (sigmas >= eta).astype(int)
-    if flags.sum() == 0:
-        flags[int(np.argmax(sigmas))] = 1
-    return tuple(int(f) for f in flags)
-
-
-def target_sigmas(params: ModelParams, doc: EncodedDoc) -> np.ndarray:
-    _, _, target_logits = forward(params, doc)
-    return sigmoid(target_logits)
+    if task == "harm":
+        probs = softmax(acts.class_logits)
+        return probs, np.argmax(probs, axis=1)
+    if task != "targets":
+        raise ValueError(f"unknown task {task!r}")
+    sigmas = sigmoid(acts.target_logits)
+    flags = (sigmas >= eta).astype(np.int64)
+    empty = np.flatnonzero(~flags.any(axis=1))
+    flags[empty, np.argmax(sigmas[empty], axis=1)] = 1
+    return sigmas, flags
 
 
 def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:

@@ -11,6 +11,7 @@ earliest epoch.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ from .corpus import LabeledExample, NUM_CLASSES
 from .featurizer import EncodedDoc, FeatureConfig, batch_encode
 from .losses import ContrastiveConfig, GradientSet, gradients
 from .metrics import confusion, classification_report, multilabel_report
-from .model import ModelConfig, ModelParams, forward_batch, init_params, save_params, sigmoid
+from .model import ModelConfig, ModelParams, forward_batch, init_params, predict, save_params
 
 _EVAL_CHUNK = 256
 _GRAD_TOL = 1e-4
@@ -49,8 +50,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.contrastive.lam > 0.0 and self.task == "harm" and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 when the contrastive weight is positive")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.task not in ("harm", "targets"):
@@ -194,19 +195,14 @@ def evaluate_params(
     task: str,
     eta: float = 0.5,
 ) -> float:
-    """Validation score: macro-F1 (harm) or micro-F1 over decisions (targets)."""
+    """Validation score: macro-F1 over the ``predict`` decisions (harm), or
+    micro-F1 over the sigmoids thresholded at eta (targets)."""
+    outputs = [predict(forward_batch(params, docs[start : start + _EVAL_CHUNK]), task, eta)
+               for start in range(0, len(docs), _EVAL_CHUNK)]
     if task == "harm":
-        preds: list[int] = []
-        for start in range(0, len(docs), _EVAL_CHUNK):
-            acts = forward_batch(params, docs[start : start + _EVAL_CHUNK])
-            preds.extend(int(i) for i in np.argmax(acts.class_logits, axis=1))
-        cm = confusion(labels, preds, num_classes=params.bc.shape[0])
-        return classification_report(cm).macro_f1
-    sig_rows = []
-    for start in range(0, len(docs), _EVAL_CHUNK):
-        acts = forward_batch(params, docs[start : start + _EVAL_CHUNK])
-        sig_rows.append(sigmoid(acts.target_logits))
-    return multilabel_report(labels, np.vstack(sig_rows), eta=eta).micro_f1
+        preds = np.concatenate([decisions for _, decisions in outputs]).tolist()
+        return classification_report(confusion(labels, preds, num_classes=params.bc.shape[0])).macro_f1
+    return multilabel_report(labels, np.vstack([sigmas for sigmas, _ in outputs]), eta=eta).micro_f1
 
 
 def train(

@@ -135,6 +135,18 @@ class TestConfigParsing:
     def test_config_file_not_found(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "none.cfg")]) == 2
 
+    @pytest.mark.parametrize("key", ["learning_rate", "tau", "lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, tmp_path, split_files, capsys, key, value):
+        # NaN once trained to a report holding the invalid JSON token NaN;
+        # inf was accepted (tau) or ended in exit 3 (learning_rate, lambda).
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "nonfinite.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc", report=tmp_path / "r.json", **{key: value})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestTrainCommand:
     def test_artifacts_written(self, trained):
@@ -202,6 +214,18 @@ class TestPredictCommand:
         assert set(rec["targets"]) <= {0, 1}
         assert sum(rec["targets"]) >= 1  # argmax fallback forbids empty sets
 
+    @pytest.mark.parametrize("eta", ["0", "1", "1.5", "-3", "nan"])
+    def test_eta_outside_unit_interval_rejected(self, trained, tmp_path, capsys, eta):
+        root, _ = trained
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"id": "x", "text": "c0w1 c0w2 t3"}\n', encoding="utf-8")
+        out = tmp_path / "tgt.jsonl"
+        code = cli.main(["predict", "--checkpoint", str(root / "model.hpc"), "--input", str(src),
+                         "--task", "targets", f"--eta={eta}", "--output", str(out)])
+        assert code == 2
+        assert "eta must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint(self, tmp_path, split_files):
         _, val_path = split_files
         assert cli.main(["predict", "--checkpoint", str(tmp_path / "no.hpc"),
@@ -268,6 +292,15 @@ class TestEnsembleCommand:
                          "--strategy", "w-avg", "--output", str(tmp_path / "o.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("weights", ["nan,1", "1,nan", "inf,0"])
+    def test_wavg_non_finite_weights_rejected(self, tmp_path, capsys, weights):
+        out = tmp_path / "o.jsonl"
+        code = cli.main(["ensemble", "--members", *self.member_args()[:2], "--strategy", "w-avg",
+                         "--weights", weights, "--output", str(out)])
+        assert code == 2
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_known_report(self, tmp_path, capsys):
@@ -326,13 +359,24 @@ class TestMalformedInput:
         pytest.param("evaluate-targets", ['{"id": "a", "sigmas": [NaN, 0.1, 0.1, 0.1, 0.1]}'], 1, id="sigmas-nan"),
         pytest.param("evaluate-targets", ['{"id": "a", "sigmas": [1.5, 0.1, 0.1, 0.1, 0.1]}'], 1, id="sigmas-above-1"),
         pytest.param("evaluate-targets", ["5"], 1, id="sigmas-scalar-line"),
+        # "\udce9" is written as the lone byte 0xe9, which is not UTF-8.
+        pytest.param("split", ['{"id": "a", "text": "ok", "label": 0}',
+                               '{"id": "b", "text": "caf\udce9", "label": 1}'], 2, id="corpus-not-utf8"),
+        pytest.param("split", [f'{{"id": "d{i}", "text": "ok", "label": 0}}' for i in range(400)]
+                     + ['{"id": "z", "text": "\udcff", "label": 0}'], 401, id="corpus-not-utf8-past-first-chunk"),
+        pytest.param("split", ['{"id": "a", "text": "ok", "label": 0}\r{"id": "b", "text": "\udce9", "label": 1}'],
+                     2, id="corpus-not-utf8-cr-newlines"),
+        pytest.param("ensemble", ['{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25], "x": "\udce9"}'], 1,
+                     id="member-not-utf8"),
     ])
     def test_exit_2_names_path_and_line(self, tmp_path, capsys, command, lines, line_no):
         gold = tmp_path / "gold.jsonl"
         gold.write_text("".join(json.dumps(rec) + "\n" for rec in self.GOLD), encoding="utf-8")
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if command == "ensemble":
+        bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        if command == "split":
+            argv = ["split", "--input", str(bad)]
+        elif command == "ensemble":
             argv = ["ensemble", "--members", str(bad), str(FIXTURES / "member1.jsonl"),
                     "--strategy", "avg", "--output", str(tmp_path / "o.jsonl")]
         else:

@@ -3,7 +3,7 @@
 The sha256 of the report JSON, the ``.hpc`` checkpoint and the prediction
 file must not move unless a change re-baselines them on purpose and says so.
 The best validation score in each report must also be reproducible from the
-float32 checkpoint it names.
+float32 checkpoint it names, and from the prediction file through ``evaluate``.
 """
 
 import contextlib
@@ -82,3 +82,15 @@ def test_best_val_f1_reproducible_from_checkpoint(run):
     val = load_jsonl(root / "corpus.val.jsonl", task=task)
     docs = batch_encode([ex.text for ex in val], feature_cfg)
     assert evaluate_params(params, docs, _extract_labels(val, task), task) == report["best_val_f1"]
+
+
+def test_best_val_f1_reproducible_from_predictions(run):
+    # Validation and predict share one inference path, so evaluating the
+    # predictions of the best checkpoint gives back the reported score.
+    task, root = run
+    report = json.loads((root / "report.json").read_text(encoding="utf-8"))
+    with contextlib.chdir(root):
+        assert cli.main(["evaluate", "--gold", "corpus.val.jsonl", "--pred", "pred.jsonl",
+                         "--task", task, "--report", "eval.json"]) == 0
+    scores = json.loads((root / "eval.json").read_text(encoding="utf-8"))
+    assert scores["macro_f1" if task == "harm" else "micro_f1"] == report["best_val_f1"]

@@ -11,12 +11,11 @@ from harmkit.losses import (
     NonFiniteLossError,
     binary_cross_entropy,
     combined_loss,
-    cosine_sim,
     cross_entropy,
     gradients,
     info_nce,
 )
-from harmkit.model import ModelConfig, init_params, softmax
+from harmkit.model import ModelConfig, forward_batch, init_params, sigmoid, softmax
 
 
 def random_model(rng, vocab_size=64, embed_dim=8, hidden_dim=8):
@@ -35,31 +34,28 @@ def random_batch(rng, vocab_size=64, batch=6):
     return docs, labels
 
 
-class TestCosine:
-    def test_identity(self):
-        assert cosine_sim(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+def info_nce_reference(reps, labels, tau):
+    """Loop InfoNCE, one anchor at a time, as an oracle for the batched
+    ``info_nce``: per-pair cosine (0 for a zero vector), logsumexp over every
+    other member, mean over the anchors that have a positive."""
+    n = len(reps)
+    norms = [math.sqrt(sum(v * v for v in r)) for r in reps]
 
-    def test_orthogonal(self):
-        assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+    def cos(i, j):
+        if norms[i] == 0.0 or norms[j] == 0.0:
+            return 0.0
+        return sum(a * b for a, b in zip(reps[i], reps[j])) / (norms[i] * norms[j])
 
-    def test_closed_form(self):
-        assert cosine_sim(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(1 / math.sqrt(2))
-
-    def test_zero_norm(self):
-        assert cosine_sim(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cosine_sim(np.zeros(2), np.zeros(3))
-
-    def test_properties(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            x = rng.normal(0, 1, 5)
-            y = rng.normal(0, 1, 5)
-            assert cosine_sim(x, x) == pytest.approx(1.0)
-            assert cosine_sim(x, y) == pytest.approx(cosine_sim(y, x))
-            assert abs(cosine_sim(x, y)) <= 1.0 + 1e-9
+    per_anchor = []
+    for i in range(n):
+        positives = [j for j in range(n) if j != i and labels[j] == labels[i]]
+        if not positives:
+            continue
+        logits = [cos(i, j) / tau for j in range(n) if j != i]
+        top = max(logits)
+        log_denom = top + math.log(sum(math.exp(x - top) for x in logits))
+        per_anchor.append(sum(log_denom - cos(i, j) / tau for j in positives) / len(positives))
+    return sum(per_anchor) / len(per_anchor) if per_anchor else 0.0
 
 
 class TestCrossEntropy:
@@ -79,6 +75,13 @@ class TestCrossEntropy:
     def test_clamped_at_zero_probability(self):
         assert cross_entropy(np.array([1.0, 0.0]), 1) == pytest.approx(-math.log(1e-12))
 
+    def test_batch_mean_of_rows(self):
+        probs = np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]])
+        expected = (math.log(4) - math.log(0.3)) / 2
+        assert cross_entropy(probs, np.array([3, 2])) == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(ValueError, match="2 probability rows but 3"):
+            cross_entropy(probs, np.array([0, 1, 2]))
+
 
 class TestBinaryCrossEntropy:
     def test_perfect_within_clamp(self):
@@ -93,6 +96,12 @@ class TestBinaryCrossEntropy:
         got = binary_cross_entropy(np.array([0.9, 0.1, 0.5, 0.5, 0.5]), (1, 0, 1, 0, 1))
         assert got == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.458032514599, abs=1e-9)
+
+    def test_batch_mean_of_rows(self):
+        sigmas = np.array([[0.9, 0.1, 0.5, 0.5, 0.5], [0.5] * 5])
+        rows = np.array([[1, 0, 1, 0, 1], [1, 1, 0, 0, 1]])
+        expected = ((2 * -math.log(0.9) + 3 * math.log(2)) / 5 + math.log(2)) / 2
+        assert binary_cross_entropy(sigmas, rows) == pytest.approx(expected, abs=1e-12)
 
 
 class TestInfoNce:
@@ -152,6 +161,17 @@ class TestInfoNce:
                 assert value <= previous + 1e-12
             previous = value
 
+    @pytest.mark.parametrize("tau", [0.05, 0.1, 1.0])
+    def test_matches_loop_reference(self, tau):
+        rng = np.random.default_rng(int(tau * 100))
+        for trial in range(40):
+            n = int(rng.integers(2, 12))
+            reps = rng.normal(0, 1, (n, int(rng.integers(1, 7))))
+            reps[rng.random(n) < 0.2] = 0.0  # zero rows: the empty-document case
+            labels = rng.integers(0, int(rng.integers(1, n + 1)), n)  # some anchors lack positives
+            assert info_nce(reps, labels, tau) == pytest.approx(
+                info_nce_reference(reps, labels, tau), abs=1e-12), (trial, labels)
+
 
 class TestCombinedLoss:
     def test_switch_off(self):
@@ -175,6 +195,12 @@ class TestCombinedLoss:
             ContrastiveConfig(tau=0.0)
         with pytest.raises(ValueError):
             ContrastiveConfig(lam=-0.1)
+
+    @pytest.mark.parametrize("field", ["tau", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ContrastiveConfig(**{field: value})
 
 
 def ce_only_gradients_reference(params, docs, classes):
@@ -222,6 +248,28 @@ class TestGradients:
             assert loss == pytest.approx(ref_loss, abs=1e-12)
             for name, arr in grads.arrays():
                 assert np.allclose(arr, ref[name], atol=1e-12), name
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_harm_loss_is_ce_plus_lambda_info_nce(self, lam):
+        # The training loss is built from the same functions the closed-form
+        # fixtures check.
+        rng = np.random.default_rng(41)
+        params = random_model(rng)
+        docs, labels = random_batch(rng, batch=8)
+        cfg = ContrastiveConfig(tau=0.1, lam=lam)
+        loss, _ = gradients(params, docs, labels, cfg, task="harm")
+        acts = forward_batch(params, docs)
+        expected = cross_entropy(softmax(acts.class_logits), labels) + lam * info_nce(acts.z, labels, cfg.tau)
+        assert loss == pytest.approx(expected, abs=1e-12)
+
+    def test_targets_loss_is_bce(self):
+        rng = np.random.default_rng(43)
+        params = random_model(rng)
+        docs, _ = random_batch(rng, batch=8)
+        target_rows = rng.integers(0, 2, size=(8, 5))
+        loss, _ = gradients(params, docs, target_rows, ContrastiveConfig(), task="targets")
+        sigmas = sigmoid(forward_batch(params, docs).target_logits)
+        assert loss == pytest.approx(binary_cross_entropy(sigmas, target_rows), abs=1e-12)
 
     def test_unused_embedding_rows_have_zero_gradient(self):
         rng = np.random.default_rng(13)

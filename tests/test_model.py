@@ -12,17 +12,16 @@ from harmkit.corpus import NUM_CLASSES, NUM_TARGETS
 from harmkit.featurizer import EncodedDoc, FeatureConfig
 from harmkit.model import (
     ModelConfig,
-    forward,
     forward_batch,
     init_params,
     load_params,
-    predict_label,
-    predict_multilabel,
-    predict_proba,
+    predict,
     save_params,
     sigmoid,
     softmax,
 )
+
+EMPTY = EncodedDoc(ids=np.array([], dtype=np.int64), length=0)
 
 
 def small_cfg(seed=0):
@@ -91,22 +90,17 @@ class TestInit:
 
 class TestForward:
     def test_empty_doc_zero_propagation(self):
-        params = init_params(small_cfg())
-        rep, class_logits, target_logits = forward(params, EncodedDoc(ids=np.array([], dtype=np.int64), length=0))
-        assert not rep.z.any()
-        assert not rep.z_hat.any()
-        assert not class_logits.any()
-        assert not target_logits.any()
+        acts = forward_batch(init_params(small_cfg()), [EMPTY])
+        assert acts.z.shape == (1, 6)
+        for arr in (acts.h0, acts.z, acts.z_norm, acts.z_hat, acts.class_logits, acts.target_logits):
+            assert not arr.any()
 
     def test_repeated_token_mean_pooling(self):
         params = init_params(small_cfg(seed=3))
-        outs = []
-        for k in (1, 2, 5):
-            doc = EncodedDoc(ids=np.array([17] * k), length=k)
-            _, class_logits, _ = forward(params, doc)
-            outs.append(class_logits)
-        assert np.allclose(outs[0], outs[1], atol=0)
-        assert np.allclose(outs[0], outs[2], atol=0)
+        docs = [EncodedDoc(ids=np.array([17] * k), length=k) for k in (1, 2, 5)]
+        class_logits = forward_batch(params, docs).class_logits
+        assert np.allclose(class_logits[0], class_logits[1], atol=0)
+        assert np.allclose(class_logits[0], class_logits[2], atol=0)
 
     def test_matches_straight_line_reference(self):
         rng = np.random.default_rng(19)
@@ -115,19 +109,20 @@ class TestForward:
             params = init_params(small_cfg(seed=trial))
             for name, arr in params.arrays():
                 arr += rng.normal(0, 0.3, arr.shape)
-            doc = random_doc(rng, cfg.vocab_size)
-            rep, class_logits, target_logits = forward(params, doc)
-            z_ref, z_hat_ref, cls_ref, tgt_ref = forward_reference(params, doc)
-            assert np.allclose(rep.z, z_ref, atol=1e-12)
-            assert np.allclose(rep.z_hat, z_hat_ref, atol=1e-12)
-            assert np.allclose(class_logits, cls_ref, atol=1e-12)
-            assert np.allclose(target_logits, tgt_ref, atol=1e-12)
+            docs = [random_doc(rng, cfg.vocab_size) for _ in range(3)] + [EMPTY]
+            acts = forward_batch(params, docs)
+            for i, doc in enumerate(docs):
+                z_ref, z_hat_ref, cls_ref, tgt_ref = forward_reference(params, doc)
+                assert np.allclose(acts.z[i], z_ref, atol=1e-12)
+                assert np.allclose(acts.z_hat[i], z_hat_ref, atol=1e-12)
+                assert np.allclose(acts.class_logits[i], cls_ref, atol=1e-12)
+                assert np.allclose(acts.target_logits[i], tgt_ref, atol=1e-12)
 
     def test_out_of_range_id(self):
         params = init_params(small_cfg())
         doc = EncodedDoc(ids=np.array([9999]), length=1)
         with pytest.raises(ValueError, match="out of range"):
-            forward(params, doc)
+            forward_batch(params, [doc])
 
     def test_z_hat_unit_norm_property(self):
         rng = np.random.default_rng(23)
@@ -138,7 +133,6 @@ class TestForward:
         norms = np.linalg.norm(acts.z_hat, axis=1)
         nonzero = acts.z_norm > 0
         assert np.allclose(norms[nonzero], 1.0, atol=1e-6)
-
 
 class TestSoftmax:
     def test_uniform(self):
@@ -176,63 +170,81 @@ class TestSigmoid:
         assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
 
+def harm_label(params, doc):
+    return int(predict(forward_batch(params, [doc]), "harm")[1][0])
+
+
 class TestPredict:
     def test_argmax(self):
         params = init_params(small_cfg())
         params.bc[:] = [0.1, 2.0, 0.3, 0.0]
-        doc = EncodedDoc(ids=np.array([], dtype=np.int64), length=0)
-        assert predict_label(params, doc) == 1
+        assert harm_label(params, EMPTY) == 1
 
     def test_tie_break_smallest(self):
-        params = init_params(small_cfg())
-        doc = EncodedDoc(ids=np.array([], dtype=np.int64), length=0)  # all logits zero
-        assert predict_label(params, doc) == 0
+        params = init_params(small_cfg())  # all logits of the empty doc are zero
+        assert harm_label(params, EMPTY) == 0
 
     def test_shift_invariance(self):
         params = init_params(small_cfg(seed=4))
         doc = EncodedDoc(ids=np.array([3, 4, 5]), length=3)
-        before = predict_label(params, doc)
+        before = harm_label(params, doc)
         params.bc += 123.0
-        assert predict_label(params, doc) == before
+        assert harm_label(params, doc) == before
 
     def test_matches_forward_argmax(self):
+        # Scores are the softmax of the forward pass's class logits and
+        # decisions their argmax, row for row.
         rng = np.random.default_rng(31)
         cfg = small_cfg(seed=6)
         params = init_params(cfg)
         for name, arr in params.arrays():
             arr += rng.normal(0, 0.5, arr.shape)
-        for _ in range(100):
-            doc = random_doc(rng, cfg.vocab_size)
-            _, class_logits, _ = forward(params, doc)
-            assert predict_label(params, doc) == int(np.argmax(class_logits))
-            assert np.allclose(predict_proba(params, doc), softmax(class_logits), atol=0)
+        acts = forward_batch(params, [random_doc(rng, cfg.vocab_size) for _ in range(100)])
+        probs, labels = predict(acts, "harm")
+        assert np.array_equal(probs, softmax(acts.class_logits))
+        assert np.array_equal(labels, np.argmax(acts.class_logits, axis=1))
+
+    def test_unknown_task(self):
+        acts = forward_batch(init_params(small_cfg()), [EMPTY])
+        with pytest.raises(ValueError, match="unknown task 'both'"):
+            predict(acts, "both")
 
 
 class TestPredictMultilabel:
-    def sigma_doc(self, sigmas):
-        # Build params whose target logits produce the requested sigmas for an
-        # empty document (logit = bt, sigma = logistic(bt)).
+    def sigma_acts(self, *rows):
+        # Target logits whose sigmoids are the requested rows (logit = bt
+        # for an empty document, one document per row).
         params = init_params(small_cfg())
-        sig = np.asarray(sigmas, dtype=np.float64)
-        params.bt[:] = np.log(sig / (1.0 - sig))
-        return params, EncodedDoc(ids=np.array([], dtype=np.int64), length=0)
+        acts = forward_batch(params, [EMPTY] * len(rows))
+        sig = np.asarray(rows, dtype=np.float64)
+        acts.target_logits = np.log(sig / (1.0 - sig))
+        return acts
+
+    def flags(self, *rows, eta=0.5):
+        return predict(self.sigma_acts(*rows), "targets", eta)[1].tolist()
 
     def test_threshold_rule(self):
-        params, doc = self.sigma_doc([0.6, 0.5, 0.49, 0.7, 0.1])
-        assert predict_multilabel(params, doc, eta=0.5) == (1, 1, 0, 1, 0)
+        assert self.flags([0.6, 0.5, 0.49, 0.7, 0.1]) == [[1, 1, 0, 1, 0]]
 
     def test_fallback_argmax_singleton(self):
-        params, doc = self.sigma_doc([0.4, 0.4, 0.4, 0.4, 0.4])
-        assert predict_multilabel(params, doc, eta=0.5) == (1, 0, 0, 0, 0)
+        assert self.flags([0.4, 0.4, 0.4, 0.4, 0.4]) == [[1, 0, 0, 0, 0]]
+        # Only the row with no flag set falls back, to its own argmax.
+        assert self.flags([0.6, 0.1, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.45, 0.2]) == [
+            [1, 0, 0, 0, 0], [0, 0, 0, 1, 0]]
 
     def test_saturation_all_selected(self):
-        params, doc = self.sigma_doc([0.99, 0.99, 0.99, 0.99, 0.99])
-        assert predict_multilabel(params, doc, eta=0.5) == (1, 1, 1, 1, 1)
+        assert self.flags([0.99, 0.99, 0.99, 0.99, 0.99]) == [[1, 1, 1, 1, 1]]
+
+    def test_scores_are_sigmoids(self):
+        acts = self.sigma_acts([0.6, 0.5, 0.49, 0.7, 0.1])
+        assert np.array_equal(predict(acts, "targets")[0], sigmoid(acts.target_logits))
 
     def test_eta_validation(self):
-        params, doc = self.sigma_doc([0.5] * 5)
-        with pytest.raises(ValueError):
-            predict_multilabel(params, doc, eta=0.0)
+        acts = self.sigma_acts([0.5] * 5)
+        for eta in (0.0, 1.0, 1.5, -3.0, float("nan"), float("inf")):
+            for task in ("harm", "targets"):
+                with pytest.raises(ValueError, match="eta must be in"):
+                    predict(acts, task, eta)
 
 
 class TestCheckpoint:
