@@ -64,8 +64,16 @@ def parse_run_config(path: str | Path) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte starts the line after the last break in the valid prefix,
+        # with breaks counted by str.splitlines as the parser below counts them.
+        line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ConfigError(f"{p}:{line_no}: not valid UTF-8: {exc.reason}") from exc
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -82,44 +90,26 @@ def parse_run_config(path: str | Path) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"{p}: missing required config key '{key}'")
 
-    def get_int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
+    def number(key: str, kind: type, noun: str) -> int | float:
         try:
-            return int(raw[key])
+            return kind(raw[key])
         except ValueError as exc:
-            raise ConfigError(f"{p}: key '{key}' needs an integer, got {raw[key]!r}") from exc
+            raise ConfigError(f"{p}: key '{key}' needs {noun}, got {raw[key]!r}") from exc
 
-    def get_float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{p}: key '{key}' needs a number, got {raw[key]!r}") from exc
+    values = {key: number(key, int, "an integer") for key in _INT_KEYS if key in raw}
+    values |= {key: number(key, float, "a number") for key in _FLOAT_KEYS if key in raw}
+    values |= {key: raw[key] for key in _STR_KEYS if key in raw}
+
+    def given(*keys: str) -> dict:
+        """The keys the file sets, named as their config fields; the rest keep the field defaults."""
+        return {"lam" if key == "lambda" else key: values[key] for key in keys if key in values}
 
     try:
-        feature = FeatureConfig(
-            max_tokens=get_int("max_tokens", 512),
-            hash_bits=get_int("hash_bits", 15),
-            ngram=get_int("ngram", 1),
-        )
-        seed = get_int("seed", 0)
-        model_cfg = ModelConfig(
-            vocab_size=feature.vocab_size,
-            embed_dim=get_int("embed_dim", 64),
-            hidden_dim=get_int("hidden_dim", 64),
-            seed=seed,
-        )
-        contrastive = ContrastiveConfig(tau=get_float("tau", 0.1), lam=get_float("lambda", 0.5))
+        feature = FeatureConfig(**given("max_tokens", "hash_bits", "ngram"))
+        model_cfg = ModelConfig(vocab_size=feature.vocab_size, **given("embed_dim", "hidden_dim", "seed"))
         train_cfg = TrainConfig(
-            epochs=get_int("epochs", 20),
-            batch_size=get_int("batch_size", 32),
-            learning_rate=get_float("learning_rate", 0.05),
-            optimizer=raw.get("optimizer", "adam"),
-            seed=seed,
-            contrastive=contrastive,
-            task=raw.get("task", "harm"),
+            contrastive=ContrastiveConfig(**given("tau", "lambda")),
+            **given("epochs", "batch_size", "learning_rate", "optimizer", "seed", "task"),
         )
     except ValueError as exc:
         raise ConfigError(f"{p}: {exc}") from exc
@@ -197,17 +187,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     data = corpus.load_jsonl(args.input, task=args.task, require_labels=False)
     docs = batch_encode([ex.text for ex in data], feature_cfg)
     scores, decisions = predict(forward_batch(params, docs), args.task, args.eta)
-    if args.task == "harm":
-        ensembles.write_prediction_file(args.output, [ex.id for ex in data], scores, decisions)
-    else:
-        with Path(args.output).open("w", encoding="utf-8") as fh:
-            for ex, row, flags in zip(data, scores, decisions):
-                rec = {
-                    "id": ex.id,
-                    "sigmas": [float(x) for x in row],
-                    "targets": [int(f) for f in flags],
-                }
-                fh.write(json.dumps(rec) + "\n")
+    ensembles.write_prediction_file(args.output, [ex.id for ex in data], scores, decisions, args.task)
     print(json.dumps({"predictions": args.output, "n": len(data)}, sort_keys=True))
     return EXIT_OK
 

@@ -1,18 +1,19 @@
 """Combine per-document probability distributions from several trained models.
 
 Three strategies: hard majority vote, elementwise averaging, and weighted
-averaging with a convex weight vector. Vote ties are broken by the highest
-summed probability among the tied labels, then by the smallest label index;
-argmax ties in the soft strategies also resolve to the smallest index.
+averaging with a convex weight vector. Each decision is one array rule over
+the aligned (members, documents, classes) stack: vote ties are broken by the
+highest summed probability among the tied labels, then by the smallest label
+index; argmax ties in the soft strategies also resolve to the smallest index.
 
 Member prediction files are UTF-8 JSONL: {"id": ..., "probs": [p0..p3]},
-optionally with a "label" field (ignored on read, emitted on write).
+optionally with a "label" field (ignored on read). ``write_prediction_file``
+is the one writer of prediction rows, for the ensemble and for ``predict``.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -53,18 +54,22 @@ def load_member_file(path: str | Path) -> MemberPrediction:
     return MemberPrediction(member_id=Path(path).name, doc_ids=doc_ids, probs=probs)
 
 
+_PREDICTION_KEYS = {"harm": ("probs", "label"), "targets": ("sigmas", "targets")}
+
+
 def write_prediction_file(
     path: str | Path,
     doc_ids: Sequence[str],
-    probs: np.ndarray,
-    labels: Sequence[int] | None = None,
+    scores: np.ndarray,
+    decisions: Sequence | np.ndarray,
+    task: str = "harm",
 ) -> None:
+    """One JSONL row per document: {"id", "probs", "label"} for harm,
+    {"id", "sigmas", "targets"} for targets."""
+    score_key, decision_key = _PREDICTION_KEYS[task]
     with Path(path).open("w", encoding="utf-8") as fh:
-        for i, doc_id in enumerate(doc_ids):
-            rec: dict = {"id": doc_id, "probs": [float(x) for x in probs[i]]}
-            if labels is not None:
-                rec["label"] = int(labels[i])
-            fh.write(json.dumps(rec) + "\n")
+        for doc_id, row, decision in zip(doc_ids, scores, np.asarray(decisions)):
+            fh.write(json.dumps({"id": doc_id, score_key: row.tolist(), decision_key: decision.tolist()}) + "\n")
 
 
 def _aligned_stack(members: Sequence[MemberPrediction]) -> tuple[list[str], np.ndarray]:
@@ -90,33 +95,21 @@ def _aligned_stack(members: Sequence[MemberPrediction]) -> tuple[list[str], np.n
     return list(reference), np.stack(stacks)  # (M, N, C)
 
 
-def _argmax_smallest(row: np.ndarray) -> int:
-    return int(np.argmax(row))  # np.argmax returns the first (smallest) index on ties
-
-
 def majority_vote(members: Sequence[MemberPrediction]) -> tuple[list[str], list[int]]:
-    """Hard vote over member argmax labels, per document."""
+    """Hard vote over member argmax labels, per document; a tie goes to the
+    highest summed probability, then to the smallest label."""
     doc_ids, stack = _aligned_stack(members)
-    n_docs = stack.shape[1]
-    labels: list[int] = []
-    for d in range(n_docs):
-        votes = Counter(_argmax_smallest(stack[m, d]) for m in range(stack.shape[0]))
-        top = max(votes.values())
-        tied = [label for label, count in votes.items() if count == top]
-        if len(tied) > 1:
-            summed = stack[:, d, :].sum(axis=0)
-            best = max(summed[label] for label in tied)
-            tied = [label for label in tied if summed[label] == best]
-        labels.append(min(tied))
-    return doc_ids, labels
+    choices = np.argmax(stack, axis=2)  # (M, N); np.argmax takes the first index on ties
+    votes = (choices[:, :, None] == np.arange(stack.shape[2])).sum(axis=0)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    return doc_ids, np.argmax(np.where(tied, stack.sum(axis=0), -np.inf), axis=1).tolist()
 
 
 def average_ensemble(members: Sequence[MemberPrediction]) -> tuple[list[str], np.ndarray, list[int]]:
     """Elementwise mean of member distributions, then argmax."""
     doc_ids, stack = _aligned_stack(members)
     mean = stack.sum(axis=0) / stack.shape[0]
-    labels = [_argmax_smallest(row) for row in mean]
-    return doc_ids, mean, labels
+    return doc_ids, mean, np.argmax(mean, axis=1).tolist()
 
 
 def weighted_average_ensemble(
@@ -137,8 +130,7 @@ def weighted_average_ensemble(
     combined = np.zeros(stack.shape[1:])
     for m in range(stack.shape[0]):
         combined += w[m] * stack[m]
-    labels = [_argmax_smallest(row) for row in combined]
-    return doc_ids, combined, labels
+    return doc_ids, combined, np.argmax(combined, axis=1).tolist()
 
 
 def derive_weights(val_reports: Sequence[MetricsReport | float]) -> list[float]:

@@ -158,8 +158,8 @@ def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.nda
     """The scores and decisions of a batch, row-aligned with its documents.
 
     harm: softmax probabilities and their argmax, ties going to the smallest
-    class index. targets: sigmoids and 0/1 flags ``sigma >= eta``; a row with
-    no flag set gets the argmax singleton instead.
+    class index. targets: sigmoids and 0/1 flags ``sigma >= eta``, the rule
+    validation and ``evaluate`` score; a row may flag no target at all.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
@@ -169,10 +169,7 @@ def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.nda
     if task != "targets":
         raise ValueError(f"unknown task {task!r}")
     sigmas = sigmoid(acts.target_logits)
-    flags = (sigmas >= eta).astype(np.int64)
-    empty = np.flatnonzero(~flags.any(axis=1))
-    flags[empty, np.argmax(sigmas[empty], axis=1)] = 1
-    return sigmas, flags
+    return sigmas, (sigmas >= eta).astype(np.int64)
 
 
 def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:

@@ -4,11 +4,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmkit import cli
 from harmkit.corpus import load_jsonl, save_jsonl
+from harmkit.featurizer import FeatureConfig
+from harmkit.model import ModelConfig
 from harmkit.synth import generate_corpus
+from harmkit.trainer import TrainConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -132,6 +136,29 @@ class TestConfigParsing:
         config.write_text(config.read_text() + "epochs = 4\n", encoding="utf-8")
         assert cli.main(["train", "--config", str(config)]) == 2
 
+    def test_unset_keys_take_the_dataclass_defaults(self, tmp_path, split_files):
+        train_path, val_path = split_files
+        config = tmp_path / "minimal.cfg"
+        config.write_text(f"train_file = {train_path}\nval_file = {val_path}\ncheckpoint = m.hpc\n",
+                          encoding="utf-8")
+        cfg = cli.parse_run_config(config)
+        assert cfg.feature == FeatureConfig()
+        assert cfg.model == ModelConfig(vocab_size=FeatureConfig().vocab_size)
+        assert cfg.train == TrainConfig()
+        assert cfg.report is None
+
+    @pytest.mark.parametrize("content, line_no", [
+        (b"train_file = caf\xe9\n", 1),
+        (b"# comment\r\nseed = 1\repochs = 2\n\ntrain_file = caf\xe9\n", 5),
+    ], ids=["first-line", "mixed-line-breaks"])
+    def test_non_utf8_config_names_path_and_line(self, tmp_path, capsys, content, line_no):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(content)
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}:{line_no}: not valid UTF-8" in err
+        assert "Traceback" not in err
+
     def test_config_file_not_found(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "none.cfg")]) == 2
 
@@ -211,8 +238,28 @@ class TestPredictCommand:
         assert code == 0
         rec = json.loads(out.read_text())
         assert len(rec["sigmas"]) == 5
-        assert set(rec["targets"]) <= {0, 1}
-        assert sum(rec["targets"]) >= 1  # argmax fallback forbids empty sets
+        assert rec["targets"] == [int(s >= 0.5) for s in rec["sigmas"]]
+
+    def test_evaluate_scores_the_written_flags(self, trained, split_files, tmp_path, capsys):
+        # Flags are exactly sigma >= eta, empty rows included, so evaluate at
+        # the same eta scores what predict wrote.
+        root, _ = trained
+        _, val_path = split_files
+        out = tmp_path / "tgt.jsonl"
+        args = ["predict", "--checkpoint", str(root / "model.hpc"), "--input", str(val_path),
+                "--task", "targets", "--output", str(out)]
+        assert cli.main(args) == 0
+        eta = float(np.median([max(json.loads(line)["sigmas"]) for line in out.read_text().splitlines()]))
+        assert cli.main(args + [f"--eta={eta!r}"]) == 0
+        flags = np.array([json.loads(line)["targets"] for line in out.read_text().splitlines()])
+        assert 0 < int((flags.sum(axis=1) == 0).sum()) < len(flags)
+        gold = np.array([ex.targets for ex in load_jsonl(val_path, task="targets")])
+        report_path = tmp_path / "rep.json"
+        assert cli.main(["evaluate", "--gold", str(val_path), "--pred", str(out), "--task", "targets",
+                         f"--eta={eta!r}", "--report", str(report_path)]) == 0
+        tp = int((flags & gold).sum())
+        fp, fn = int(flags.sum()) - tp, int(gold.sum()) - tp
+        assert json.loads(report_path.read_text())["micro_f1"] == pytest.approx(2 * tp / (2 * tp + fp + fn), abs=1e-12)
 
     @pytest.mark.parametrize("eta", ["0", "1", "1.5", "-3", "nan"])
     def test_eta_outside_unit_interval_rejected(self, trained, tmp_path, capsys, eta):

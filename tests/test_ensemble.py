@@ -6,12 +6,14 @@ so the frozen file itself stays auditable.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from harmkit.corpus import read_rows
 from harmkit.ensembles import (
     MemberPrediction,
     average_ensemble,
@@ -97,6 +99,24 @@ def make_member(member_id, doc_ids, rows):
     return MemberPrediction(member_id=member_id, doc_ids=list(doc_ids), probs=np.array(rows, dtype=np.float64))
 
 
+def majority_vote_reference(members):
+    """The per-document vote loop, kept as the oracle for the array rule."""
+    doc_ids = list(members[0].doc_ids)
+    index = [{d: row for row, d in enumerate(m.doc_ids)} for m in members]
+    labels = []
+    for doc_id in doc_ids:
+        rows = np.stack([m.probs[ix[doc_id]] for m, ix in zip(members, index)])
+        votes = Counter(int(np.argmax(row)) for row in rows)
+        top = max(votes.values())
+        tied = [label for label, count in votes.items() if count == top]
+        if len(tied) > 1:
+            summed = rows.sum(axis=0)
+            best = max(summed[label] for label in tied)
+            tied = [label for label in tied if summed[label] == best]
+        labels.append(min(tied))
+    return doc_ids, labels
+
+
 class TestVote:
     def test_strict_majority(self):
         m = [
@@ -118,6 +138,26 @@ class TestVote:
         ]
         # Votes split 0 vs 1; summed p0 = 1.1 beats p1 = 0.9.
         assert majority_vote(m)[1] == [0]
+
+    @pytest.mark.parametrize("rows", ["sixteenths", "dirichlet"])
+    def test_matches_loop_reference(self, rows):
+        # Sixteenths make exact vote and summed-probability ties common.
+        rng = np.random.default_rng(67)
+        for _ in range(150):
+            n_members, n_docs = int(rng.integers(2, 6)), int(rng.integers(1, 40))
+            ids = [f"d{i}" for i in range(n_docs)]
+            m = []
+            for k in range(n_members):
+                if rows == "sixteenths":
+                    probs = rng.multinomial(16, [0.25] * 4, size=n_docs) / 16
+                else:
+                    probs = rng.dirichlet(np.ones(4), size=n_docs)
+                order = rng.permutation(n_docs)
+                m.append(make_member(str(k), [ids[i] for i in order], probs[order]))
+            expected = majority_vote_reference(m)
+            got = majority_vote(m)
+            assert got == expected
+            assert all(type(label) is int for label in got[1])
 
 
 class TestAverage:
@@ -288,10 +328,21 @@ class TestIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         probs = np.array([[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
-        write_prediction_file(path, ["a", "b"], probs, labels=[0, 0])
+        write_prediction_file(path, ["a", "b"], probs, [0, 0])
         member = load_member_file(path)
         assert member.doc_ids == ["a", "b"]
         assert np.array_equal(member.probs, probs)
+        assert [json.loads(line)["label"] for line in path.read_text().splitlines()] == [0, 0]
+
+    def test_targets_round_trip(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        sigmas = np.array([[0.5, 0.25, 0.75, 0.0, 1.0], [0.1, 0.2, 0.3, 0.4, 0.45]])
+        flags = (sigmas >= 0.5).astype(np.int64)
+        write_prediction_file(path, ["a", "b"], sigmas, flags, "targets")
+        doc_ids, read = read_rows(path, "sigmas", 5, low=0.0, high=1.0)
+        assert doc_ids == ["a", "b"]
+        assert np.array_equal(read, sigmas)
+        assert [json.loads(line)["targets"] for line in path.read_text().splitlines()] == flags.tolist()
 
     def test_invalid_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,7 +1,9 @@
-"""Golden digests: a fixed-seed train and predict run is pinned byte for byte.
+"""Golden digests: a fixed-seed train and predict run is pinned byte for byte,
+and so are the outputs of ``ensemble`` and ``evaluate`` on fixed member files.
 
-The sha256 of the report JSON, the ``.hpc`` checkpoint and the prediction
-file must not move unless a change re-baselines them on purpose and says so.
+The sha256 of the report JSON, the ``.hpc`` checkpoint, the prediction file
+and every ensemble and evaluate output must not move unless a change
+re-baselines them on purpose and says so.
 The best validation score in each report must also be reproducible from the
 float32 checkpoint it names, and from the prediction file through ``evaluate``.
 """
@@ -11,6 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmkit import cli
@@ -94,3 +97,90 @@ def test_best_val_f1_reproducible_from_predictions(run):
                          "--task", task, "--report", "eval.json"]) == 0
     scores = json.loads((root / "eval.json").read_text(encoding="utf-8"))
     assert scores["macro_f1" if task == "harm" else "micro_f1"] == report["best_val_f1"]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# sha256 of every file `ensemble --gold --report` and `evaluate` write, on the
+# committed 8-row fixtures and on a seeded 2000-row set in sixteenths, where
+# exact vote and argmax ties are common.
+ENSEMBLE_GOLDEN = {
+    "fixtures": {
+        "avg.eval.json": "fbe98da2f82e02a40019c44cb704852824880598e1d520248d8568901c5da46f",
+        "avg.jsonl": "d647e7bc240bae439854c8307ce1ca48bf44d3c08772b326309c27f79a6c6e47",
+        "avg.report.json": "fbe98da2f82e02a40019c44cb704852824880598e1d520248d8568901c5da46f",
+        "vote.eval.json": "b97bfbd8dbd9c4f53d08a6698b3331c43ce89f1635d8a84916a81ee29a3afb75",
+        "vote.jsonl": "ed3e3c96dfb7ac9f859b6b045d363288057830b9e980c552bd12a962e1183714",
+        "vote.report.json": "b97bfbd8dbd9c4f53d08a6698b3331c43ce89f1635d8a84916a81ee29a3afb75",
+        "w-avg.eval.json": "e0d9212ff07c02ce36614ee85b9298ae8ade0c09ac92e4e6b4e60a648e704f89",
+        "w-avg.jsonl": "088499ae141fd87984df9198d11adba0101b60b09b1a51736a3ab31e0ffb6240",
+        "w-avg.report.json": "e0d9212ff07c02ce36614ee85b9298ae8ade0c09ac92e4e6b4e60a648e704f89",
+    },
+    "sixteenths": {
+        "avg.eval.json": "5a8c235958398d944d0a955ef3efd8335f70e2cf86fface28b3107a7d4e3f1d9",
+        "avg.jsonl": "c1d4a0b7c2e8e46c5c2d8c0d1eb64dfe2163438012b145f666441667277a1489",
+        "avg.report.json": "5a8c235958398d944d0a955ef3efd8335f70e2cf86fface28b3107a7d4e3f1d9",
+        "sigmas.eval.json": "f72a6789bad65fdbb772a69412e466305b2f3b0e9f8670b59883584c503aa2bd",
+        "vote.eval.json": "0b04f33300d8ea909262a93727f8e5fafbfa53a525d1bfe26291366e6013e8ab",
+        "vote.jsonl": "74db95735a6bd09f539f833431405c01aa5af2201292f3a5798191f2300a3be5",
+        "vote.report.json": "0b04f33300d8ea909262a93727f8e5fafbfa53a525d1bfe26291366e6013e8ab",
+        "w-avg.eval.json": "a5c8a69954ccdd91d86524334608f8420689e452ac46d0743df9f72a8e6c40fe",
+        "w-avg.jsonl": "2fe037a6d36456e6e981fcb1a34dd48957d9cc027725bce8afa7316aaeb945e3",
+        "w-avg.report.json": "a5c8a69954ccdd91d86524334608f8420689e452ac46d0743df9f72a8e6c40fe",
+    },
+}
+
+
+def write_sixteenths(root, n=2000, seed=7):
+    """Three members over the same ids (in different orders), a harm gold file,
+    and a targets gold/prediction pair, every number a multiple of 1/16."""
+    rng = np.random.default_rng(seed)
+    ids = [f"d{i}" for i in range(n)]
+    for m in range(3):
+        rows = rng.multinomial(16, [0.25] * 4, size=n) / 16
+        order = rng.permutation(n) if m else np.arange(n)
+        with open(root / f"member{m + 1}.jsonl", "w", encoding="utf-8") as fh:
+            for i in order:
+                fh.write(json.dumps({"id": ids[i], "probs": rows[i].tolist()}) + "\n")
+    labels = rng.integers(0, 4, size=n)
+    targets = rng.integers(0, 2, size=(n, 5))
+    sigmas = rng.integers(0, 17, size=(n, 5)) / 16
+    with open(root / "gold.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(n):
+            fh.write(json.dumps({"id": ids[i], "text": f"doc {i}", "label": int(labels[i]),
+                                 "targets": targets[i].tolist()}) + "\n")
+    with open(root / "sigmas.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(n):
+            fh.write(json.dumps({"id": ids[i], "sigmas": sigmas[i].tolist()}) + "\n")
+    return "0.5,0.25,0.25"
+
+
+@pytest.fixture(scope="module", params=sorted(ENSEMBLE_GOLDEN))
+def ensemble_run(request, tmp_path_factory):
+    name = request.param
+    root = tmp_path_factory.mktemp(f"ensemble_{name}")
+    if name == "fixtures":
+        for file in ("member1.jsonl", "member2.jsonl", "member3.jsonl", "gold.jsonl"):
+            (root / file).write_bytes((FIXTURES / file).read_bytes())
+        weights = ",".join(str(w) for w in json.loads((FIXTURES / "expected.json").read_text())["weights"])
+    else:
+        weights = write_sixteenths(root)
+    with contextlib.chdir(root):
+        members = ["member1.jsonl", "member2.jsonl", "member3.jsonl"]
+        for strategy in ("vote", "avg", "w-avg"):
+            extra = ["--weights", weights] if strategy == "w-avg" else []
+            assert cli.main(["ensemble", "--members", *members, "--strategy", strategy, *extra,
+                             "--gold", "gold.jsonl", "--output", f"{strategy}.jsonl",
+                             "--report", f"{strategy}.report.json"]) == 0
+            assert cli.main(["evaluate", "--gold", "gold.jsonl", "--pred", f"{strategy}.jsonl",
+                             "--report", f"{strategy}.eval.json"]) == 0
+        if Path("sigmas.jsonl").exists():
+            assert cli.main(["evaluate", "--gold", "gold.jsonl", "--pred", "sigmas.jsonl",
+                             "--task", "targets", "--report", "sigmas.eval.json"]) == 0
+    return name, root
+
+
+def test_ensemble_and_evaluate_digests(ensemble_run):
+    name, root = ensemble_run
+    written = sorted(p.name for p in root.iterdir() if p.name.startswith(("vote", "avg", "w-avg", "sigmas.eval")))
+    assert {file: sha256(root / file) for file in written} == ENSEMBLE_GOLDEN[name]
