@@ -193,7 +193,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _gold_for(doc_ids: list[str], gold_path: str, task: str) -> list:
-    gold = {ex.id: ex.harm if task == "harm" else ex.targets for ex in corpus.load_jsonl(gold_path, task=task)}
+    # Only the labels are scored, so the text is checked for presence but not normalized.
+    path = Path(gold_path)
+    gold = {}
+    for line_no, rec in corpus.read_records(path):
+        harm, targets = corpus.parse_labels(rec, line_no, path, task)
+        gold[rec["id"]] = harm if task == "harm" else targets
     missing = [d for d in doc_ids if d not in gold]
     if missing:
         raise ConfigError(f"gold file lacks ids {missing}")
@@ -225,10 +230,11 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     members = [ensembles.load_member_file(path) for path in args.members]
 
     if args.strategy == "vote":
-        doc_ids, labels = ensembles.majority_vote(members)
+        aligned = ensembles.align_members(members)
+        doc_ids, labels = ensembles.majority_vote(aligned)
         # A vote has no combined distribution; emit the member mean so the
         # output format stays uniform across strategies.
-        _, probs, _ = ensembles.average_ensemble(members)
+        probs = aligned.mean()
     elif args.strategy == "avg":
         doc_ids, probs, labels = ensembles.average_ensemble(members)
     else:

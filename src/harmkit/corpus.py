@@ -162,10 +162,17 @@ def read_rows(path: str | Path, key: str, size: int,
     return ids, arr
 
 
-def _parse_record(raw: dict, line_no: int, path: Path, task: str, require_labels: bool) -> LabeledExample:
+def parse_labels(raw: dict, line_no: int, path: Path, task: str,
+                 require_labels: bool = True) -> tuple[int | None, tuple[int, ...] | None]:
+    """Check one corpus record and return its ``(harm, targets)`` labels.
+
+    The record must have a ``text`` field; ``label`` and ``targets``, where
+    present and not null, must be valid, and ``task`` decides which of them
+    is required (see ``load_jsonl``). Violations raise ValueError naming
+    ``path:line``. The text itself is neither read nor normalized.
+    """
     if "text" not in raw:
         raise ValueError(f"{path}:{line_no}: missing required field 'text'")
-    text = normalize_text(str(raw["text"]))
 
     harm = None
     if raw.get("label") is not None:
@@ -185,8 +192,7 @@ def _parse_record(raw: dict, line_no: int, path: Path, task: str, require_labels
             raise ValueError(f"{path}:{line_no}: record lacks 'targets' required by task=targets")
         if task == "both" and harm is None and targets is None:
             raise ValueError(f"{path}:{line_no}: record carries neither 'label' nor 'targets'")
-
-    return LabeledExample(id=raw["id"], text=text, harm=harm, targets=targets)
+    return harm, targets
 
 
 def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True) -> list[LabeledExample]:
@@ -200,7 +206,12 @@ def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True
     if task not in ("harm", "targets", "both"):
         raise ValueError(f"unknown task {task!r}")
     p = Path(path)
-    return [_parse_record(raw, line_no, p, task, require_labels) for line_no, raw in read_records(p)]
+    examples = []
+    for line_no, raw in read_records(p):
+        harm, targets = parse_labels(raw, line_no, p, task, require_labels)
+        text = normalize_text(str(raw["text"]))
+        examples.append(LabeledExample(id=raw["id"], text=text, harm=harm, targets=targets))
+    return examples
 
 
 def save_jsonl(examples: Iterable[LabeledExample], path: str | Path) -> None:

@@ -5,6 +5,8 @@ averaging with a convex weight vector. Each decision is one array rule over
 the aligned (members, documents, classes) stack: vote ties are broken by the
 highest summed probability among the tied labels, then by the smallest label
 index; argmax ties in the soft strategies also resolve to the smallest index.
+``align_members`` builds that stack; every combiner accepts it in place of
+the member list, so several combinations of the same members align once.
 
 Member prediction files are UTF-8 JSONL: {"id": ..., "probs": [p0..p3]},
 optionally with a "label" field (ignored on read). ``write_prediction_file``
@@ -72,8 +74,24 @@ def write_prediction_file(
             fh.write(json.dumps({"id": doc_id, score_key: row.tolist(), decision_key: decision.tolist()}) + "\n")
 
 
-def _aligned_stack(members: Sequence[MemberPrediction]) -> tuple[list[str], np.ndarray]:
-    """Reindex every member to the first member's document order."""
+@dataclass(frozen=True)
+class AlignedMembers:
+    """Every member's rows reindexed to the first member's document order."""
+
+    doc_ids: list[str]
+    stack: np.ndarray  # (M, N, C)
+
+    def mean(self) -> np.ndarray:
+        """Elementwise mean of the member distributions, (N, C)."""
+        return self.stack.sum(axis=0) / self.stack.shape[0]
+
+
+def align_members(members: Sequence[MemberPrediction] | AlignedMembers) -> AlignedMembers:
+    """Reindex every member to the first member's document order; members
+    that are already aligned are returned as they are, so a caller that needs
+    several combinations aligns once."""
+    if isinstance(members, AlignedMembers):
+        return members
     if len(members) < 2:
         raise ValueError(f"ensembling needs at least 2 members, got {len(members)}")
     reference = members[0].doc_ids
@@ -92,32 +110,37 @@ def _aligned_stack(members: Sequence[MemberPrediction]) -> tuple[list[str], np.n
             raise ValueError(f"member {member.member_id!r} misaligned: " + "; ".join(parts))
         index = {doc_id: row for row, doc_id in enumerate(member.doc_ids)}
         stacks.append(member.probs[[index[d] for d in reference]])
-    return list(reference), np.stack(stacks)  # (M, N, C)
+    return AlignedMembers(list(reference), np.stack(stacks))
 
 
-def majority_vote(members: Sequence[MemberPrediction]) -> tuple[list[str], list[int]]:
+Members = Sequence[MemberPrediction] | AlignedMembers
+
+
+def majority_vote(members: Members) -> tuple[list[str], list[int]]:
     """Hard vote over member argmax labels, per document; a tie goes to the
     highest summed probability, then to the smallest label."""
-    doc_ids, stack = _aligned_stack(members)
+    aligned = align_members(members)
+    stack = aligned.stack
     choices = np.argmax(stack, axis=2)  # (M, N); np.argmax takes the first index on ties
     votes = (choices[:, :, None] == np.arange(stack.shape[2])).sum(axis=0)
     tied = votes == votes.max(axis=1, keepdims=True)
-    return doc_ids, np.argmax(np.where(tied, stack.sum(axis=0), -np.inf), axis=1).tolist()
+    return aligned.doc_ids, np.argmax(np.where(tied, stack.sum(axis=0), -np.inf), axis=1).tolist()
 
 
-def average_ensemble(members: Sequence[MemberPrediction]) -> tuple[list[str], np.ndarray, list[int]]:
+def average_ensemble(members: Members) -> tuple[list[str], np.ndarray, list[int]]:
     """Elementwise mean of member distributions, then argmax."""
-    doc_ids, stack = _aligned_stack(members)
-    mean = stack.sum(axis=0) / stack.shape[0]
-    return doc_ids, mean, np.argmax(mean, axis=1).tolist()
+    aligned = align_members(members)
+    mean = aligned.mean()
+    return aligned.doc_ids, mean, np.argmax(mean, axis=1).tolist()
 
 
 def weighted_average_ensemble(
-    members: Sequence[MemberPrediction],
+    members: Members,
     weights: Sequence[float],
 ) -> tuple[list[str], np.ndarray, list[int]]:
     """Convex combination of member distributions, then argmax."""
-    doc_ids, stack = _aligned_stack(members)
+    aligned = align_members(members)
+    stack = aligned.stack
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (stack.shape[0],):
         raise ValueError(f"{stack.shape[0]} members but {w.size} weights")
@@ -130,7 +153,7 @@ def weighted_average_ensemble(
     combined = np.zeros(stack.shape[1:])
     for m in range(stack.shape[0]):
         combined += w[m] * stack[m]
-    return doc_ids, combined, np.argmax(combined, axis=1).tolist()
+    return aligned.doc_ids, combined, np.argmax(combined, axis=1).tolist()
 
 
 def derive_weights(val_reports: Sequence[MetricsReport | float]) -> list[float]:

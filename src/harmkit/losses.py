@@ -51,12 +51,25 @@ class ContrastiveConfig:
             raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
 
 
+@dataclass
 class GradientSet(ModelParams):
-    """Partial derivatives of the batch loss, one array per ModelParams field."""
+    """Partial derivatives of the batch loss, one array per ModelParams field.
 
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "GradientSet":
-        return cls(**{name: np.zeros_like(arr) for name, arr in params.arrays()})
+    The embedding gradient is compact: ``embed`` holds one row per id in
+    ``embed_ids`` (sorted, unique: the ids the batch's tokens hash to), and
+    every other embedding row's gradient is exactly zero. The other fields
+    are full arrays shaped like their parameters.
+    """
+
+    embed_ids: np.ndarray  # (U,) sorted unique token ids; embed is (U, embed_dim)
+
+    def dense(self, name: str, params: ModelParams) -> np.ndarray:
+        """The gradient of ``name`` as a full array shaped like its parameter."""
+        if name != "embed":
+            return getattr(self, name)
+        out = np.zeros_like(params.embed)
+        out[self.embed_ids] = self.embed
+        return out
 
 
 def cross_entropy(probs: np.ndarray, classes: np.ndarray | int) -> float:
@@ -136,7 +149,7 @@ def gradients(
         raise ValueError(f"{batch} docs but {labels.shape[0]} label rows")
 
     acts = forward_batch(params, docs)
-    grads = GradientSet.zeros_like(params)
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays() if name != "embed"}
 
     if task == "harm":
         if cfg.lam > 0.0 and batch < 2:
@@ -147,13 +160,27 @@ def gradients(
 
     # Shared trunk: tanh hidden layer, then mean pooling into embedding rows.
     g_a = g_z * (1.0 - acts.z**2)
-    grads.w1 += acts.h0.T @ g_a
-    grads.b1 += g_a.sum(axis=0)
-    g_h0 = g_a @ params.w1.T
-    for i, doc in enumerate(docs):
-        if doc.length:
-            np.add.at(grads.embed, doc.ids, g_h0[i] / doc.length)
-    return loss, grads
+    grads["w1"] += acts.h0.T @ g_a
+    grads["b1"] += g_a.sum(axis=0)
+    embed_ids, embed = _pool_backward(docs, g_a @ params.w1.T)
+    return loss, GradientSet(embed=embed, embed_ids=embed_ids, **grads)
+
+
+def _pool_backward(docs: list[EncodedDoc], g_h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean pooling's backward: the sorted unique token ids of the batch and,
+    per id, the sum of g_h0[i] / length_i over its occurrences in document i.
+
+    One np.add.at over the batch's tokens, in document then token order, gives
+    every row its adds in the order a per-document np.add.at into a dense
+    table would, so the rows are bit-identical to that table's.
+    """
+    full = [i for i, doc in enumerate(docs) if doc.length]
+    lengths = np.array([docs[i].length for i in full], dtype=np.int64)
+    flat_ids = np.concatenate([docs[i].ids for i in full]) if full else np.zeros(0, dtype=np.int64)
+    ids, inverse = np.unique(flat_ids, return_inverse=True)
+    rows = np.zeros((ids.size, g_h0.shape[1]))
+    np.add.at(rows, inverse, np.repeat(g_h0[full] / lengths[:, None], lengths, axis=0))
+    return ids, rows
 
 
 def _harm_backward(
@@ -161,7 +188,7 @@ def _harm_backward(
     acts: BatchActivations,
     classes: np.ndarray,
     cfg: ContrastiveConfig,
-    grads: GradientSet,
+    grads: dict[str, np.ndarray],
 ) -> tuple[float, np.ndarray]:
     batch = acts.z.shape[0]
     classes = classes.astype(np.int64)
@@ -172,8 +199,8 @@ def _harm_backward(
     d_logits = probs.copy()
     d_logits[np.arange(batch), classes] -= 1.0
     d_logits /= batch
-    grads.wc += acts.z.T @ d_logits
-    grads.bc += d_logits.sum(axis=0)
+    grads["wc"] += acts.z.T @ d_logits
+    grads["bc"] += d_logits.sum(axis=0)
     g_z = d_logits @ params.wc.T
 
     nce = 0.0
@@ -231,7 +258,7 @@ def _targets_backward(
     params: ModelParams,
     acts: BatchActivations,
     target_rows: np.ndarray,
-    grads: GradientSet,
+    grads: dict[str, np.ndarray],
 ) -> tuple[float, np.ndarray]:
     batch, n_targets = acts.target_logits.shape
     if target_rows.shape != (batch, n_targets):
@@ -242,6 +269,6 @@ def _targets_backward(
     _check_finite(loss, "binary cross-entropy")
 
     d_logits = (sigmas - t) / (n_targets * batch)
-    grads.wt += acts.z.T @ d_logits
-    grads.bt += d_logits.sum(axis=0)
+    grads["wt"] += acts.z.T @ d_logits
+    grads["bt"] += d_logits.sum(axis=0)
     return loss, d_logits @ params.wt.T

@@ -90,10 +90,22 @@ class SgdOptimizer:
 
     def step(self, params: ModelParams, grads: GradientSet) -> None:
         for name, arr in params.arrays():
-            arr -= self.learning_rate * getattr(grads, name)
+            if name == "embed":
+                # Rows outside embed_ids have zero gradient: a dense step leaves them as they are.
+                arr[grads.embed_ids] -= self.learning_rate * grads.embed
+            else:
+                arr -= self.learning_rate * getattr(grads, name)
 
 
 class AdamOptimizer:
+    """Adam (Kingma & Ba 2015) with the dense trajectory, stepped sparsely.
+
+    A row whose gradient has been zero since the start has m = v = 0, and the
+    dense update subtracts exactly 0 from it. So each step updates only the
+    embedding rows some step has ever touched, with a zero gradient for those
+    absent from this batch, and the parameters stay bit-identical to dense Adam.
+    """
+
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -102,20 +114,37 @@ class AdamOptimizer:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._touched: np.ndarray | None = None  # embedding rows some step has touched
 
     def step(self, params: ModelParams, grads: GradientSet) -> None:
         self.t += 1
         for name, arr in params.arrays():
-            g = getattr(grads, name)
-            m = self._m.setdefault(name, np.zeros_like(arr))
-            v = self._v.setdefault(name, np.zeros_like(arr))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            if name not in self._m:
+                self._m[name] = np.zeros(arr.shape, arr.dtype)
+                self._v[name] = np.zeros(arr.shape, arr.dtype)
+            m, v = self._m[name], self._v[name]
+            if name != "embed":
+                self._update(arr, m, v, getattr(grads, name))
+                continue
+            if self._touched is None:
+                self._touched = np.zeros(arr.shape[0], dtype=bool)
+            self._touched[grads.embed_ids] = True
+            rows = np.flatnonzero(self._touched)
+            g = np.zeros((rows.size, arr.shape[1]), arr.dtype)
+            g[np.searchsorted(rows, grads.embed_ids)] = grads.embed
+            arr_rows, m_rows, v_rows = arr[rows], m[rows], v[rows]
+            self._update(arr_rows, m_rows, v_rows, g)
+            arr[rows], m[rows], v[rows] = arr_rows, m_rows, v_rows
+
+    def _update(self, arr: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
+        """The Adam rule, in place on arr, m and v."""
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1**self.t)
+        v_hat = v / (1.0 - self.beta2**self.t)
+        arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -342,7 +371,7 @@ def grad_check(trials: int = 30, seed: int = 0, step: float = 1e-4) -> GradCheck
 
         _, analytic = gradients(params, docs, labels, cfg, task=task)
         for name, arr in params.arrays():
-            grad_arr = getattr(analytic, name)
+            grad_arr = analytic.dense(name, params)
             for index in np.ndindex(arr.shape):
                 original = arr[index]
                 arr[index] = original + step

@@ -321,6 +321,35 @@ class TestEnsembleCommand:
         report = json.loads(report_path.read_text())
         assert report["micro_f1"] == pytest.approx(expected["accuracy"]["avg"], abs=1e-12)
 
+    def test_vote_aligns_the_members_once(self, tmp_path, monkeypatch):
+        from harmkit import ensembles
+
+        align = ensembles.align_members
+        built = []
+
+        def counting(members):
+            if not isinstance(members, ensembles.AlignedMembers):
+                built.append(len(members))
+            return align(members)
+
+        monkeypatch.setattr(ensembles, "align_members", counting)
+        assert cli.main(["ensemble", "--members", *self.member_args(), "--strategy", "vote",
+                         "--output", str(tmp_path / "vote.jsonl")]) == 0
+        assert built == [3]
+
+    def test_gold_text_is_not_normalized(self, tmp_path, monkeypatch):
+        # Only the gold labels are scored, so no gold text is normalized.
+        from harmkit import corpus
+
+        def refuse(text):
+            raise AssertionError("gold text normalized")
+
+        monkeypatch.setattr(corpus, "normalize_text", refuse)
+        out = tmp_path / "avg.jsonl"
+        assert cli.main(["ensemble", "--members", *self.member_args(), "--strategy", "avg",
+                         "--gold", str(FIXTURES / "gold.jsonl"), "--output", str(out)]) == 0
+        assert cli.main(["evaluate", "--gold", str(FIXTURES / "gold.jsonl"), "--pred", str(out)]) == 0
+
     def test_duplicated_member_avg_equals_direct_predictions(self, tmp_path):
         # Averaging a member file with itself reproduces its own labels
         # (single-model idempotence, run with the required two inputs).
@@ -386,6 +415,26 @@ class TestMalformedInput:
         {"id": "a", "text": "t", "label": 0, "targets": [1, 0, 0, 0, 0]},
         {"id": "b", "text": "t", "label": 1, "targets": [0, 1, 0, 0, 0]},
     ]
+
+    @pytest.mark.parametrize("task, record, message", [
+        ("harm", {"id": "b", "label": 1}, "missing required field 'text'"),
+        ("harm", {"id": "b", "text": "t", "label": 9}, "label 9 outside {0..3}"),
+        ("harm", {"id": "b", "text": "t", "label": True}, "label True outside {0..3}"),
+        ("harm", {"id": "b", "text": "t", "label": 1, "targets": [1]}, "targets must be an array of 5 0/1 flags"),
+        ("harm", {"id": "b", "text": "t", "targets": [0, 1, 0, 0, 0]}, "record lacks 'label' required by task=harm"),
+        ("harm", {"id": "a", "text": "t", "label": 1}, "duplicate id 'a'"),
+        ("targets", {"id": "b", "text": "t", "label": 1}, "record lacks 'targets' required by task=targets"),
+        ("targets", {"id": "b", "text": "t", "targets": [0, 2, 0, 0, 0]}, "targets must be an array of 5 0/1 flags"),
+    ], ids=["missing-text", "label-9", "label-bool", "short-targets", "missing-label", "duplicate-id",
+            "missing-targets", "targets-flag-2"])
+    def test_malformed_gold_names_path_and_line(self, tmp_path, capsys, task, record, message):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(self.GOLD[0]) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        rows = ({"id": i, "label": 0, "sigmas": [0.5] * 5} for i in ("a", "b"))
+        pred.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--task", task]) == 2
+        assert f"{gold}:2: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, lines, line_no", [
         pytest.param("ensemble", ['{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25]}',

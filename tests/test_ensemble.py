@@ -16,6 +16,7 @@ import pytest
 from harmkit.corpus import read_rows
 from harmkit.ensembles import (
     MemberPrediction,
+    align_members,
     average_ensemble,
     derive_weights,
     load_member_file,
@@ -276,6 +277,19 @@ class TestInvariants:
             w = [expected["weights"][i] for i in order]
             _, _, wavg_labels = weighted_average_ensemble(shuffled, w)
             assert wavg_labels == expected["w-avg"]["labels"]
+
+    def test_aligned_members_give_the_same_results(self, members, expected):
+        # One alignment serves every combiner; each gives what it gives for the member list.
+        shuffled = [members[0], *(MemberPrediction(m.member_id, m.doc_ids[::-1], m.probs[::-1]) for m in members[1:])]
+        aligned = align_members(shuffled)
+        assert align_members(aligned) is aligned
+        assert majority_vote(aligned) == majority_vote(shuffled)
+        for got, want in ((average_ensemble(aligned), average_ensemble(shuffled)),
+                          (weighted_average_ensemble(aligned, expected["weights"]),
+                           weighted_average_ensemble(shuffled, expected["weights"]))):
+            assert got[0] == want[0] and got[2] == want[2]
+            assert np.array_equal(got[1], want[1])
+        assert np.array_equal(aligned.mean(), average_ensemble(members)[1])
 
     def test_outputs_are_distributions(self, members, expected):
         for probs in (average_ensemble(members)[1], weighted_average_ensemble(members, expected["weights"])[1]):

@@ -1,5 +1,7 @@
-"""Golden digests: a fixed-seed train and predict run is pinned byte for byte,
+"""Golden digests: fixed-seed train and predict runs are pinned byte for byte,
 and so are the outputs of ``ensemble`` and ``evaluate`` on fixed member files.
+The train runs cover Adam on both tasks, SGD, and the README defaults
+(``hash_bits = 15``, 64-dim embeddings) that the benchmark trains with.
 
 The sha256 of the report JSON, the ``.hpc`` checkpoint, the prediction file
 and every ensemble and evaluate output must not move unless a change
@@ -34,6 +36,25 @@ GOLDEN = {
         "model.hpc": "063fca2a53da08a74e9f9dd57b5bf0db395bbd8774391be5928ffdc2b46539de",
         "pred.jsonl": "82b0f342fe30b2c810719460f2db37c569c7e68d0a884d0ca3cbd4b836f1c357",
     },
+    "sgd": {
+        "report.json": "b0c088cf920320c279592bb74f42d7e3100dcb624c3c7fc7f6adf3d49f75db54",
+        "model.hpc": "c428c5aa6075b909c3d52f40edf1282bcced79570d02a179699725c72f3c9e04",
+        "pred.jsonl": "c595b6bbaa28ac1167837171ec66a030ca363afd1a2da340007a6b6f24d5af05",
+    },
+    "hash15": {
+        "report.json": "6b1f71e13e0bb0b69072de1fbf9122fa4325babb7d9e11ebe9ace4cec264cb25",
+        "model.hpc": "824d870a2665ed36b7abbe61b182fb316da1ee80fa9f050ba47239fb12ee5b8a",
+        "pred.jsonl": "c459b086c775ad0dd4988e60b14710e07469ebac421fd92bee7b892d2d256c3b",
+    },
+}
+
+# Config lines of each golden run beyond its file paths: (task, lines).
+_SMALL = ["hash_bits = 10", "max_tokens = 32", "embed_dim = 16", "hidden_dim = 16", "epochs = 3", "seed = 0"]
+RUNS = {
+    "harm": ("harm", [*_SMALL, "lambda = 0.5", "task = harm"]),
+    "targets": ("targets", [*_SMALL, "lambda = 0.0", "task = targets"]),
+    "sgd": ("harm", [*_SMALL, "lambda = 0.5", "task = harm", "optimizer = sgd"]),
+    "hash15": ("harm", ["epochs = 2", "seed = 0"]),
 }
 
 
@@ -45,8 +66,9 @@ def sha256(path):
 def run(request, tmp_path_factory):
     """Split, train and predict inside a fresh directory with relative paths,
     so the checkpoint path recorded in the report is machine independent."""
-    task = request.param
-    root = tmp_path_factory.mktemp(f"golden_{task}")
+    name = request.param
+    task, lines = RUNS[name]
+    root = tmp_path_factory.mktemp(f"golden_{name}")
     with contextlib.chdir(root):
         save_jsonl(generate_corpus(classes=4, docs_per_class=40, overlap=0.8, seed=0), "corpus.jsonl")
         assert cli.main(["split", "--input", "corpus.jsonl", "--seed", "0"]) == 0
@@ -56,30 +78,23 @@ def run(request, tmp_path_factory):
                 "val_file = corpus.val.jsonl",
                 "checkpoint = model.hpc",
                 "report = report.json",
-                "hash_bits = 10",
-                "max_tokens = 32",
-                "embed_dim = 16",
-                "hidden_dim = 16",
-                "epochs = 3",
-                "seed = 0",
-                f"lambda = {0.5 if task == 'harm' else 0.0}",
-                f"task = {task}",
+                *lines,
             ]) + "\n",
             encoding="utf-8",
         )
         assert cli.main(["train", "--config", "run.cfg"]) == 0
         assert cli.main(["predict", "--checkpoint", "model.hpc", "--input", "corpus.val.jsonl",
                          "--task", task, "--output", "pred.jsonl"]) == 0
-    return task, root
+    return name, task, root
 
 
 def test_output_digests(run):
-    task, root = run
-    assert {name: sha256(root / name) for name in GOLDEN[task]} == GOLDEN[task]
+    name, _, root = run
+    assert {file: sha256(root / file) for file in GOLDEN[name]} == GOLDEN[name]
 
 
 def test_best_val_f1_reproducible_from_checkpoint(run):
-    task, root = run
+    _, task, root = run
     report = json.loads((root / "report.json").read_text(encoding="utf-8"))
     params, _, feature_cfg = load_params(root / report["checkpoint"])
     val = load_jsonl(root / "corpus.val.jsonl", task=task)
@@ -90,7 +105,7 @@ def test_best_val_f1_reproducible_from_checkpoint(run):
 def test_best_val_f1_reproducible_from_predictions(run):
     # Validation and predict share one inference path, so evaluating the
     # predictions of the best checkpoint gives back the reported score.
-    task, root = run
+    _, task, root = run
     report = json.loads((root / "report.json").read_text(encoding="utf-8"))
     with contextlib.chdir(root):
         assert cli.main(["evaluate", "--gold", "corpus.val.jsonl", "--pred", "pred.jsonl",

@@ -9,6 +9,7 @@ from harmkit.featurizer import EncodedDoc
 from harmkit.losses import (
     ContrastiveConfig,
     NonFiniteLossError,
+    _pool_backward,
     binary_cross_entropy,
     combined_loss,
     cross_entropy,
@@ -246,8 +247,8 @@ class TestGradients:
             loss, grads = gradients(params, docs, labels, ContrastiveConfig(tau=0.1, lam=0.0), task="harm")
             ref_loss, ref = ce_only_gradients_reference(params, docs, labels)
             assert loss == pytest.approx(ref_loss, abs=1e-12)
-            for name, arr in grads.arrays():
-                assert np.allclose(arr, ref[name], atol=1e-12), name
+            for name, _ in params.arrays():
+                assert np.allclose(grads.dense(name, params), ref[name], atol=1e-12), name
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_harm_loss_is_ce_plus_lambda_info_nce(self, lam):
@@ -281,7 +282,28 @@ class TestGradients:
         _, grads = gradients(params, docs, labels, ContrastiveConfig(tau=0.1, lam=1.0), task="harm")
         unused = sorted(set(range(params.embed.shape[0])) - used)
         assert unused, "fixture needs untouched rows"
-        assert not grads.embed[unused].any()
+        assert grads.embed_ids.tolist() == sorted(used)
+        assert not grads.dense("embed", params)[unused].any()
+
+    def test_embedding_rows_match_dense_per_document_reference(self):
+        # The compact rows equal, bit for bit, the dense table that one
+        # np.add.at per document builds, with ids repeated within and across
+        # documents and empty documents in the batch.
+        rng = np.random.default_rng(31)
+        for trial in range(50):
+            docs = []
+            for _ in range(int(rng.integers(1, 12))):
+                n = int(rng.integers(0, 10))
+                docs.append(EncodedDoc(ids=rng.integers(0, 24, size=n), length=n))
+            g_h0 = rng.normal(0.0, 1.0, (len(docs), 5))
+            dense = np.zeros((24, 5))
+            for i, doc in enumerate(docs):
+                if doc.length:
+                    np.add.at(dense, doc.ids, g_h0[i] / doc.length)
+            ids, rows = _pool_backward(docs, g_h0)
+            assert ids.tolist() == sorted({int(t) for doc in docs for t in doc.ids})
+            assert np.array_equal(rows, dense[ids])
+            assert not np.delete(dense, ids, axis=0).any()
 
     @pytest.mark.parametrize("tau", [0.05, 0.1, 1.0])
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -296,7 +318,7 @@ class TestGradients:
         step = 1e-4
         worst = 0.0
         for name, arr in params.arrays():
-            grad_arr = getattr(grads, name)
+            grad_arr = grads.dense(name, params)
             for index in np.ndindex(arr.shape):
                 keep = arr[index]
                 arr[index] = keep + step
@@ -319,7 +341,7 @@ class TestGradients:
         _, grads = gradients(params, docs, target_rows, cfg, task="targets")
         step = 1e-4
         for name, arr in params.arrays():
-            grad_arr = getattr(grads, name)
+            grad_arr = grads.dense(name, params)
             for index in np.ndindex(arr.shape):
                 keep = arr[index]
                 arr[index] = keep + step

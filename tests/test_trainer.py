@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from harmkit.corpus import LabeledExample, split_train_val
-from harmkit.featurizer import FeatureConfig
-from harmkit.losses import ContrastiveConfig
+from harmkit.featurizer import EncodedDoc, FeatureConfig, batch_encode
+from harmkit.losses import ContrastiveConfig, GradientSet, _pool_backward
 from harmkit.model import ModelConfig, init_params, load_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import (
@@ -83,6 +83,82 @@ class TestOptimizers:
                 opt.step(params, QuadraticStub(2 * params.p[0]))
             runs.append(params.p[0])
         assert runs[0] == runs[1]
+
+
+class DenseSgdReference:
+    """The dense SGD step over every parameter row: an oracle for SgdOptimizer."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+
+    def step(self, params, dense_grads):
+        for name, arr in params.arrays():
+            arr -= self.learning_rate * dense_grads[name]
+
+
+class DenseAdamReference:
+    """The dense Adam step over every parameter row: an oracle for AdamOptimizer."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = {}
+        self._v = {}
+
+    def step(self, params, dense_grads):
+        self.t += 1
+        for name, arr in params.arrays():
+            g = dense_grads[name]
+            m = self._m.setdefault(name, np.zeros_like(arr))
+            v = self._v.setdefault(name, np.zeros_like(arr))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def random_compact_gradients(rng, params, step):
+    """A GradientSet whose embedding ids come from random documents, with ids
+    repeated within and across documents. Rows 0-3 appear only at step 0 and
+    then idle; rows 48-63 never appear; rows 4-47 appear at random."""
+    dim = params.embed.shape[1]
+    docs = []
+    for _ in range(int(rng.integers(1, 6))):
+        n = int(rng.integers(0, 8))
+        ids = rng.integers(4, 48, size=n) if step else rng.integers(0, 4, size=n + 2)
+        docs.append(EncodedDoc(ids=ids, length=len(ids)))
+    g_h0 = rng.normal(0.0, 1.0, (len(docs), dim))
+    g_h0[rng.random(len(docs)) < 0.2] = 0.0  # some rows present with an exactly zero gradient
+    embed_ids, embed = _pool_backward(docs, g_h0)
+    small = {name: rng.normal(0.0, 1.0, arr.shape) for name, arr in params.arrays() if name != "embed"}
+    return GradientSet(embed=embed, embed_ids=embed_ids, **small)
+
+
+class TestSparseStepOracle:
+    @pytest.mark.parametrize("sparse, dense", [
+        (lambda: SgdOptimizer(0.05), lambda: DenseSgdReference(0.05)),
+        (lambda: AdamOptimizer(0.05), lambda: DenseAdamReference(0.05)),
+    ], ids=["sgd", "adam"])
+    def test_matches_dense_step_bitwise(self, sparse, dense):
+        rng = np.random.default_rng(5)
+        params = init_params(ModelConfig(vocab_size=64, embed_dim=6, hidden_dim=5, seed=3))
+        before = params.copy()
+        reference = params.copy()
+        opt, ref_opt = sparse(), dense()
+        for step in range(60):
+            grads = random_compact_gradients(rng, params, step)
+            opt.step(params, grads)
+            ref_opt.step(reference, {name: grads.dense(name, params) for name in params.FIELDS})
+            for name, arr in params.arrays():
+                assert np.array_equal(arr, getattr(reference, name)), (step, name)
+        assert np.array_equal(params.embed[48:], before.embed[48:])
+        assert not np.array_equal(params.embed[:4], before.embed[:4])
 
 
 def keyword_corpus(n_per_class=40, classes=2, seed=0):
@@ -218,6 +294,18 @@ class TestTrain:
         mcfg = ModelConfig(vocab_size=fcfg.vocab_size, seed=0)
         with pytest.raises(ValueError, match="nonempty"):
             train([], [], mcfg, fcfg, TrainConfig())
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_rows_no_training_token_hashes_to_keep_their_init(self, easy_split, optimizer):
+        fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
+        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=5)
+        tcfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.05, optimizer=optimizer, seed=5)
+        params, _ = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg)
+        used = sorted({int(t) for doc in batch_encode([ex.text for ex in easy_split.train], fcfg) for t in doc.ids})
+        unused = np.setdiff1d(np.arange(fcfg.vocab_size), used)
+        init = init_params(mcfg).embed
+        assert unused.size and np.array_equal(params.embed[unused], init[unused])
+        assert not np.array_equal(params.embed[used], init[used])
 
     def test_sgd_displacement_scales_with_learning_rate(self):
         # Parameter displacement after one epoch shrinks proportionally to lr.
