@@ -26,7 +26,6 @@ import numpy as np
 
 NUM_CLASSES = 4
 NUM_TARGETS = 5
-DEFAULT_TARGET_NAMES = ("T0", "T1", "T2", "T3", "T4")
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -224,16 +223,6 @@ def save_jsonl(examples: Iterable[LabeledExample], path: str | Path) -> None:
             if ex.targets is not None:
                 rec["targets"] = list(ex.targets)
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
-def class_distribution(data: Sequence[LabeledExample]) -> dict[int, int]:
-    """Count harm labels; every class 0..3 is keyed even when absent."""
-    counts = {c: 0 for c in range(NUM_CLASSES)}
-    for ex in data:
-        if ex.harm is None:
-            raise ValueError(f"example {ex.id!r} has no harm label")
-        counts[ex.harm] += 1
-    return counts
 
 
 def _train_count(n: int, train_frac: float) -> int:

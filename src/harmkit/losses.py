@@ -115,10 +115,6 @@ def info_nce(reps: np.ndarray, labels: np.ndarray, tau: float) -> float:
     return _info_nce_backward(normalize_rows(reps)[0], labels, tau)[0]
 
 
-def combined_loss(ce: float, nce: float, cfg: ContrastiveConfig) -> float:
-    return ce + cfg.lam * nce
-
-
 def _check_finite(value: float, term: str) -> None:
     if not np.isfinite(value):
         raise NonFiniteLossError(f"{term} term diverged (value {value})")
@@ -213,7 +209,7 @@ def _harm_backward(
         radial = (g_zhat[nonzero] * acts.z_hat[nonzero]).sum(axis=1, keepdims=True)
         g_z[nonzero] += cfg.lam * (g_zhat[nonzero] - radial * acts.z_hat[nonzero]) / acts.z_norm[nonzero, None]
 
-    return combined_loss(mean_ce, nce, cfg), g_z
+    return mean_ce + cfg.lam * nce, g_z
 
 
 def _info_nce_backward(z_hat: np.ndarray, classes: np.ndarray, tau: float) -> tuple[float, np.ndarray]:

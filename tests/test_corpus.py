@@ -8,7 +8,6 @@ import pytest
 
 from harmkit.corpus import (
     LabeledExample,
-    class_distribution,
     load_jsonl,
     normalize_text,
     save_jsonl,
@@ -113,28 +112,6 @@ class TestLoadJsonl:
         out = tmp_path / "round.jsonl"
         save_jsonl(first, out)
         assert load_jsonl(out, task="both") == first
-
-
-class TestClassDistribution:
-    def test_counting(self):
-        data = [LabeledExample(id=str(i), text="t", harm=h) for i, h in enumerate([0, 0, 1, 3])]
-        assert class_distribution(data) == {0: 2, 1: 1, 2: 0, 3: 1}
-
-    def test_empty(self):
-        assert class_distribution([]) == {0: 0, 1: 0, 2: 0, 3: 0}
-
-    def test_missing_label(self):
-        with pytest.raises(ValueError, match="no harm label"):
-            class_distribution([LabeledExample(id="a", text="t")])
-
-    def test_seeded_uniform_counts_match_independent_tally(self):
-        rng = np.random.default_rng(123)
-        labels = [int(x) for x in rng.integers(0, 4, size=1000)]
-        data = [LabeledExample(id=str(i), text="t", harm=h) for i, h in enumerate(labels)]
-        counts = class_distribution(data)
-        assert counts == dict(sorted(Counter(labels).items()))
-        assert sum(counts.values()) == 1000
-        assert all(200 <= counts[c] <= 300 for c in range(4))
 
 
 def make_examples(labels):

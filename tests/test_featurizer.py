@@ -1,9 +1,59 @@
 """Tokenization and hashing-trick encoding."""
 
+import json
+import os
+import subprocess
+import sys
+import unicodedata
+from itertools import groupby
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from harmkit import featurizer
 from harmkit.featurizer import FeatureConfig, batch_encode, encode, fnv1a64, tokenize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def char_kind_reference(ch: str) -> str:
+    """'space', 'word' (letters, digits, combining marks, underscore), or 'punct'."""
+    if ch.isspace():
+        return "space"
+    if ch == "_" or unicodedata.category(ch)[0] in ("L", "N", "M"):
+        return "word"
+    return "punct"
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """The character-by-character tokenizer the compiled regex replaced."""
+    return ["".join(run) for kind, run in groupby(text, key=char_kind_reference) if kind != "space"]
+
+
+def encode_reference(tokens, cfg):
+    """Every unigram id, then every bigram id, then head truncation."""
+    def token_id(token):
+        return fnv1a64_reference(token.encode("utf-8")) % 2**cfg.hash_bits
+
+    ids = [token_id(tok) for tok in tokens]
+    if cfg.ngram == 2:
+        ids.extend(token_id(a + "\x1f" + b) for a, b in zip(tokens, tokens[1:]))
+    return np.asarray(ids[: cfg.max_tokens], dtype=np.int64)
+
+
+# Characters where a tokenizer is easy to get wrong: combining marks of all
+# three M categories (BMP and astral), astral letters, digits and emoji,
+# the information separators U+001C..U+001F (whitespace to str.isspace),
+# no-break spaces, a lone surrogate, the underscore and ASCII punctuation.
+TRICKY = [
+    "\u0301", "\u093f", "\u094d", "\u20dd", "\U0001d167", "\U000e0100",
+    "\U00010400", "\U0001d7ce", "\U0001f600", "\U0001f3fd",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2007", "\u202f", "\u3000",
+    "\ud800", "_", " ", "\t", "\n", ".", "!", "a", "7", "न", "ম",
+]
 
 
 def fnv1a64_reference(data: bytes) -> int:
@@ -30,6 +80,72 @@ class TestTokenize:
 
     def test_digits_and_underscore_are_word_chars(self):
         assert tokenize("ab_1 2cd") == ["ab_1", "2cd"]
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=st.text(alphabet=st.one_of(st.characters(), st.sampled_from(TRICKY))))
+    def test_matches_reference_on_any_text(self, text):
+        assert tokenize(text) == tokenize_reference(text)
+
+    def test_every_code_point_has_the_reference_kind(self):
+        # "a" + ch is one token when ch is a word character, two when it is
+        # punctuation, and just "a" when it is whitespace.
+        shape = {"word": 1, "punct": 2, "space": 0}
+        wrong = []
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            got = tokenize("a" + ch)
+            want = shape[char_kind_reference(ch)]
+            if got != (["a" + ch] if want == 1 else ["a", ch] if want == 2 else ["a"]):
+                wrong.append(f"U+{cp:04X}")
+        assert wrong == []
+
+    def test_mark_ranges_match_this_unicode_database(self):
+        if unicodedata.unidata_version != featurizer._MARK_RANGES_UNIDATA:
+            pytest.skip(f"ranges were generated for Unicode {featurizer._MARK_RANGES_UNIDATA}; "
+                        f"this interpreter has {unicodedata.unidata_version} and rescans at import")
+        rebuilt = featurizer._mark_ranges()
+        if rebuilt != featurizer._MARK_RANGES:
+            items = [f"(0x{a:04X}, 0x{b:04X})" for a, b in rebuilt]
+            literal = "\n".join("    " + ", ".join(items[i : i + 5]) + "," for i in range(0, len(items), 5))
+            pytest.fail(f"_MARK_RANGES is stale; regenerated literal:\n{literal}")
+        assert all(unicodedata.category(chr(cp))[0] == "M"
+                   for first, last in rebuilt for cp in range(first, last + 1))
+
+    def test_import_scans_no_code_points_unless_the_unicode_version_differs(self):
+        # Count unicodedata.category calls made while importing the module,
+        # once as is and once with the database version faked.
+        script = (
+            "import json, sys, unicodedata\n"
+            "calls = 0\n"
+            "category = unicodedata.category\n"
+            "def counting(ch):\n"
+            "    global calls\n"
+            "    calls += 1\n"
+            "    return category(ch)\n"
+            "unicodedata.category = counting\n"
+            "if sys.argv[1] == 'other':\n"
+            "    unicodedata.unidata_version = '0.0.0'\n"
+            "from harmkit import featurizer\n"
+            "print(json.dumps([calls, featurizer._TOKEN_RE.pattern]))\n"
+        )
+        runs = {}
+        for version in ("same", "other"):
+            out = subprocess.run([sys.executable, "-c", script, version], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
+            runs[version] = json.loads(out.stdout)
+        assert runs["same"][0] == 0
+        assert runs["other"][0] == sys.maxunicode + 1
+        # On this interpreter the rescan rebuilds exactly the committed pattern.
+        if unicodedata.unidata_version == featurizer._MARK_RANGES_UNIDATA:
+            assert runs["other"][1] == runs["same"][1] == featurizer._TOKEN_RE.pattern
+
+    def test_trailing_whitespace_is_linear(self):
+        # A regex whose leading \s* is retried from every position of a
+        # trailing run would take hours on this input; run it in a child
+        # process that the timeout can kill.
+        script = "from harmkit.featurizer import tokenize\nassert tokenize('a' + ' ' * 200_000) == ['a']\n"
+        subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+                       timeout=60, check=True)
 
 
 class TestHash:
@@ -86,6 +202,32 @@ class TestEncode:
         assert both.length == 5  # 3 unigrams + 2 bigrams
         assert np.array_equal(both.ids[:3], uni.ids)
 
+    @pytest.mark.parametrize("ngram", [1, 2])
+    @pytest.mark.parametrize("max_tokens", [1, 2, 5, 9, 512])
+    def test_matches_reference(self, ngram, max_tokens):
+        rng = np.random.default_rng(19)
+        cfg = FeatureConfig(hash_bits=10, max_tokens=max_tokens, ngram=ngram)
+        words = ["a", "b", "!!", "नमस्ते", "\U0001f600", "<url>", "x_1"]
+        for n in range(12):
+            for _ in range(5):
+                tokens = [words[int(i)] for i in rng.integers(0, len(words), size=n)]
+                doc = encode(tokens, cfg)
+                assert doc.ids.dtype == np.int64
+                assert doc.length == len(doc.ids)
+                assert np.array_equal(doc.ids, encode_reference(tokens, cfg))
+
+    def test_table_gains_only_the_kept_unigrams(self):
+        # Tokens cut by max_tokens are never hashed, and bigrams never enter the table.
+        table = {}
+        encode(["a", "b", "c", "d"], FeatureConfig(max_tokens=3, ngram=2), table)
+        assert sorted(table) == ["a", "b", "c"]
+        table = {"b": 7}
+        doc = encode(["a", "b", "c"], FeatureConfig(max_tokens=4, ngram=2), table)
+        assert sorted(table) == ["a", "b", "c"]
+        # A table entry is trusted as the token's id.
+        assert doc.ids.tolist()[:3] == [table["a"], 7, table["c"]]
+        assert doc.length == 4
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FeatureConfig(max_tokens=0)
@@ -114,6 +256,20 @@ class TestBatchEncode:
             single = encode(tokenize(text), cfg)
             assert doc.length == single.length
             assert np.array_equal(doc.ids, single.ids)
+
+    @pytest.mark.parametrize("ngram", [1, 2])
+    @pytest.mark.parametrize("max_tokens", [1, 4, 512])
+    def test_equals_per_doc_encode_on_mixed_text(self, ngram, max_tokens):
+        rng = np.random.default_rng(23)
+        pieces = ["w1", "w2", "w3", ",", "!!", "नमस्ते", "\u0301x", "\U0001f600", " ", "  ", "\xa0", "\x1f"]
+        texts = ["".join(pieces[int(i)] for i in rng.integers(0, len(pieces), size=int(rng.integers(0, 30))))
+                 for _ in range(300)]
+        cfg = FeatureConfig(hash_bits=11, max_tokens=max_tokens, ngram=ngram)
+        batched = batch_encode(texts, cfg)
+        assert len(batched) == len(texts)
+        for text, doc in zip(texts, batched):
+            assert np.array_equal(doc.ids, encode(tokenize(text), cfg).ids)
+            assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
 
     def test_empty_batch(self):
         assert batch_encode([], FeatureConfig()) == []

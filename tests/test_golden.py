@@ -1,6 +1,7 @@
 """Golden digests: fixed-seed train and predict runs are pinned byte for byte,
 and so are the outputs of ``ensemble`` and ``evaluate`` on fixed member files.
-The train runs cover Adam on both tasks, SGD, and the README defaults
+The train runs cover Adam on both tasks, SGD, bigram features (``ngram = 2``,
+with bigrams cut by ``max_tokens``), and the README defaults
 (``hash_bits = 15``, 64-dim embeddings) that the benchmark trains with.
 
 The sha256 of the report JSON, the ``.hpc`` checkpoint, the prediction file
@@ -46,6 +47,11 @@ GOLDEN = {
         "model.hpc": "824d870a2665ed36b7abbe61b182fb316da1ee80fa9f050ba47239fb12ee5b8a",
         "pred.jsonl": "c459b086c775ad0dd4988e60b14710e07469ebac421fd92bee7b892d2d256c3b",
     },
+    "ngram2": {
+        "report.json": "d844ddbfcaeb2c2eb26140db9bc504926e53e904cb8f20a6aef0d39f0568fb05",
+        "model.hpc": "3d40b0199712dc48bb004238d90ae397ceb041b7644b51f84285dbdef0aed4cf",
+        "pred.jsonl": "3b134b6a450f34b334441280210399f1566b8f88551d48069c98c16f89b0579c",
+    },
 }
 
 # Config lines of each golden run beyond its file paths: (task, lines).
@@ -55,6 +61,7 @@ RUNS = {
     "targets": ("targets", [*_SMALL, "lambda = 0.0", "task = targets"]),
     "sgd": ("harm", [*_SMALL, "lambda = 0.5", "task = harm", "optimizer = sgd"]),
     "hash15": ("harm", ["epochs = 2", "seed = 0"]),
+    "ngram2": ("harm", [*_SMALL, "ngram = 2", "lambda = 0.5", "task = harm"]),
 }
 
 

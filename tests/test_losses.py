@@ -11,7 +11,6 @@ from harmkit.losses import (
     NonFiniteLossError,
     _pool_backward,
     binary_cross_entropy,
-    combined_loss,
     cross_entropy,
     gradients,
     info_nce,
@@ -175,21 +174,37 @@ class TestInfoNce:
 
 
 class TestCombinedLoss:
+    """The harm training loss that ``gradients`` returns is ce + lam * nce."""
+
+    @staticmethod
+    def terms(lam, batch=8, labels=None):
+        rng = np.random.default_rng(3)
+        params = random_model(rng)
+        docs, drawn = random_batch(rng, batch=batch)
+        labels = drawn if labels is None else np.asarray(labels)
+        loss, _ = gradients(params, docs, labels, ContrastiveConfig(tau=0.1, lam=lam), task="harm")
+        acts = forward_batch(params, docs)
+        return loss, cross_entropy(softmax(acts.class_logits), labels), info_nce(acts.z, labels, 0.1)
+
     def test_switch_off(self):
-        assert combined_loss(1.7, 9.9, ContrastiveConfig(tau=0.1, lam=0.0)) == 1.7
+        loss, ce, nce = self.terms(0.0)
+        assert nce > 0.0
+        assert loss == pytest.approx(ce, abs=1e-12)
 
     def test_arithmetic(self):
-        assert combined_loss(1.0, 0.5, ContrastiveConfig(tau=0.1, lam=0.5)) == pytest.approx(1.25)
+        loss, ce, nce = self.terms(0.5)
+        assert loss == pytest.approx(ce + 0.5 * nce, abs=1e-12)
 
     def test_zero_nce(self):
-        assert combined_loss(0.8, 0.0, ContrastiveConfig(tau=0.1, lam=1.0)) == 0.8
+        # Distinct labels give no anchor a positive, so InfoNCE is 0.
+        loss, ce, nce = self.terms(1.0, batch=4, labels=[0, 1, 2, 3])
+        assert nce == 0.0
+        assert loss == pytest.approx(ce, abs=1e-12)
 
     def test_linear_in_nce(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            ce, nce, lam = rng.uniform(0, 3, 3)
-            cfg = ContrastiveConfig(tau=0.1, lam=lam)
-            assert combined_loss(ce, nce, cfg) - combined_loss(ce, 0.0, cfg) == pytest.approx(lam * nce)
+        base, _, nce = self.terms(0.0)
+        for lam in np.random.default_rng(1).uniform(0, 3, 20):
+            assert self.terms(lam)[0] - base == pytest.approx(lam * nce, abs=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

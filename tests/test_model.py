@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -86,6 +87,31 @@ class TestInit:
         a = init_params(small_cfg(seed=1))
         b = init_params(small_cfg(seed=2))
         assert not np.array_equal(a.embed, b.embed)
+
+    @pytest.mark.parametrize("vocab_size", [1, 1023, 1024, 3000])
+    def test_matches_one_whole_draw_bitwise(self, vocab_size):
+        # Oracle: each array drawn in one piece, cast to float32 and back.
+        cfg = ModelConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=6, seed=5)
+        rng = np.random.default_rng(cfg.seed)
+
+        def glorot(fan_in, fan_out):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32).astype(np.float64)
+
+        expected = [glorot(vocab_size, 8), glorot(8, 6), glorot(6, NUM_CLASSES), glorot(6, NUM_TARGETS)]
+        params = init_params(cfg)
+        for got, want in zip((params.embed, params.w1, params.wc, params.wt), expected):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_is_one_table(self):
+        tracemalloc.start()
+        try:
+            params = init_params(ModelConfig(vocab_size=2**15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * params.embed.nbytes
 
 
 class TestForward:
