@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import corpus, ensembles, metrics, synth
@@ -225,28 +225,30 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    if len(args.members) < 2:
-        raise ConfigError(f"ensembling needs at least 2 member files, got {len(args.members)}")
-    members = [ensembles.load_member_file(path) for path in args.members]
+    aligned = ensembles.align_members([ensembles.load_member_file(path) for path in args.members])
+    gold = _gold_for(aligned.doc_ids, args.gold, "harm") if args.gold else None
 
     if args.strategy == "vote":
-        aligned = ensembles.align_members(members)
         doc_ids, labels = ensembles.majority_vote(aligned)
         # A vote has no combined distribution; emit the member mean so the
         # output format stays uniform across strategies.
         probs = aligned.mean()
     elif args.strategy == "avg":
-        doc_ids, probs, labels = ensembles.average_ensemble(members)
+        doc_ids, probs, labels = ensembles.average_ensemble(aligned)
     else:
-        if args.weights is None:
-            raise ConfigError("strategy w-avg requires --weights")
-        weights = [float(x) for x in args.weights.split(",")]
-        doc_ids, probs, labels = ensembles.weighted_average_ensemble(members, weights)
+        if args.weights is not None:
+            weights = [float(x) for x in args.weights.split(",")]
+        elif gold is not None:
+            weights = ensembles.derive_weights([metrics.classification_report(metrics.confusion(gold, member))
+                                                for member in aligned.labels().tolist()])
+        else:
+            raise ConfigError("strategy w-avg requires --gold or --weights")
+        doc_ids, probs, labels = ensembles.weighted_average_ensemble(aligned, weights)
 
     ensembles.write_prediction_file(args.output, doc_ids, probs, labels)
     summary = {"predictions": args.output, "strategy": args.strategy, "n": len(doc_ids)}
-    if args.gold:
-        report = metrics.classification_report(metrics.confusion(_gold_for(doc_ids, args.gold, "harm"), labels))
+    if gold is not None:
+        report = metrics.classification_report(metrics.confusion(gold, labels))
         if args.report:
             Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
         summary["macro_f1"] = report.macro_f1
@@ -256,19 +258,8 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     report = grad_check(trials=args.trials, seed=args.seed)
-    print(json.dumps({
-        "max_rel_error": report.max_rel_error,
-        "worst_param": report.worst_param,
-        "worst_index": list(report.worst_index),
-        "worst_combo": report.worst_combo,
-        "analytic": report.analytic,
-        "numeric": report.numeric,
-        "trials": report.trials,
-        "passed": report.passed,
-    }, sort_keys=True))
+    print(json.dumps(asdict(report) | {"passed": report.passed}, sort_keys=True))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -320,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="aggregate member prediction files")
     p.add_argument("--members", nargs="+", required=True)
     p.add_argument("--strategy", choices=["vote", "avg", "w-avg"], required=True)
-    p.add_argument("--weights", default=None, help="comma-separated, w-avg only")
+    p.add_argument("--weights", default=None,
+                   help="comma-separated, w-avg only; overrides the weights derived from --gold, "
+                        "each member's macro-F1 on it divided by their sum")
     p.add_argument("--gold", default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--report", default=None)

@@ -52,13 +52,19 @@ class LabeledExample:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("example id must be nonempty")
-        if self.harm is not None and not 0 <= self.harm < NUM_CLASSES:
-            raise ValueError(f"harm label {self.harm} outside 0..{NUM_CLASSES - 1}")
-        if self.targets is not None:
-            if len(self.targets) != NUM_TARGETS:
-                raise ValueError(f"targets must have {NUM_TARGETS} entries, got {len(self.targets)}")
-            if any(t not in (0, 1) for t in self.targets):
-                raise ValueError(f"target flags must be 0 or 1, got {self.targets}")
+        if error := _label_error(self.harm, self.targets):
+            raise ValueError(error)
+
+
+def _label_error(harm: object, targets: object) -> str | None:
+    """The rule that a harm label or a target-flag array breaks, or None if
+    both hold. None stands for an absent label and breaks no rule."""
+    if harm is not None and (not isinstance(harm, int) or isinstance(harm, bool) or not 0 <= harm < NUM_CLASSES):
+        return f"label {harm!r} outside {{0..{NUM_CLASSES - 1}}}"
+    if targets is not None and (not isinstance(targets, (list, tuple)) or len(targets) != NUM_TARGETS
+                                or any(t not in (0, 1) for t in targets)):
+        return f"targets must be an array of {NUM_TARGETS} 0/1 flags"
+    return None
 
 
 @dataclass
@@ -122,8 +128,9 @@ def _is_utf8(raw: bytes) -> bool:
 
 def parse_label(label: object, line_no: int, path: Path) -> int:
     """Return a harm label in 0..3, or raise ValueError naming ``path:line``."""
-    if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < NUM_CLASSES:
-        raise ValueError(f"{path}:{line_no}: label {label!r} outside {{0..{NUM_CLASSES - 1}}}")
+    error = "missing field 'label'" if label is None else _label_error(label, None)
+    if error:
+        raise ValueError(f"{path}:{line_no}: {error}")
     return label
 
 
@@ -173,16 +180,10 @@ def parse_labels(raw: dict, line_no: int, path: Path, task: str,
     if "text" not in raw:
         raise ValueError(f"{path}:{line_no}: missing required field 'text'")
 
-    harm = None
-    if raw.get("label") is not None:
-        harm = parse_label(raw["label"], line_no, path)
-
-    targets = None
-    if raw.get("targets") is not None:
-        flags = raw["targets"]
-        if not isinstance(flags, list) or len(flags) != NUM_TARGETS or any(t not in (0, 1) for t in flags):
-            raise ValueError(f"{path}:{line_no}: targets must be an array of {NUM_TARGETS} 0/1 flags")
-        targets = tuple(int(t) for t in flags)
+    harm, flags = raw.get("label"), raw.get("targets")
+    if error := _label_error(harm, flags):
+        raise ValueError(f"{path}:{line_no}: {error}")
+    targets = None if flags is None else tuple(int(t) for t in flags)
 
     if require_labels:
         if task == "harm" and harm is None:

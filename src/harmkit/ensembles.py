@@ -8,6 +8,9 @@ index; argmax ties in the soft strategies also resolve to the smallest index.
 ``align_members`` builds that stack; every combiner accepts it in place of
 the member list, so several combinations of the same members align once.
 
+``derive_weights`` gives w-avg the paper's weights: each member's macro-F1
+on validation gold, scored over ``AlignedMembers.labels``, divided by their sum.
+
 Member prediction files are UTF-8 JSONL: {"id": ..., "probs": [p0..p3]},
 optionally with a "label" field (ignored on read). ``write_prediction_file``
 is the one writer of prediction rows, for the ensemble and for ``predict``.
@@ -22,11 +25,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import NUM_CLASSES, read_rows
+from .corpus import NUM_CLASSES, read_records, read_rows
 from .metrics import MetricsReport
 
 _ROW_SUM_TOL = 1e-6
 _WEIGHT_SUM_TOL = 1e-9
+
+
+def _distributions(probs: np.ndarray) -> np.ndarray:
+    """Per row of a (N, C) array, whether it is a probability distribution: no
+    entry below -tol and a sum within tol of 1, so NaN and infinities fail."""
+    return np.all(probs >= -_ROW_SUM_TOL, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)
 
 
 @dataclass
@@ -45,15 +54,22 @@ class MemberPrediction:
             )
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError(f"member {self.member_id!r}: duplicate document ids")
-        if not np.all(np.isfinite(self.probs)) or np.any(self.probs < -_ROW_SUM_TOL) or np.any(
-            np.abs(self.probs.sum(axis=1) - 1.0) > _ROW_SUM_TOL
-        ):
+        if not np.all(_distributions(self.probs)):
             raise ValueError(f"member {self.member_id!r}: rows are not probability distributions")
 
 
 def load_member_file(path: str | Path) -> MemberPrediction:
-    doc_ids, probs = read_rows(path, "probs", NUM_CLASSES)
-    return MemberPrediction(member_id=Path(path).name, doc_ids=doc_ids, probs=probs)
+    """Read a member file, checking each row once and naming ``path:line``:
+    the constructor's guard, for members built in memory, is not run again."""
+    p = Path(path)
+    doc_ids, probs = read_rows(p, "probs", NUM_CLASSES)
+    bad = np.flatnonzero(~_distributions(probs))
+    if bad.size:
+        line_no = [n for n, _ in read_records(p)][bad[0]]
+        raise ValueError(f"{p}:{line_no}: 'probs' is not a probability distribution (tolerance {_ROW_SUM_TOL:g})")
+    member = object.__new__(MemberPrediction)
+    member.member_id, member.doc_ids, member.probs = p.name, doc_ids, probs
+    return member
 
 
 _PREDICTION_KEYS = {"harm": ("probs", "label"), "targets": ("sigmas", "targets")}
@@ -84,6 +100,10 @@ class AlignedMembers:
     def mean(self) -> np.ndarray:
         """Elementwise mean of the member distributions, (N, C)."""
         return self.stack.sum(axis=0) / self.stack.shape[0]
+
+    def labels(self) -> np.ndarray:
+        """Each member's argmax labels, (M, N); np.argmax takes the first index on ties."""
+        return np.argmax(self.stack, axis=2)
 
 
 def align_members(members: Sequence[MemberPrediction] | AlignedMembers) -> AlignedMembers:
@@ -121,8 +141,7 @@ def majority_vote(members: Members) -> tuple[list[str], list[int]]:
     highest summed probability, then to the smallest label."""
     aligned = align_members(members)
     stack = aligned.stack
-    choices = np.argmax(stack, axis=2)  # (M, N); np.argmax takes the first index on ties
-    votes = (choices[:, :, None] == np.arange(stack.shape[2])).sum(axis=0)
+    votes = (aligned.labels()[:, :, None] == np.arange(stack.shape[2])).sum(axis=0)
     tied = votes == votes.max(axis=1, keepdims=True)
     return aligned.doc_ids, np.argmax(np.where(tied, stack.sum(axis=0), -np.inf), axis=1).tolist()
 
@@ -158,8 +177,6 @@ def weighted_average_ensemble(
 
 def derive_weights(val_reports: Sequence[MetricsReport | float]) -> list[float]:
     """Validation-F1-proportional weights; uniform when every F1 is zero."""
-    if len(val_reports) < 2:
-        raise ValueError(f"need at least 2 members, got {len(val_reports)}")
     f1s = [r.macro_f1 if isinstance(r, MetricsReport) else float(r) for r in val_reports]
     if any(f1 < 0.0 for f1 in f1s):
         raise ValueError("macro-F1 values must be nonnegative")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +25,6 @@ from .losses import ContrastiveConfig, GradientSet, gradients
 from .metrics import confusion, classification_report, multilabel_report
 from .model import ModelConfig, ModelParams, forward_batch, init_params, predict, save_params
 
-_EVAL_CHUNK = 256
 _GRAD_TOL = 1e-4
 # Floor for the relative-error denominator: partials smaller than this are
 # compared absolutely, which keeps finite-difference roundoff from
@@ -70,15 +69,7 @@ class TrainReport:
     checkpoint: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "epochs": len(self.train_loss),
-            "train_loss": self.train_loss,
-            "val_f1": self.val_f1,
-            "best_epoch": self.best_epoch,
-            "best_val_f1": self.best_val_f1,
-            "checkpoint": self.checkpoint,
-        }
+        return asdict(self) | {"epochs": len(self.train_loss)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -217,21 +208,14 @@ def _extract_labels(examples: Sequence[LabeledExample], task: str) -> list:
     return labels
 
 
-def evaluate_params(
-    params: ModelParams,
-    docs: list[EncodedDoc],
-    labels: list,
-    task: str,
-    eta: float = 0.5,
-) -> float:
-    """Validation score: macro-F1 over the ``predict`` decisions (harm), or
-    micro-F1 over the sigmoids thresholded at eta (targets)."""
-    outputs = [predict(forward_batch(params, docs[start : start + _EVAL_CHUNK]), task, eta)
-               for start in range(0, len(docs), _EVAL_CHUNK)]
+def evaluate_params(params: ModelParams, docs: list[EncodedDoc], labels: list, task: str) -> float:
+    """Validation score over one ``forward_batch`` of every document: macro-F1
+    over the ``predict`` decisions (harm), or micro-F1 over the sigmoids
+    thresholded at 0.5 (targets)."""
+    scores, decisions = predict(forward_batch(params, docs), task)
     if task == "harm":
-        preds = np.concatenate([decisions for _, decisions in outputs]).tolist()
-        return classification_report(confusion(labels, preds, num_classes=params.bc.shape[0])).macro_f1
-    return multilabel_report(labels, np.vstack([sigmas for sigmas, _ in outputs]), eta=eta).micro_f1
+        return classification_report(confusion(labels, decisions.tolist(), num_classes=params.bc.shape[0])).macro_f1
+    return multilabel_report(labels, scores).micro_f1
 
 
 def train(

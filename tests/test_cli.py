@@ -10,6 +10,7 @@ import pytest
 from harmkit import cli
 from harmkit.corpus import load_jsonl, save_jsonl
 from harmkit.featurizer import FeatureConfig
+from harmkit.metrics import classification_report, confusion
 from harmkit.model import ModelConfig
 from harmkit.synth import generate_corpus
 from harmkit.trainer import TrainConfig
@@ -363,6 +364,37 @@ class TestEnsembleCommand:
             assert combo["id"] == src["id"]
             assert combo["probs"] == src["probs"]
 
+    def test_wavg_derived_weights_equal_explicit_macro_f1_weights(self, tmp_path, capsys):
+        # Oracle: each member's macro-F1 over its first-argmax labels, normalized
+        # by hand and passed as --weights in repr form, gives the same bytes.
+        gold_path = FIXTURES / "gold.jsonl"
+        gold = {rec["id"]: rec["label"] for rec in map(json.loads, gold_path.read_text().splitlines())}
+        f1s = []
+        for member in self.member_args():
+            rows = [json.loads(line) for line in Path(member).read_text().splitlines()]
+            labels = [row["probs"].index(max(row["probs"])) for row in rows]
+            f1s.append(classification_report(confusion([gold[row["id"]] for row in rows], labels)).macro_f1)
+        weights = ",".join(repr(f1 / sum(f1s)) for f1 in f1s)
+        outputs = []
+        for name, extra in (("derived", []), ("explicit", ["--weights", weights])):
+            out, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.report.json"
+            assert cli.main(["ensemble", "--members", *self.member_args(), "--strategy", "w-avg", *extra,
+                             "--gold", str(gold_path), "--output", str(out), "--report", str(report)]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            outputs.append((out.read_bytes(), report.read_bytes(), summary["macro_f1"], summary["micro_f1"]))
+        assert outputs[0] == outputs[1]
+
+    def test_wavg_derived_weights_need_every_member_id_in_gold(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(line + "\n" for line in (FIXTURES / "gold.jsonl").read_text().splitlines()[1:]),
+                        encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = cli.main(["ensemble", "--members", *self.member_args(), "--strategy", "w-avg",
+                         "--gold", str(gold), "--output", str(out)])
+        assert code == 2
+        assert "gold file lacks ids ['d1']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wavg_requires_weights(self, tmp_path):
         code = cli.main(["ensemble", "--members", *self.member_args(),
                          "--strategy", "w-avg", "--output", str(tmp_path / "o.jsonl")])
@@ -444,6 +476,10 @@ class TestMalformedInput:
         pytest.param("ensemble", ['{"id": "a", "probs": [0.2, 0.2, 0.2, 0.2, 0.2]}'], 1, id="member-five-probs"),
         pytest.param("ensemble", ['{"id": "a", "probs": [0.5, "x", 0.25, 0.25]}'], 1, id="member-string-prob"),
         pytest.param("ensemble", ['{"probs": [0.25, 0.25, 0.25, 0.25]}'], 1, id="member-missing-id"),
+        pytest.param("ensemble", ['{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25]}',
+                                  '{"id": "b", "probs": [0.5, 0.5, 0.5, 0.5]}'], 2, id="member-probs-sum-2"),
+        pytest.param("ensemble", ['{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25]}',
+                                  '{"id": "b", "probs": [-0.5, 0.5, 0.5, 0.5]}'], 2, id="member-negative-prob"),
         pytest.param("evaluate", ["5"], 1, id="pred-scalar-line"),
         pytest.param("evaluate", ['["id", "label"]'], 1, id="pred-array-line"),
         pytest.param("evaluate", ['{"id": "a", "label": 0}', '{"id": "b", "label": 1}',
@@ -489,8 +525,17 @@ class TestGradcheckCommand:
         assert out["passed"] is True
         assert out["max_rel_error"] < 1e-4
 
-    def test_zero_trials_rejected(self):
+    def test_zero_trials_rejected(self, capsys):
         assert cli.main(["gradcheck", "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+
+    def test_stdout_bytes(self, capsys):
+        assert cli.main(["gradcheck", "--trials", "2", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (
+            '{"analytic": -0.021661729757273943, "max_rel_error": 7.73204930417764e-08, '
+            '"numeric": -0.021661728082378318, "passed": true, "trials": 2, '
+            '"worst_combo": "trial=1 tau=0.05 lam=0.5 task=harm", "worst_index": [7, 3], '
+            '"worst_param": "embed"}\n')
 
     def test_injected_sign_flip_fails(self, monkeypatch, capsys):
         # Mutation sanity: corrupting one backward term must trip the checker.

@@ -10,6 +10,7 @@ from harmkit.corpus import (
     LabeledExample,
     load_jsonl,
     normalize_text,
+    parse_labels,
     save_jsonl,
     split_train_val,
 )
@@ -112,6 +113,28 @@ class TestLoadJsonl:
         out = tmp_path / "round.jsonl"
         save_jsonl(first, out)
         assert load_jsonl(out, task="both") == first
+
+
+# (field, value) pairs on both sides of every label rule; None is an absent label.
+LABEL_TABLE = [("harm", v) for v in (None, 0, 3, 4, -1, True, False, 1.0, "1", [1])] + [
+    ("targets", v) for v in (None, [0, 1, 0, 0, 1], (1, 1, 1, 1, 1), [0, 0, 0, 0], [0] * 6, [0, 2, 0, 0, 0],
+                             [-1, 0, 0, 0, 0], [True, False, False, False, False], (0.0, 1.0, 0, 0, 0),
+                             "01001", 5, {"a": 1})
+]
+
+
+@pytest.mark.parametrize("field, value", LABEL_TABLE, ids=[f"{f}={v!r}" for f, v in LABEL_TABLE])
+def test_labeled_example_and_parse_labels_accept_the_same_values(tmp_path, field, value):
+    def accepts(check) -> bool:
+        try:
+            check()
+        except ValueError:
+            return False
+        return True
+
+    record = {"text": "t", "label" if field == "harm" else "targets": value}
+    assert accepts(lambda: LabeledExample(id="a", text="t", **{field: value})) == accepts(
+        lambda: parse_labels(record, 1, tmp_path / "gold.jsonl", "both", require_labels=False))
 
 
 def make_examples(labels):

@@ -125,7 +125,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 # sha256 of every file `ensemble --gold --report` and `evaluate` write, on the
 # committed 8-row fixtures and on a seeded 2000-row set in sixteenths, where
-# exact vote and argmax ties are common.
+# exact vote and argmax ties are common. The w-avg-f1 files are w-avg with no
+# --weights, so with the weights derived from the gold file; their digests are
+# those of the explicit --weights run given the hand-normalized member macro-F1s.
 ENSEMBLE_GOLDEN = {
     "fixtures": {
         "avg.eval.json": "fbe98da2f82e02a40019c44cb704852824880598e1d520248d8568901c5da46f",
@@ -137,6 +139,9 @@ ENSEMBLE_GOLDEN = {
         "w-avg.eval.json": "e0d9212ff07c02ce36614ee85b9298ae8ade0c09ac92e4e6b4e60a648e704f89",
         "w-avg.jsonl": "088499ae141fd87984df9198d11adba0101b60b09b1a51736a3ab31e0ffb6240",
         "w-avg.report.json": "e0d9212ff07c02ce36614ee85b9298ae8ade0c09ac92e4e6b4e60a648e704f89",
+        "w-avg-f1.eval.json": "fbe98da2f82e02a40019c44cb704852824880598e1d520248d8568901c5da46f",
+        "w-avg-f1.jsonl": "d5c7e5b046c7b74ae79fed09ac5aba1fd1c208b17be7aa03b4a7df4f4d4f3255",
+        "w-avg-f1.report.json": "fbe98da2f82e02a40019c44cb704852824880598e1d520248d8568901c5da46f",
     },
     "sixteenths": {
         "avg.eval.json": "5a8c235958398d944d0a955ef3efd8335f70e2cf86fface28b3107a7d4e3f1d9",
@@ -149,6 +154,9 @@ ENSEMBLE_GOLDEN = {
         "w-avg.eval.json": "a5c8a69954ccdd91d86524334608f8420689e452ac46d0743df9f72a8e6c40fe",
         "w-avg.jsonl": "2fe037a6d36456e6e981fcb1a34dd48957d9cc027725bce8afa7316aaeb945e3",
         "w-avg.report.json": "a5c8a69954ccdd91d86524334608f8420689e452ac46d0743df9f72a8e6c40fe",
+        "w-avg-f1.eval.json": "0a8cd06b136ec1a062f00a2339805db33cb53a11aeaa68f6b0c7df8942cc0cc9",
+        "w-avg-f1.jsonl": "719da98c3054ac55d9a7a0647378a278a80134f2aee5aef20f5d4ba9e9f4024b",
+        "w-avg-f1.report.json": "0a8cd06b136ec1a062f00a2339805db33cb53a11aeaa68f6b0c7df8942cc0cc9",
     },
 }
 
@@ -189,13 +197,13 @@ def ensemble_run(request, tmp_path_factory):
         weights = write_sixteenths(root)
     with contextlib.chdir(root):
         members = ["member1.jsonl", "member2.jsonl", "member3.jsonl"]
-        for strategy in ("vote", "avg", "w-avg"):
-            extra = ["--weights", weights] if strategy == "w-avg" else []
+        for out, strategy, extra in (("vote", "vote", []), ("avg", "avg", []),
+                                     ("w-avg", "w-avg", ["--weights", weights]), ("w-avg-f1", "w-avg", [])):
             assert cli.main(["ensemble", "--members", *members, "--strategy", strategy, *extra,
-                             "--gold", "gold.jsonl", "--output", f"{strategy}.jsonl",
-                             "--report", f"{strategy}.report.json"]) == 0
-            assert cli.main(["evaluate", "--gold", "gold.jsonl", "--pred", f"{strategy}.jsonl",
-                             "--report", f"{strategy}.eval.json"]) == 0
+                             "--gold", "gold.jsonl", "--output", f"{out}.jsonl",
+                             "--report", f"{out}.report.json"]) == 0
+            assert cli.main(["evaluate", "--gold", "gold.jsonl", "--pred", f"{out}.jsonl",
+                             "--report", f"{out}.eval.json"]) == 0
         if Path("sigmas.jsonl").exists():
             assert cli.main(["evaluate", "--gold", "gold.jsonl", "--pred", "sigmas.jsonl",
                              "--task", "targets", "--report", "sigmas.eval.json"]) == 0
