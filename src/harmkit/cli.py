@@ -240,7 +240,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
             weights = [float(x) for x in args.weights.split(",")]
         elif gold is not None:
             weights = ensembles.derive_weights([metrics.classification_report(metrics.confusion(gold, member))
-                                                for member in aligned.labels().tolist()])
+                                                for member in aligned.labels()])
         else:
             raise ConfigError("strategy w-avg requires --gold or --weights")
         doc_ids, probs, labels = ensembles.weighted_average_ensemble(aligned, weights)

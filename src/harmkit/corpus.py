@@ -34,7 +34,11 @@ _MENTION_RE = re.compile(r"@\w+")
 def normalize_text(text: str) -> str:
     """Apply the documented normalization pipeline. Idempotent."""
     text = unicodedata.normalize("NFC", text)
-    text = _URL_RE.sub("<url>", text)
+    # Every URL match holds "://" or "www." in some letter case (under
+    # IGNORECASE no character but "W" matches "w"), so a text with neither
+    # has nothing for the regex to replace.
+    if "://" in text or "www." in text.lower():
+        text = _URL_RE.sub("<url>", text)
     text = _MENTION_RE.sub("<user>", text)
     text = text.lower()
     return " ".join(text.split())
@@ -54,6 +58,15 @@ class LabeledExample:
             raise ValueError("example id must be nonempty")
         if error := _label_error(self.harm, self.targets):
             raise ValueError(error)
+
+    @classmethod
+    def _checked(cls, id: str, text: str, harm: int | None, targets: tuple[int, ...] | None) -> "LabeledExample":
+        """An example from a nonempty id and labels that ``parse_labels`` has
+        already checked, built without running the label rule again."""
+        example = object.__new__(cls)
+        for name, value in (("id", id), ("text", text), ("harm", harm), ("targets", targets)):
+            object.__setattr__(example, name, value)
+        return example
 
 
 def _label_error(harm: object, targets: object) -> str | None:
@@ -210,7 +223,7 @@ def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True
     for line_no, raw in read_records(p):
         harm, targets = parse_labels(raw, line_no, p, task, require_labels)
         text = normalize_text(str(raw["text"]))
-        examples.append(LabeledExample(id=raw["id"], text=text, harm=harm, targets=targets))
+        examples.append(LabeledExample._checked(raw["id"], text, harm, targets))
     return examples
 
 

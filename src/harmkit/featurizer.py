@@ -12,7 +12,8 @@ Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
 across runs and platforms. Sequences are head-truncated to max_tokens.
 ``batch_encode`` keeps a token-to-id table for the length of one call, so
-each distinct token is hashed once per call; nothing is cached between calls.
+each distinct token is hashed once per call, on first sight; nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def _token_re(mark_ranges: Sequence[tuple[int, int]]) -> re.Pattern[str]:
 _TOKEN_RE = _token_re(
     _MARK_RANGES if unicodedata.unidata_version == _MARK_RANGES_UNIDATA else _mark_ranges()
 )
+# No combining mark is ASCII, so on ASCII text the pattern without the mark
+# ranges gives the same tokens; ``re`` tests the astral ranges one by one at
+# the end of every word run, which this pattern skips.
+_ASCII_TOKEN_RE = _token_re(())
 
 
 @dataclass(frozen=True)
@@ -171,30 +176,40 @@ def tokenize(text: str) -> list[str]:
     """Split on whitespace/punctuation boundaries; punctuation runs are single tokens."""
     # Trailing whitespace is stripped first: findall would otherwise retry the
     # leading \s* from every position of a trailing run, quadratic in its length.
-    return _TOKEN_RE.findall(text.rstrip())
+    pattern = _ASCII_TOKEN_RE if text.isascii() else _TOKEN_RE
+    return pattern.findall(text.rstrip())
 
 
 def _token_id(token: str, hash_bits: int) -> int:
     return fnv1a64(token.encode("utf-8")) & ((1 << hash_bits) - 1)
 
 
-def encode(
-    tokens: Sequence[str], cfg: FeatureConfig, table: dict[str, int] | None = None
-) -> EncodedDoc:
+class TokenTable(dict):
+    """Unigram to id under ``hash_bits``; a missing token is hashed on lookup
+    and stored, so each distinct token is hashed once per table."""
+
+    def __init__(self, hash_bits: int) -> None:
+        super().__init__()
+        self.hash_bits = hash_bits
+
+    def __missing__(self, token: str) -> int:
+        self[token] = token_id = _token_id(token, self.hash_bits)
+        return token_id
+
+
+def encode(tokens: Sequence[str], cfg: FeatureConfig, table: TokenTable | None = None) -> EncodedDoc:
     """Hash tokens (plus adjacent bigrams when ngram=2), truncate to max_tokens.
 
     Bigram ids follow the unigram ids, so head truncation always keeps the
     leading unigrams first; only the bigrams that survive truncation are
-    built. ``table`` maps unigrams to their ids under ``cfg`` and gains every
+    built. ``table`` is a ``TokenTable(cfg.hash_bits)`` and gains every
     unigram hashed here, so a caller encoding many documents can pass one
     table and hash each distinct token once. Bigrams are hashed directly and
     never enter it.
     """
     if table is None:
-        table = {}
+        table = TokenTable(cfg.hash_bits)
     unigrams = tokens[: cfg.max_tokens]
-    for tok in set(unigrams).difference(table):
-        table[tok] = _token_id(tok, cfg.hash_bits)
     ids = np.fromiter(map(table.__getitem__, unigrams), np.int64, len(unigrams))
     n_bigrams = min(len(tokens) - 1, cfg.max_tokens - len(unigrams)) if cfg.ngram == 2 else 0
     if n_bigrams > 0:
@@ -208,5 +223,5 @@ def batch_encode(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
     """Tokenize and encode each text; order preserved. One token table serves
     the whole call; documents are tokenized one at a time, so only one
     document's token list is held at once."""
-    table: dict[str, int] = {}
+    table = TokenTable(cfg.hash_bits)
     return [encode(tokenize(text), cfg, table) for text in texts]

@@ -64,12 +64,13 @@ def confusion(gold: Sequence[int], pred: Sequence[int], num_classes: int = 4) ->
         raise ValueError(f"gold has {len(gold)} labels, pred has {len(pred)}")
     if len(gold) == 0:
         raise ValueError("cannot build a confusion matrix from zero examples")
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        if not (0 <= g < num_classes and 0 <= p < num_classes):
-            raise ValueError(f"label pair ({g}, {p}) outside 0..{num_classes - 1}")
-        counts[g, p] += 1
-    return ConfusionMatrix(counts=counts)
+    g, p = np.asarray(gold), np.asarray(pred)
+    in_range = (g >= 0) & (g < num_classes) & (p >= 0) & (p < num_classes)
+    if not in_range.all():
+        first = int(np.argmin(in_range))
+        raise ValueError(f"label pair ({gold[first]}, {pred[first]}) outside 0..{num_classes - 1}")
+    counts = np.bincount(g * num_classes + p, minlength=num_classes**2)
+    return ConfusionMatrix(counts=counts.reshape(num_classes, num_classes))
 
 
 def _report_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray, support: np.ndarray) -> MetricsReport:

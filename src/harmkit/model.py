@@ -121,9 +121,11 @@ def forward_batch(params: ModelParams, docs: list[EncodedDoc]) -> BatchActivatio
     for i, doc in enumerate(docs):
         if doc.length == 0:
             continue
-        if doc.ids.max(initial=0) >= vocab_size or doc.ids.min(initial=0) < 0:
+        # As unsigned, a negative id is larger than any valid one.
+        if np.asarray(doc.ids, np.int64).view(np.uint64).max() >= vocab_size:
             raise ValueError(f"token id out of range for vocab size {vocab_size}")
-        h0[i] = params.embed[doc.ids].mean(axis=0)
+        # The same row sum and division as ``mean(axis=0)``, bit for bit.
+        h0[i] = params.embed.take(doc.ids, axis=0).sum(axis=0) / doc.length
 
     z = np.tanh(h0 @ params.w1 + params.b1)
     z_hat, z_norm = normalize_rows(z)

@@ -214,7 +214,7 @@ def evaluate_params(params: ModelParams, docs: list[EncodedDoc], labels: list, t
     thresholded at 0.5 (targets)."""
     scores, decisions = predict(forward_batch(params, docs), task)
     if task == "harm":
-        return classification_report(confusion(labels, decisions.tolist(), num_classes=params.bc.shape[0])).macro_f1
+        return classification_report(confusion(labels, decisions, num_classes=params.bc.shape[0])).macro_f1
     return multilabel_report(labels, scores).micro_f1
 
 

@@ -1,11 +1,16 @@
 """Loading, normalization, and splitting behavior."""
 
 import json
+import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harmkit import corpus
 from harmkit.corpus import (
     LabeledExample,
     load_jsonl,
@@ -43,6 +48,35 @@ class TestNormalize:
         text = "Visit https://a.b @you   now É"
         once = normalize_text(text)
         assert normalize_text(once) == once
+
+
+def normalize_reference(text):
+    """The pipeline with the URL regex run on every text."""
+    text = unicodedata.normalize("NFC", text)
+    text = re.sub(r"(?:https?://|www\.)\S+", "<url>", text, flags=re.IGNORECASE)
+    text = re.sub(r"@\w+", "<user>", text)
+    return " ".join(text.lower().split())
+
+
+# Characters that case-fold onto the URL prefixes (the long s folds to "s",
+# the Kelvin sign to "k", dotted capital I lowercases to two characters),
+# plus whole prefixes so that matches are common.
+URL_ALPHABET = list("htpsSwWK.:/ @é") + ["\u017f", "\u212a", "\u0130", "\t", "://", "www.", "WwW.", "HTTP", "https"]
+
+
+class TestUrlPrefilter:
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(URL_ALPHABET), max_size=30))
+    def test_matches_always_substituting(self, pieces):
+        text = "".join(pieces)
+        assert normalize_text(text) == normalize_reference(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("WWW.x.org", "<url>"), ("wWw.a b", "<url> b"), ("HTTPS://A", "<url>"), ("hTtP://x/y z", "<url> z"),
+        ("ftp://h", "ftp://h"), ("see www. later", "see www. later"), ("\u212aey://k", "key://k"),
+    ])
+    def test_url_prefixes_in_any_case(self, text, want):
+        assert normalize_text(text) == normalize_reference(text) == want
 
 
 class TestLoadJsonl:
@@ -102,6 +136,20 @@ class TestLoadJsonl:
         write_lines(path, [{"id": "a", "text": "x"}])
         examples = load_jsonl(path, task="harm", require_labels=False)
         assert examples[0].harm is None
+
+    def test_label_rule_runs_once_per_record(self, tmp_path, monkeypatch):
+        calls = []
+        rule = corpus._label_error
+        monkeypatch.setattr(corpus, "_label_error", lambda harm, targets: calls.append(1) or rule(harm, targets))
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [{"id": str(i), "text": "x", "label": i % 4, "targets": [0, 1, 0, 0, i % 2]}
+                           for i in range(7)])
+        examples = load_jsonl(path, task="both")
+        assert len(calls) == 7
+        # The loaded examples are the ones the constructor builds.
+        assert examples == [LabeledExample(id=str(i), text="x", harm=i % 4, targets=(0, 1, 0, 0, i % 2))
+                            for i in range(7)]
+        assert len({hash(ex) for ex in examples}) == 7
 
     def test_save_load_idempotent(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harmkit import featurizer
-from harmkit.featurizer import FeatureConfig, batch_encode, encode, fnv1a64, tokenize
+from harmkit.featurizer import FeatureConfig, TokenTable, batch_encode, encode, fnv1a64, tokenize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,6 +56,12 @@ TRICKY = [
 ]
 
 
+# The ASCII characters where the two tokenizer classes meet: the information
+# separators, the underscore, digits and punctuation runs.
+ASCII_TRICKY = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x7f", "\x00", "_", "__", "7", "09",
+                "...", "!?", "-_-", "a", "Z"]
+
+
 def fnv1a64_reference(data: bytes) -> int:
     """Independent FNV-1a oracle, written from the published constants."""
     h = 14695981039346656037
@@ -85,6 +91,15 @@ class TestTokenize:
     @given(text=st.text(alphabet=st.one_of(st.characters(), st.sampled_from(TRICKY))))
     def test_matches_reference_on_any_text(self, text):
         assert tokenize(text) == tokenize_reference(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pieces=st.lists(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from(ASCII_TRICKY))),
+           tail=st.sampled_from(["", " ", "\t\n", "\x1f", " \x1c\x1d\x1e "]))
+    def test_matches_reference_on_ascii_text(self, pieces, tail):
+        # ASCII text takes the pattern without the mark ranges.
+        text = "".join(pieces) + tail
+        assert text.isascii()
+        assert tokenize(text) == featurizer._ASCII_TOKEN_RE.findall(text.rstrip()) == tokenize_reference(text)
 
     def test_every_code_point_has_the_reference_kind(self):
         # "a" + ch is one token when ch is a word character, two when it is
@@ -221,11 +236,14 @@ class TestEncode:
 
     def test_table_gains_only_the_kept_unigrams(self):
         # Tokens cut by max_tokens are never hashed, and bigrams never enter the table.
-        table = {}
-        encode(["a", "b", "c", "d"], FeatureConfig(max_tokens=3, ngram=2), table)
+        cfg = FeatureConfig(max_tokens=3, ngram=2)
+        table = TokenTable(cfg.hash_bits)
+        encode(["a", "b", "c", "d"], cfg, table)
         assert sorted(table) == ["a", "b", "c"]
-        table = {"b": 7}
-        doc = encode(["a", "b", "c"], FeatureConfig(max_tokens=4, ngram=2), table)
+        cfg = FeatureConfig(max_tokens=4, ngram=2)
+        table = TokenTable(cfg.hash_bits)
+        table["b"] = 7
+        doc = encode(["a", "b", "c"], cfg, table)
         assert sorted(table) == ["a", "b", "c"]
         # A table entry is trusted as the token's id.
         assert doc.ids.tolist()[:3] == [table["a"], 7, table["c"]]

@@ -1,5 +1,6 @@
 """Confusion counts, classification reports, and multi-label scoring."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,38 @@ import pytest
 from harmkit.metrics import classification_report, confusion, multilabel_report
 
 
+def confusion_loop(gold, pred, num_classes=4):
+    """The per-row tally ``confusion`` replaced, kept as its oracle."""
+    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for g, p in zip(gold, pred):
+        if not (0 <= g < num_classes and 0 <= p < num_classes):
+            raise ValueError(f"label pair ({g}, {p}) outside 0..{num_classes - 1}")
+        counts[g, p] += 1
+    return counts
+
+
 class TestConfusion:
+    @pytest.mark.parametrize("num_classes", [1, 2, 4, 7])
+    def test_matches_loop_oracle(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        for n in (1, 2, 13, 1000):
+            gold = rng.integers(0, num_classes, n)
+            pred = rng.integers(0, num_classes, n)
+            for g, p in ((gold, pred), (gold.tolist(), pred.tolist())):
+                counts = confusion(g, p, num_classes=num_classes).counts
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, confusion_loop(g, p, num_classes))
+
+    @pytest.mark.parametrize("gold, pred", [
+        ([0, 1, 4, 5], [0, 1, 2, 9]), ([0, -1, 2], [0, 0, -3]), ([1, 2], [3, 4]),
+        ([3, 3, 0], [3, 3, -1]), (np.array([0, 7]), np.array([8, 0])),
+    ])
+    def test_out_of_range_names_the_first_pair_like_the_loop(self, gold, pred):
+        with pytest.raises(ValueError) as want:
+            confusion_loop(gold, pred)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            confusion(gold, pred)
+
     def test_perfect_diagonal(self):
         cm = confusion([0, 1], [0, 1])
         assert cm.counts[0, 0] == 1

@@ -146,9 +146,12 @@ class TestForward:
 
     def test_out_of_range_id(self):
         params = init_params(small_cfg())
-        doc = EncodedDoc(ids=np.array([9999]), length=1)
-        with pytest.raises(ValueError, match="out of range"):
-            forward_batch(params, [doc])
+        vocab_size = params.embed.shape[0]
+        for ids in ([9999], [vocab_size], [-1], [3, -2, 5], [np.iinfo(np.int64).min]):
+            doc = EncodedDoc(ids=np.array(ids, dtype=np.int64), length=len(ids))
+            with pytest.raises(ValueError, match="out of range"):
+                forward_batch(params, [doc])
+        forward_batch(params, [EncodedDoc(ids=np.array([0, vocab_size - 1]), length=2)])
 
     def test_z_hat_unit_norm_property(self):
         rng = np.random.default_rng(23)
