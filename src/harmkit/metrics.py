@@ -107,6 +107,12 @@ def classification_report(cm: ConfusionMatrix) -> MetricsReport:
     return _report_from_counts(tp, fp, fn, counts.sum(axis=1))
 
 
+def check_eta(eta: float) -> None:
+    """The targets threshold rule: ``sigma >= eta`` flags a target, for eta in (0, 1)."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
+
+
 def multilabel_report(
     gold: Sequence[tuple[int, ...]],
     sigmas: Sequence[np.ndarray] | np.ndarray,
@@ -123,8 +129,7 @@ def multilabel_report(
         raise ValueError(f"gold shape {gold_mat.shape} != sigma shape {sig.shape}")
     if sig.ndim != 2:
         raise ValueError(f"expected (N, num_targets) arrays, got shape {sig.shape}")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    check_eta(eta)
 
     decisions = sig >= eta
     positives = gold_mat == 1

@@ -29,12 +29,13 @@ import numpy as np
 
 from .corpus import NUM_CLASSES, NUM_TARGETS
 from .featurizer import EncodedDoc, FeatureConfig
+from .metrics import check_eta
 
 _MAGIC = b"HPC1"
 _VERSION = 1
 _HEADER_FMT = "<8IQ"  # 8 u32 config ints + u64 seed
 _HEADER_LEN = struct.calcsize(_HEADER_FMT)
-_INIT_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 1024  # rows per block when drawing or writing a parameter array
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     def glorot(fan_in: int, fan_out: int) -> np.ndarray:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         out = np.empty((fan_in, fan_out))
-        for start in range(0, fan_in, _INIT_CHUNK_ROWS):
-            rows = out[start : start + _INIT_CHUNK_ROWS]
+        for start in range(0, fan_in, _CHUNK_ROWS):
+            rows = out[start : start + _CHUNK_ROWS]
             rows[...] = rng.uniform(-bound, bound, size=rows.shape).astype(np.float32)
         return out
 
@@ -169,8 +170,7 @@ def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.nda
     class index. targets: sigmoids and 0/1 flags ``sigma >= eta``, the rule
     validation and ``evaluate`` score; a row may flag no target at all.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    check_eta(eta)
     if task == "harm":
         probs = softmax(acts.class_logits)
         return probs, np.argmax(probs, axis=1)
@@ -219,15 +219,21 @@ def save_params(
         NUM_TARGETS,
         model_cfg.seed,
     )
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<B", _VERSION)
-    blob += struct.pack("<I", len(header))
-    blob += header
+    crc = 0
+    with open(path, "wb") as f:
+        for chunk in _checkpoint_chunks(header, params):
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<I", crc))
+
+
+def _checkpoint_chunks(header: bytes, params: ModelParams):
+    """The checkpoint bytes that precede the crc, each array converted to
+    float32 at most ``_CHUNK_ROWS`` rows at a time."""
+    yield _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header
     for _, arr in params.arrays():
-        blob += arr.astype("<f4").tobytes(order="C")
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    Path(path).write_bytes(bytes(blob))
+        for start in range(0, arr.shape[0], _CHUNK_ROWS):
+            yield arr[start : start + _CHUNK_ROWS].astype("<f4").tobytes(order="C")
 
 
 def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConfig]:

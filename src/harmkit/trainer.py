@@ -95,6 +95,8 @@ class AdamOptimizer:
     dense update subtracts exactly 0 from it. So each step updates only the
     embedding rows some step has ever touched, with a zero gradient for those
     absent from this batch, and the parameters stay bit-identical to dense Adam.
+    The embedding moments are held for those rows only, row-aligned with the
+    sorted id array ``_rows``; the other arrays keep full-shape moments.
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -105,27 +107,30 @@ class AdamOptimizer:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._touched: np.ndarray | None = None  # embedding rows some step has touched
+        self._rows = np.empty(0, np.int64)  # sorted embedding rows some step has touched
 
     def step(self, params: ModelParams, grads: GradientSet) -> None:
         self.t += 1
         for name, arr in params.arrays():
             if name not in self._m:
-                self._m[name] = np.zeros(arr.shape, arr.dtype)
-                self._v[name] = np.zeros(arr.shape, arr.dtype)
-            m, v = self._m[name], self._v[name]
+                shape = (0, arr.shape[1]) if name == "embed" else arr.shape
+                self._m[name] = np.zeros(shape, arr.dtype)
+                self._v[name] = np.zeros(shape, arr.dtype)
             if name != "embed":
-                self._update(arr, m, v, getattr(grads, name))
+                self._update(arr, self._m[name], self._v[name], getattr(grads, name))
                 continue
-            if self._touched is None:
-                self._touched = np.zeros(arr.shape[0], dtype=bool)
-            self._touched[grads.embed_ids] = True
-            rows = np.flatnonzero(self._touched)
+            new = np.setdiff1d(grads.embed_ids, self._rows, assume_unique=True)
+            if new.size:
+                at = np.searchsorted(self._rows, new)
+                self._rows = np.insert(self._rows, at, new)
+                self._m[name] = np.insert(self._m[name], at, 0.0, axis=0)
+                self._v[name] = np.insert(self._v[name], at, 0.0, axis=0)
+            rows = self._rows
             g = np.zeros((rows.size, arr.shape[1]), arr.dtype)
             g[np.searchsorted(rows, grads.embed_ids)] = grads.embed
-            arr_rows, m_rows, v_rows = arr[rows], m[rows], v[rows]
-            self._update(arr_rows, m_rows, v_rows, g)
-            arr[rows], m[rows], v[rows] = arr_rows, m_rows, v_rows
+            arr_rows = arr[rows]
+            self._update(arr_rows, self._m[name], self._v[name], g)
+            arr[rows] = arr_rows
 
     def _update(self, arr: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
         """The Adam rule, in place on arr, m and v."""
@@ -251,12 +256,17 @@ def train(
     items = list(zip(enc_train, train_labels))
     params = init_params(model_cfg)
     optimizer = _make_optimizer(train_cfg)
+    # A step changes only embedding rows its batch's tokens hash to, so the
+    # best-epoch snapshot holds those rows and the small arrays; every other
+    # row keeps its init_params value throughout.
+    trainable = {name: slice(None) for name in params.FIELDS}
+    trainable["embed"] = np.unique(np.concatenate([doc.ids for doc in enc_train]))
 
     loss_series: list[float] = []
     f1_series: list[float] = []
     best_epoch = -1
     best_f1 = -1.0
-    best_params = params.copy()
+    best: dict[str, np.ndarray] = {}
     for epoch in range(train_cfg.epochs):
         batches = make_batches(
             items, train_cfg.batch_size, train_cfg.seed, epoch, drop_singleton=contrastive_on
@@ -268,12 +278,15 @@ def train(
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
-            best_params = params.copy()
+            best = {name: arr[trainable[name]].copy() for name, arr in params.arrays()}
         if progress is not None:
             progress(epoch, mean_loss, val_f1)
 
+    # F1 is never negative, so epoch 0 always took a snapshot.
+    for name, arr in params.arrays():
+        arr[trainable[name]] = best[name]
     if checkpoint_path is not None:
-        save_params(best_params, model_cfg, feature_cfg, checkpoint_path)
+        save_params(params, model_cfg, feature_cfg, checkpoint_path)
     report = TrainReport(
         task=train_cfg.task,
         train_loss=loss_series,
@@ -282,7 +295,7 @@ def train(
         best_val_f1=best_f1,
         checkpoint=str(checkpoint_path) if checkpoint_path is not None else None,
     )
-    return best_params, report
+    return params, report
 
 
 @dataclass

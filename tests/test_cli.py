@@ -266,13 +266,18 @@ class TestPredictCommand:
     def test_eta_outside_unit_interval_rejected(self, trained, tmp_path, capsys, eta):
         root, _ = trained
         src = tmp_path / "in.jsonl"
-        src.write_text('{"id": "x", "text": "c0w1 c0w2 t3"}\n', encoding="utf-8")
+        src.write_text('{"id": "x", "text": "c0w1 c0w2 t3", "targets": [0, 0, 0, 1, 0]}\n', encoding="utf-8")
         out = tmp_path / "tgt.jsonl"
-        code = cli.main(["predict", "--checkpoint", str(root / "model.hpc"), "--input", str(src),
-                         "--task", "targets", f"--eta={eta}", "--output", str(out)])
+        args = ["predict", "--checkpoint", str(root / "model.hpc"), "--input", str(src), "--task", "targets"]
+        code = cli.main(args + [f"--eta={eta}", "--output", str(out)])
         assert code == 2
         assert "eta must be in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
+        assert cli.main(args + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--gold", str(src), "--pred", str(out), "--task", "targets", f"--eta={eta}"])
+        assert code == 2
+        assert "eta must be in (0, 1)" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, split_files):
         _, val_path = split_files

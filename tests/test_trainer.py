@@ -1,18 +1,23 @@
 """Batching, optimizer updates, the training loop, and the gradient checker."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from harmkit.corpus import LabeledExample, split_train_val
 from harmkit.featurizer import EncodedDoc, FeatureConfig, batch_encode
 from harmkit.losses import ContrastiveConfig, GradientSet, _pool_backward
-from harmkit.model import ModelConfig, init_params, load_params
+from harmkit.model import ModelConfig, init_params, load_params, save_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import (
     AdamOptimizer,
     GradCheckReport,
     SgdOptimizer,
     TrainConfig,
+    _extract_labels,
+    _make_optimizer,
+    evaluate_params,
     grad_check,
     make_batches,
     train,
@@ -83,6 +88,21 @@ class TestOptimizers:
                 opt.step(params, QuadraticStub(2 * params.p[0]))
             runs.append(params.p[0])
         assert runs[0] == runs[1]
+
+    def test_adam_embedding_moments_hold_only_seen_rows(self):
+        rng = np.random.default_rng(8)
+        params = init_params(ModelConfig(vocab_size=64, embed_dim=6, hidden_dim=5, seed=3))
+        opt = AdamOptimizer(0.05)
+        seen = set()
+        for step in range(20):
+            grads = random_compact_gradients(rng, params, step)
+            opt.step(params, grads)
+            seen.update(grads.embed_ids.tolist())
+            assert opt._m["embed"].shape == opt._v["embed"].shape == (len(seen), 6), step
+            assert opt._rows.tolist() == sorted(seen), step
+        for name, arr in params.arrays():
+            if name != "embed":
+                assert opt._m[name].shape == opt._v[name].shape == arr.shape
 
 
 class DenseSgdReference:
@@ -177,6 +197,25 @@ def items_for(examples, fcfg, task="harm"):
 
     docs = batch_encode([ex.text for ex in examples], fcfg)
     return list(zip(docs, _extract_labels(examples, task)))
+
+
+def reference_train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path):
+    """train's harm loop with a full params.copy() of the best epoch: an oracle
+    for the row snapshot that train keeps."""
+    items = list(zip(batch_encode([ex.text for ex in train_set], fcfg), _extract_labels(train_set, "harm")))
+    val_docs = batch_encode([ex.text for ex in val_set], fcfg)
+    val_labels = _extract_labels(val_set, "harm")
+    params = init_params(mcfg)
+    optimizer = _make_optimizer(tcfg)
+    best_f1, best_params = -1.0, None
+    for epoch in range(tcfg.epochs):
+        batches = make_batches(items, tcfg.batch_size, tcfg.seed, epoch, drop_singleton=tcfg.contrastive.lam > 0.0)
+        train_epoch(params, batches, tcfg, optimizer)
+        f1 = evaluate_params(params, val_docs, val_labels, "harm")
+        if f1 > best_f1:
+            best_f1, best_params = f1, params.copy()
+    save_params(best_params, mcfg, fcfg, checkpoint_path)
+    return best_params
 
 
 class TestTrainEpoch:
@@ -327,6 +366,33 @@ class TestTrain:
         # One SGD epoch at tiny lr is near-linear in lr.
         assert displacements[1] / displacements[0] == pytest.approx(0.1, rel=0.05)
         assert displacements[2] / displacements[1] == pytest.approx(0.1, rel=0.05)
+
+    @pytest.mark.parametrize("optimizer, learning_rate, seed", [("sgd", 0.5, 0), ("adam", 0.05, 1)])
+    def test_best_epoch_restore_matches_full_copy_reference(self, tmp_path, optimizer, learning_rate, seed):
+        data = generate_corpus(classes=4, docs_per_class=30, overlap=0.4, seed=88)
+        split = split_train_val(data, seed=1, stratify=True)
+        fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
+        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=seed)
+        tcfg = TrainConfig(epochs=5, batch_size=16, learning_rate=learning_rate, optimizer=optimizer, seed=seed)
+        params, report = train(split.train, split.val, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
+        assert 0 < report.best_epoch < tcfg.epochs - 1
+        expected = reference_train(split.train, split.val, mcfg, fcfg, tcfg, tmp_path / "want.hpc")
+        for name, arr in params.arrays():
+            assert np.array_equal(arr, getattr(expected, name)), name
+        assert (tmp_path / "got.hpc").read_bytes() == (tmp_path / "want.hpc").read_bytes()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_peak_memory_at_default_shape_below_1_75_tables(self, tmp_path, optimizer):
+        split = split_train_val(generate_corpus(classes=4, docs_per_class=10, overlap=0.1, seed=3), seed=1)
+        mcfg = ModelConfig(vocab_size=2**15)
+        tcfg = TrainConfig(epochs=2, optimizer=optimizer)
+        tracemalloc.start()
+        try:
+            params, _ = train(split.train, split.val, mcfg, FeatureConfig(), tcfg, checkpoint_path=tmp_path / "m.hpc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * params.embed.nbytes
 
 
 class TestConfigValidation:
