@@ -201,7 +201,7 @@ def _gold_for(doc_ids: list[str], gold_path: str, task: str) -> list:
         gold[rec["id"]] = harm if task == "harm" else targets
     missing = [d for d in doc_ids if d not in gold]
     if missing:
-        raise ConfigError(f"gold file lacks ids {missing}")
+        raise ConfigError(f"gold file lacks {corpus.id_list(missing)}")
     return [gold[d] for d in doc_ids]
 
 

@@ -29,6 +29,8 @@ NUM_TARGETS = 5
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
+# The scanner json.loads calls: _SCAN(text, index) -> (value, end index).
+_SCAN = json.JSONDecoder().scan_once
 
 
 def normalize_text(text: str) -> str:
@@ -108,7 +110,16 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
+                    # json.loads is this scanner call between two whitespace
+                    # skips, and a stripped line has no JSON whitespace at
+                    # either end. A line the scanner rejects, or does not
+                    # consume, goes to json.loads for the decoder's message.
+                    try:
+                        rec, end = _SCAN(line, 0)
+                    except StopIteration:
+                        end = -1
+                    if end != len(line):
+                        json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
                 except RecursionError as exc:
@@ -137,6 +148,17 @@ def _is_utf8(raw: bytes) -> bool:
     except UnicodeDecodeError:
         return False
     return True
+
+
+_SHOWN_IDS = 5
+
+
+def id_list(ids: Sequence[str]) -> str:
+    """``ids [...]`` for an error message, naming at most the first five ids
+    and then how many there are in all."""
+    if len(ids) <= _SHOWN_IDS:
+        return f"ids {list(ids)}"
+    return f"ids {list(ids[:_SHOWN_IDS])} (first {_SHOWN_IDS} of {len(ids)})"
 
 
 def parse_label(label: object, line_no: int, path: Path) -> int:

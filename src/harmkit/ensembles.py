@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import NUM_CLASSES, read_records, read_rows
+from .corpus import NUM_CLASSES, id_list, read_records, read_rows
 from .metrics import MetricsReport
 
 _ROW_SUM_TOL = 1e-6
@@ -73,6 +73,8 @@ def load_member_file(path: str | Path) -> MemberPrediction:
 
 
 _PREDICTION_KEYS = {"harm": ("probs", "label"), "targets": ("sigmas", "targets")}
+# The encoder json.dumps applies to a str with its default ensure_ascii=True.
+_encode_id = json.encoder.encode_basestring_ascii
 
 
 def write_prediction_file(
@@ -83,11 +85,28 @@ def write_prediction_file(
     task: str = "harm",
 ) -> None:
     """One JSONL row per document: {"id", "probs", "label"} for harm,
-    {"id", "sigmas", "targets"} for targets."""
+    {"id", "sigmas", "targets"} for targets.
+
+    Rows are the bytes ``json.dumps`` gives the same dict: the id through its
+    string encoder, each score through ``float.__repr__`` (json's format for a
+    finite float), an integer label through ``str`` and any other decision
+    through ``json.dumps``. Scores must be finite floats: json writes ``NaN``
+    where ``float.__repr__`` writes ``nan``.
+    """
     score_key, decision_key = _PREDICTION_KEYS[task]
+    scores = np.asarray(scores)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"{path}: non-finite values in '{score_key}'")
+    decisions = np.asarray(decisions)
+    if decisions.ndim == 1 and decisions.dtype.kind in "iu":
+        decision_texts = map(str, decisions)
+    else:
+        decision_texts = (json.dumps(d.tolist()) for d in decisions)
     with Path(path).open("w", encoding="utf-8") as fh:
-        for doc_id, row, decision in zip(doc_ids, scores, np.asarray(decisions)):
-            fh.write(json.dumps({"id": doc_id, score_key: row.tolist(), decision_key: decision.tolist()}) + "\n")
+        # Row by row, like the writes: a Python list of every row costs peak memory.
+        for doc_id, row, decision in zip(doc_ids, scores, decision_texts):
+            fh.write(f'{{"id": {_encode_id(doc_id)}, "{score_key}": [{", ".join(map(float.__repr__, row.tolist()))}], '
+                     f'"{decision_key}": {decision}}}\n')
 
 
 @dataclass(frozen=True)
@@ -124,9 +143,9 @@ def align_members(members: Sequence[MemberPrediction] | AlignedMembers) -> Align
             extra = sorted(member_set - ref_set)
             parts = []
             if missing:
-                parts.append(f"missing ids {missing}")
+                parts.append(f"missing {id_list(missing)}")
             if extra:
-                parts.append(f"unexpected ids {extra}")
+                parts.append(f"unexpected {id_list(extra)}")
             raise ValueError(f"member {member.member_id!r} misaligned: " + "; ".join(parts))
         index = {doc_id: row for row, doc_id in enumerate(member.doc_ids)}
         stacks.append(member.probs[[index[d] for d in reference]])

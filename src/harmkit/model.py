@@ -276,9 +276,12 @@ def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConf
 
     offset = 9 + header_len
     arrays = []
-    for shape in shapes:
+    for name, shape in zip(ModelParams.FIELDS, shapes):
         count = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        # The CRC guards the bytes, not the values: a NaN saved is a NaN loaded.
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: non-finite values in {name}")
         arrays.append(arr.reshape(shape).astype(np.float64))
         offset += count * 4
     return ModelParams(*arrays), model_cfg, feature_cfg

@@ -11,7 +11,7 @@ from harmkit import cli
 from harmkit.corpus import load_jsonl, save_jsonl
 from harmkit.featurizer import FeatureConfig
 from harmkit.metrics import classification_report, confusion
-from harmkit.model import ModelConfig
+from harmkit.model import ModelConfig, load_params, save_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import TrainConfig
 
@@ -279,6 +279,18 @@ class TestPredictCommand:
         assert code == 2
         assert "eta must be in (0, 1)" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_rejected(self, trained, split_files, tmp_path, capsys):
+        root, _ = trained
+        _, val_path = split_files
+        params, model_cfg, feature_cfg = load_params(root / "model.hpc")
+        params.embed[:] = np.nan
+        bad = tmp_path / "nan.hpc"
+        save_params(params, model_cfg, feature_cfg, bad)
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["predict", "--checkpoint", str(bad), "--input", str(val_path), "--output", str(out)]) == 2
+        assert f"{bad}: non-finite values in embed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint(self, tmp_path, split_files):
         _, val_path = split_files
         assert cli.main(["predict", "--checkpoint", str(tmp_path / "no.hpc"),
@@ -399,6 +411,16 @@ class TestEnsembleCommand:
         assert code == 2
         assert "gold file lacks ids ['d1']" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_many_missing_gold_ids_name_the_count_and_the_first_five(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"id": "g", "text": "t", "label": 0}\n', encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("".join(f'{{"id": "d{i:05d}", "label": 0}}\n' for i in range(20000)), encoding="utf-8")
+        assert cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--task", "harm"]) == 2
+        err = capsys.readouterr().err
+        assert "gold file lacks ids ['d00000', 'd00001', 'd00002', 'd00003', 'd00004'] (first 5 of 20000)" in err
+        assert len(err) < 300
 
     def test_wavg_requires_weights(self, tmp_path):
         code = cli.main(["ensemble", "--members", *self.member_args(),

@@ -4,6 +4,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +249,134 @@ class TestSplit:
                 assert abs(train_counts.get(label, 0) - 0.8 * total) <= 1.0
             again = split_train_val(data, ratio=(4, 1), seed=seed, stratify=True)
             assert [ex.id for ex in again.train] == [ex.id for ex in split.train]
+
+
+def read_records_reference(path):
+    """The per-line ``json.loads`` reader, kept as the oracle for the one
+    scanner call per line that ``read_records`` makes."""
+    p = Path(path)
+    seen = set()
+    try:
+        with p.open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
+                except RecursionError as exc:
+                    raise ValueError(f"{p}:{line_no}: malformed JSON: nested too deeply") from exc
+                if not isinstance(rec, dict):
+                    raise ValueError(f"{p}:{line_no}: record is not a JSON object")
+                if rec.get("id") is None or not str(rec["id"]):
+                    raise ValueError(f"{p}:{line_no}: missing or empty field 'id'")
+                rec_id = rec["id"] = str(rec["id"])
+                if rec_id in seen:
+                    raise ValueError(f"{p}:{line_no}: duplicate id {rec_id!r}")
+                seen.add(rec_id)
+                yield line_no, rec
+    except UnicodeDecodeError as exc:
+        lines = p.read_bytes().splitlines()
+        line_no = next(n for n, raw in enumerate(lines, start=1) if not corpus._is_utf8(raw))
+        raise ValueError(f"{p}:{line_no}: not valid UTF-8: {exc.reason}") from exc
+
+
+def read_outcome(reader, path):
+    """What a reader gives for a file: the repr of its (line_no, record) list,
+    which tells NaN, -0.0, 1 and 1.0 apart, or its ValueError message."""
+    try:
+        return "ok", repr(list(reader(path)))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Characters that line splitting, str.strip and the JSON decoder each treat
+# their own way: Unicode line and paragraph separators, NEL, a BOM, JSON and
+# non-JSON whitespace, control characters, quotes and backslashes.
+ODD = ["\u2028", "\u2029", "\x85", "\ufeff", "\u3000", "\x1c", "\x0b", "\x0c", "\t", " ", "\x00", "\x1f",
+       '"', "\\", "\r", "\n", "\xe9", "\U0001f600"]
+NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0", "-0.0", "1E+2", "0.1", "01", "1.", "-",
+           "nan", "infinity", "true", "null", "1" * 30]
+odd_text = st.text(alphabet=st.sampled_from(ODD + ["a", "b"]), max_size=6)
+
+
+@st.composite
+def jsonl_lines(draw, line_no, broken):
+    """One line's text: a record with an id unique to the line, or with
+    ``broken`` also a line that is malformed, truncated, not a record at all
+    or a record with an empty or repeated id."""
+    kind = draw(st.integers(0, 11 if broken else 6))
+    rid = draw(odd_text) + str(line_no)
+    if broken:
+        rid = draw(st.sampled_from([rid, "", "p", "q"]))
+    rid = json.dumps(rid, ensure_ascii=draw(st.booleans()))
+    if kind <= 4:
+        value = json.dumps(draw(odd_text | st.floats()), ensure_ascii=draw(st.booleans()))
+        return f'{{"id": {rid}, "v": {value}}}'
+    if kind == 5:
+        return f'{{"id": {rid}, "v": {draw(st.sampled_from(NUMBERS))}}}'
+    if kind == 6:
+        depth = draw(st.sampled_from([1, 2, 50, 200, 20000]))
+        return f'{{"id": {rid}, "v": {"[" * depth}{"]" * depth}}}'
+    if kind == 7:  # a record, then trailing garbage or a second value
+        return f'{{"id": {rid}}}' + draw(st.sampled_from([", {\"id\": \"z\"}", " x", "}", "]", " 1", "\x00"]))
+    if kind == 8:  # a valid record cut short
+        line = f'{{"id": {rid}, "v": [1, 2, 3]}}'
+        return line[:draw(st.integers(0, len(line)))]
+    if kind == 9:
+        return draw(st.sampled_from(NUMBERS + ["[]", "{}", '"s"', '{"id": null}', '{"id": ""}', '{"id": 7}']))
+    return draw(odd_text)
+
+
+@st.composite
+def jsonl_files(draw):
+    """A file of such lines, each padded at both ends with Unicode whitespace
+    or none and ended by \\n, \\r\\n or a lone \\r. A broken file may also
+    pad with a BOM and join two lines by leaving out the line end."""
+    broken = draw(st.booleans())
+    padding = ["", "", "", " ", "\u2028", "\u2029", "\x85", "\u3000"] + ["\ufeff"] * broken
+    ends = ["\n", "\n", "\n", "\r\n", "\r\n", "\r"] + [""] * broken
+    text = ""
+    for line_no in range(draw(st.integers(0, 6))):
+        text += draw(st.sampled_from(padding)) + draw(jsonl_lines(line_no, broken)) + draw(st.sampled_from(padding))
+        text += draw(st.sampled_from(ends))
+    return text
+
+
+class TestReaderOracle:
+    """``read_records`` gives what the per-line ``json.loads`` loop gave:
+    the same records, or the same ``path:line`` message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=jsonl_files())
+    def test_matches_reference_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("oracle") / "data.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_outcome(corpus.read_records, path) == read_outcome(read_records_reference, path)
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        # One nonblank line holding two records, then a record split across
+        # two lines: a parse of the joined lines would find three objects in
+        # three lines, but line 1 is already malformed.
+        ('{"id":"p"}, {"id":"q"}\n{"id":"c","x":[1\n2]}\n', 1, "Extra data"),
+        ('\ufeff{"id": "a"}\n', 1, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"id": "a"}\n\u2028\x85\u3000\n{"id": "b"} x\n', 3, "Extra data"),
+        ('{"id": "a"}\r{"id": "b", "v": [1,\r2]}\n', 2, "Expecting value"),
+        ('{"id": "a", "v": ' + "[" * 100000 + "]" * 100000 + "}\n", 1, "nested too deeply"),
+    ], ids=["two-records-then-split-record", "bom", "unicode-blank-line-skipped", "lone-cr", "deep-nesting"])
+    def test_fixed_cases(self, tmp_path, text, line_no, message):
+        path = tmp_path / "data.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = ("error", f"{path}:{line_no}: malformed JSON: {message}")
+        assert read_outcome(corpus.read_records, path) == read_outcome(read_records_reference, path) == want
+
+    def test_line_separators_inside_strings_are_kept(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('\u2028{"id": "a\u2028b\x85", "v": NaN}\u2029\r\n{"id": "c", "v": 1e400}\x85\n',
+                        encoding="utf-8", newline="")
+        records = list(corpus.read_records(path))
+        assert [(n, rec["id"]) for n, rec in records] == [(1, "a\u2028b\x85"), (2, "c")]
+        assert np.isnan(records[0][1]["v"]) and records[1][1]["v"] == float("inf")
+        assert read_outcome(corpus.read_records, path) == read_outcome(read_records_reference, path)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmkit.corpus import read_rows
 from harmkit.ensembles import (
@@ -319,6 +321,17 @@ class TestInvariants:
         assert "y" in str(err.value)
         assert "z" in str(err.value)
 
+    def test_misalignment_error_bounds_its_id_lists(self):
+        a = make_member("a", [f"x{i:05d}" for i in range(20000)], np.full((20000, 4), 0.25))
+        b = make_member("b", [f"y{i:05d}" for i in range(20000)], np.full((20000, 4), 0.25))
+        with pytest.raises(ValueError) as err:
+            align_members([a, b])
+        message = str(err.value)
+        assert message == ("member 'b' misaligned: "
+                           "missing ids ['x00000', 'x00001', 'x00002', 'x00003', 'x00004'] (first 5 of 20000); "
+                           "unexpected ids ['y00000', 'y00001', 'y00002', 'y00003', 'y00004'] (first 5 of 20000)")
+        assert len(message) < 300
+
     def test_alignment_by_id_not_position(self):
         a = make_member("a", ["x", "y"], [[1, 0, 0, 0], [0, 1, 0, 0]])
         b = make_member("b", ["y", "x"], [[0, 1, 0, 0], [1, 0, 0, 0]])
@@ -336,6 +349,40 @@ class TestInvariants:
         # NaN compares false against both tolerances, so it needs its own check.
         with pytest.raises(ValueError, match="distribution"):
             make_member("a", ["x"], [[float("nan"), 0.5, 0.25, 0.25]])
+
+
+def write_prediction_file_reference(path, doc_ids, scores, decisions, task="harm"):
+    """The ``json.dumps`` row writer, kept as the oracle for the direct format."""
+    score_key, decision_key = {"harm": ("probs", "label"), "targets": ("sigmas", "targets")}[task]
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for doc_id, row, decision in zip(doc_ids, scores, np.asarray(decisions)):
+            fh.write(json.dumps({"id": doc_id, score_key: row.tolist(), decision_key: decision.tolist()}) + "\n")
+
+
+# Ids with quotes, backslashes, control characters, non-ASCII, astral
+# characters and a lone surrogate; scores that stress float formatting.
+ID_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\xe9", "\u2028", "\ufeff", "\U0001f600", "\ud800", "a", "/"]
+ODD_SCORES = [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1e308, -1e308, 1.0, 0.5, 2.0 ** -1074 * 3, 123456789.123]
+
+
+@st.composite
+def prediction_rows(draw):
+    task = draw(st.sampled_from(["harm", "targets"]))
+    width = 4 if task == "harm" else 5
+    n = draw(st.integers(0, 6))
+    doc_ids = draw(st.lists(st.text(alphabet=st.sampled_from(ID_CHARS), min_size=1, max_size=5) | st.text(max_size=5),
+                            min_size=n, max_size=n))
+    finite = st.sampled_from(ODD_SCORES) | st.floats(allow_nan=False, allow_infinity=False)
+    scores = np.array(draw(st.lists(st.lists(finite, min_size=width, max_size=width), min_size=n, max_size=n)),
+                      dtype=np.float64).reshape(n, width)
+    if task == "harm":
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        decisions = draw(st.sampled_from([labels, np.array(labels, dtype=np.int64), np.array(labels, dtype=np.uint8),
+                                          np.array(labels, dtype=bool)]))
+    else:
+        flags = scores >= 0.5
+        decisions = draw(st.sampled_from([flags.astype(int).tolist(), flags.astype(np.int64), flags]))
+    return task, doc_ids, scores, decisions
 
 
 class TestIo:
@@ -357,6 +404,23 @@ class TestIo:
         assert doc_ids == ["a", "b"]
         assert np.array_equal(read, sigmas)
         assert [json.loads(line)["targets"] for line in path.read_text().splitlines()] == flags.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=prediction_rows())
+    def test_matches_reference_writer(self, tmp_path_factory, case):
+        task, doc_ids, scores, decisions = case
+        root = tmp_path_factory.mktemp("writer")
+        write_prediction_file(root / "fast.jsonl", doc_ids, scores, decisions, task)
+        write_prediction_file_reference(root / "ref.jsonl", doc_ids, scores, decisions, task)
+        assert (root / "fast.jsonl").read_bytes() == (root / "ref.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_rejected(self, tmp_path, bad):
+        path = tmp_path / "preds.jsonl"
+        probs = np.array([[0.25, 0.25, 0.25, 0.25], [bad, 0.5, 0.25, 0.25]])
+        with pytest.raises(ValueError, match="non-finite values in 'probs'"):
+            write_prediction_file(path, ["a", "b"], probs, [0, 1])
+        assert not path.exists()
 
     def test_invalid_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -356,6 +356,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="CRC"):
             load_params(path)
 
+    @pytest.mark.parametrize("name, bad", [("embed", np.nan), ("w1", np.inf), ("bt", -np.inf)])
+    def test_non_finite_values_rejected(self, tmp_path, name, bad):
+        # The CRC covers the bytes, so it passes a checkpoint saved with NaN parameters.
+        fcfg = FeatureConfig(hash_bits=8)
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        params = init_params(cfg)
+        getattr(params, name).flat[-1] = bad
+        path = tmp_path / "nan.hpc"
+        save_params(params, cfg, fcfg, path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite values in {name}")):
+            load_params(path)
+
     def test_shapes_come_from_header(self, tmp_path):
         # Two checkpoints with different geometry load back with their own shapes.
         for bits, embed, hidden in [(8, 4, 6), (9, 10, 3)]:
