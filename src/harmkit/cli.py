@@ -20,15 +20,26 @@ shuffling; the model vocabulary size is always 2**hash_bits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus, ensembles, metrics, synth
-from .featurizer import FeatureConfig, batch_encode
+from .featurizer import FeatureConfig, TokenTable, batch_encode
 from .losses import ContrastiveConfig, NonFiniteLossError
-from .model import ModelConfig, forward_batch, load_params, predict
+from .model import (
+    ModelConfig,
+    ModelParams,
+    forward_batch,  # noqa: F401  (not called here; bench/spans.py wraps cli.forward_batch)
+    forward_pooled,
+    load_params,
+    mean_pool,
+    predict,
+)
 from .trainer import TrainConfig, grad_check, train
 
 EXIT_OK = 0
@@ -182,14 +193,34 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Documents that predict reads, encodes and pools before it reads the next
+# ones. Only the ids and pooled rows of earlier chunks stay in memory.
+_PREDICT_CHUNK = 1024
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     params, _, feature_cfg = load_params(args.checkpoint)
-    data = corpus.load_jsonl(args.input, task=args.task, require_labels=False)
-    docs = batch_encode([ex.text for ex in data], feature_cfg)
-    scores, decisions = predict(forward_batch(params, docs), args.task, args.eta)
-    ensembles.write_prediction_file(args.output, [ex.id for ex in data], scores, decisions, args.task)
-    print(json.dumps({"predictions": args.output, "n": len(data)}, sort_keys=True))
+    doc_ids, h0 = _pool_input(params, feature_cfg, args.input, args.task)
+    scores, decisions = predict(forward_pooled(params, h0), args.task, args.eta)
+    ensembles.write_prediction_file(args.output, doc_ids, scores, decisions, args.task)
+    print(json.dumps({"predictions": args.output, "n": len(doc_ids)}, sort_keys=True))
     return EXIT_OK
+
+
+def _pool_input(params: ModelParams, feature_cfg: FeatureConfig, path: str,
+                task: str) -> tuple[list[str], np.ndarray]:
+    """The ids and mean-pooled rows of an input file's documents, in file
+    order. Each chunk is read and normalized, then encoded, then pooled; one
+    token table serves every chunk. The per-chunk blocks are freed on return,
+    before the heads run."""
+    examples = corpus.iter_jsonl(path, task=task, require_labels=False)
+    table = TokenTable(feature_cfg.hash_bits)
+    doc_ids: list[str] = []
+    pooled = [mean_pool(params, [])]  # (0, embed_dim): the shape of an empty input
+    while chunk := list(itertools.islice(examples, _PREDICT_CHUNK)):
+        doc_ids += [ex.id for ex in chunk]
+        pooled.append(mean_pool(params, batch_encode([ex.text for ex in chunk], feature_cfg, table)))
+    return doc_ids, np.concatenate(pooled)
 
 
 def _gold_for(doc_ids: list[str], gold_path: str, task: str) -> list:

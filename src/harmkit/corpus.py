@@ -124,6 +124,9 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                     raise ValueError(f"{p}:{line_no}: malformed JSON: {exc.msg}") from exc
                 except RecursionError as exc:
                     raise ValueError(f"{p}:{line_no}: malformed JSON: nested too deeply") from exc
+                except ValueError as exc:
+                    # int() refuses a literal longer than sys.get_int_max_str_digits().
+                    raise ValueError(f"{p}:{line_no}: malformed JSON: {exc}") from exc
                 if not isinstance(rec, dict):
                     raise ValueError(f"{p}:{line_no}: record is not a JSON object")
                 if rec.get("id") is None or not str(rec["id"]):
@@ -238,15 +241,20 @@ def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True
     ``require_labels=False`` relaxes all label requirements (prediction-time
     inputs). Record-level rules are those of ``read_records``.
     """
+    return list(iter_jsonl(path, task, require_labels))
+
+
+def iter_jsonl(path: str | Path, task: str = "both", require_labels: bool = True) -> Iterator[LabeledExample]:
+    """``load_jsonl`` one example at a time: each record is read, checked and
+    normalized when the caller asks for it, so the examples already yielded
+    need not stay in memory. The task is checked on the first request."""
     if task not in ("harm", "targets", "both"):
         raise ValueError(f"unknown task {task!r}")
     p = Path(path)
-    examples = []
     for line_no, raw in read_records(p):
         harm, targets = parse_labels(raw, line_no, p, task, require_labels)
         text = normalize_text(str(raw["text"]))
-        examples.append(LabeledExample._checked(raw["id"], text, harm, targets))
-    return examples
+        yield LabeledExample._checked(raw["id"], text, harm, targets)
 
 
 def save_jsonl(examples: Iterable[LabeledExample], path: str | Path) -> None:

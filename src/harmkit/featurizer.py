@@ -11,9 +11,9 @@ whole words together; the regex ``\\w`` alone would split them off.
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
 across runs and platforms. Sequences are head-truncated to max_tokens.
-``batch_encode`` keeps a token-to-id table for the length of one call, so
-each distinct token is hashed once per call, on first sight; nothing is
-cached between calls.
+``batch_encode`` keeps a token-to-id table for the length of one call, or
+of every call that passes it the same table, so each distinct token is
+hashed once per table, on first sight; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -219,9 +219,11 @@ def encode(tokens: Sequence[str], cfg: FeatureConfig, table: TokenTable | None =
     return EncodedDoc(ids=ids, length=len(ids))
 
 
-def batch_encode(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
+def batch_encode(texts: Sequence[str], cfg: FeatureConfig, table: TokenTable | None = None) -> list[EncodedDoc]:
     """Tokenize and encode each text; order preserved. One token table serves
-    the whole call; documents are tokenized one at a time, so only one
-    document's token list is held at once."""
-    table = TokenTable(cfg.hash_bits)
+    the whole call, or every call that passes the same ``table`` (a
+    ``TokenTable(cfg.hash_bits)``); documents are tokenized one at a time, so
+    only one document's token list is held at once."""
+    if table is None:
+        table = TokenTable(cfg.hash_bits)
     return [encode(tokenize(text), cfg, table) for text in texts]

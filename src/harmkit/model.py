@@ -6,9 +6,17 @@ target-identity logits). The L2-normalized hidden vector is the
 representation used by the contrastive objective, so cosine similarity
 between documents reduces to a dot product.
 
-``forward_batch`` is the only forward pass, and ``predict`` the only rule
-that turns its activations into scores and decisions: training, validation,
-the CLI and the tests all go through these two.
+The forward pass is ``mean_pool`` (documents to pooled rows) followed by
+``forward_pooled`` (pooled rows to activations); ``forward_batch`` runs the
+two on one batch, and ``predict`` is the only rule that turns activations
+into scores and decisions. Training, validation and the tests call
+``forward_batch``; the CLI's ``predict`` pools its input chunk by chunk and
+runs ``forward_pooled`` once over every row.
+
+Parameters are float64 in memory, with one exception: ``load_params`` keeps
+the embedding table as the float32 array the checkpoint stores. Pooling
+widens the rows it reads to float64, which is exact, so a float32 table and
+its float64 copy give bit-identical activations.
 
 Checkpoint layout (little-endian throughout):
   magic ``HPC1`` | version u8 (=1) | header_len u32 | header | parameter
@@ -20,6 +28,8 @@ hidden_dim, num_classes (=4), num_targets (=5), then the model seed as u64.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -35,6 +45,8 @@ _MAGIC = b"HPC1"
 _VERSION = 1
 _HEADER_FMT = "<8IQ"  # 8 u32 config ints + u64 seed
 _HEADER_LEN = struct.calcsize(_HEADER_FMT)
+_PAYLOAD_OFFSET = 9 + _HEADER_LEN  # magic, version, header_len, header
+_ALIGN = 16  # byte boundary of the parameter payload in a loaded file
 _CHUNK_ROWS = 1024  # rows per block when drawing or writing a parameter array
 
 
@@ -55,7 +67,8 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable arrays; float64 in memory, float32 in checkpoints."""
+    """All trainable arrays, float32 in checkpoints. In memory they are
+    float64, except that ``load_params`` keeps ``embed`` as float32."""
 
     embed: np.ndarray  # (vocab_size, embed_dim)
     w1: np.ndarray     # (embed_dim, hidden_dim)
@@ -116,7 +129,19 @@ def init_params(cfg: ModelConfig) -> ModelParams:
 
 
 def forward_batch(params: ModelParams, docs: list[EncodedDoc]) -> BatchActivations:
-    """Run the full forward pass for a batch of encoded documents."""
+    """The full forward pass of a batch of encoded documents: ``mean_pool``,
+    then ``forward_pooled`` over its rows."""
+    return forward_pooled(params, mean_pool(params, docs))
+
+
+def mean_pool(params: ModelParams, docs: list[EncodedDoc]) -> np.ndarray:
+    """The (len(docs), embed_dim) float64 mean of each document's embedding
+    rows; an empty document pools to zeros.
+
+    Rows are summed in float64 whatever the table's dtype. float32 widens to
+    float64 exactly, so a float32 table pools to the same bits as its float64
+    copy.
+    """
     vocab_size, embed_dim = params.embed.shape
     h0 = np.zeros((len(docs), embed_dim))
     for i, doc in enumerate(docs):
@@ -126,8 +151,17 @@ def forward_batch(params: ModelParams, docs: list[EncodedDoc]) -> BatchActivatio
         if np.asarray(doc.ids, np.int64).view(np.uint64).max() >= vocab_size:
             raise ValueError(f"token id out of range for vocab size {vocab_size}")
         # The same row sum and division as ``mean(axis=0)``, bit for bit.
-        h0[i] = params.embed.take(doc.ids, axis=0).sum(axis=0) / doc.length
+        rows = params.embed.take(doc.ids, axis=0).astype(np.float64, copy=False)
+        h0[i] = rows.sum(axis=0) / doc.length
+    return h0
 
+
+def forward_pooled(params: ModelParams, h0: np.ndarray) -> BatchActivations:
+    """The tanh layer and both heads over pooled rows ``h0``.
+
+    Callers run it once over all their rows: computed over row blocks, the
+    matrix products may round differently.
+    """
     z = np.tanh(h0 @ params.w1 + params.b1)
     z_hat, z_norm = normalize_rows(z)
     class_logits = z @ params.wc + params.bc
@@ -236,37 +270,61 @@ def _checkpoint_chunks(header: bytes, params: ModelParams):
             yield arr[start : start + _CHUNK_ROWS].astype("<f4").tobytes(order="C")
 
 
+def _read_aligned(path: str | Path) -> memoryview:
+    """The bytes of the file at ``path``, placed so that its byte
+    ``_PAYLOAD_OFFSET`` lies on an ``_ALIGN``-byte boundary.
+
+    The embedding table is then an aligned float32 view of the buffer, with
+    no copy; ``take`` on an unaligned view is several times slower.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = np.empty(size + _ALIGN, dtype=np.uint8)
+        start = -(buf.ctypes.data + _PAYLOAD_OFFSET) % _ALIGN
+        blob = memoryview(buf)[start : start + size]
+        n = f.readinto(blob)
+    return blob[:n]
+
+
 def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConfig]:
-    """Inverse of save_params; fails closed on any corruption."""
-    blob = Path(path).read_bytes()
+    """Inverse of save_params; fails closed on any corruption.
+
+    ``embed`` is a writable float32 view of the file's bytes; the other
+    arrays are float64 copies.
+    """
+    blob = _read_aligned(path)
     if len(blob) < 9:
         raise ValueError(f"{path}: truncated at offset {len(blob)} (no header)")
     if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
+        raise ValueError(f"{path}: bad magic {bytes(blob[:4])!r}, expected {_MAGIC!r}")
     version = blob[4]
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}, expected {_VERSION}")
     (header_len,) = struct.unpack_from("<I", blob, 5)
     if header_len != _HEADER_LEN:
         raise ValueError(f"{path}: header length {header_len}, expected {_HEADER_LEN}")
-    if len(blob) < 9 + header_len:
+    if len(blob) < _PAYLOAD_OFFSET:
         raise ValueError(f"{path}: truncated at offset {len(blob)} (header incomplete)")
     fields = struct.unpack_from(_HEADER_FMT, blob, 9)
     if fields[6:8] != (NUM_CLASSES, NUM_TARGETS):
         raise ValueError(f"{path}: {fields[6]} classes, {fields[7]} targets; expected {NUM_CLASSES}, {NUM_TARGETS}")
-    feature_cfg = FeatureConfig(max_tokens=fields[0], hash_bits=fields[1], ngram=fields[2])
-    model_cfg = ModelConfig(
-        vocab_size=fields[3],
-        embed_dim=fields[4],
-        hidden_dim=fields[5],
-        seed=fields[8],
-    )
+    try:
+        feature_cfg = FeatureConfig(max_tokens=fields[0], hash_bits=fields[1], ngram=fields[2])
+        model_cfg = ModelConfig(
+            vocab_size=fields[3],
+            embed_dim=fields[4],
+            hidden_dim=fields[5],
+            seed=fields[8],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if model_cfg.vocab_size != feature_cfg.vocab_size:
         raise ValueError(f"{path}: header vocab_size {model_cfg.vocab_size} inconsistent with hash_bits")
 
     shapes = _shapes(model_cfg)
-    n_payload = sum(int(np.prod(s)) for s in shapes) * 4
-    expected = 9 + header_len + n_payload + 4
+    # math.prod: header dims up to 2**32 - 1 overflow numpy's int64 product.
+    n_payload = sum(math.prod(s) for s in shapes) * 4
+    expected = _PAYLOAD_OFFSET + n_payload + 4
     if len(blob) != expected:
         raise ValueError(f"{path}: file is {len(blob)} bytes, expected {expected} (truncated or padded)")
     (stored_crc,) = struct.unpack_from("<I", blob, expected - 4)
@@ -274,14 +332,14 @@ def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConf
     if stored_crc != actual_crc:
         raise ValueError(f"{path}: CRC mismatch at offset {expected - 4} (stored {stored_crc:#x}, computed {actual_crc:#x})")
 
-    offset = 9 + header_len
+    offset = _PAYLOAD_OFFSET
     arrays = []
     for name, shape in zip(ModelParams.FIELDS, shapes):
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        count = math.prod(shape)
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
         # The CRC guards the bytes, not the values: a NaN saved is a NaN loaded.
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: non-finite values in {name}")
-        arrays.append(arr.reshape(shape).astype(np.float64))
+        arrays.append(arr if name == "embed" else arr.astype(np.float64))
         offset += count * 4
     return ModelParams(*arrays), model_cfg, feature_cfg

@@ -1,17 +1,23 @@
 """Command-line surface: exit codes, file outputs, strict config parsing."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmkit import cli
 from harmkit.corpus import load_jsonl, save_jsonl
-from harmkit.featurizer import FeatureConfig
+from harmkit.ensembles import write_prediction_file
+from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.metrics import classification_report, confusion
-from harmkit.model import ModelConfig, load_params, save_params
+from harmkit.model import ModelConfig, ModelParams, forward_batch, load_params, predict, save_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import TrainConfig
 
@@ -203,7 +209,61 @@ class TestTrainCommand:
         assert "diverged" in capsys.readouterr().err
 
 
+def predict_reference(checkpoint, input_path, task, output):
+    """The whole-file predict path: every record loaded, encoded and run
+    through one ``forward_batch``, with every loaded array as float64."""
+    params, _, feature_cfg = load_params(checkpoint)
+    params = ModelParams(**{name: arr.astype(np.float64) for name, arr in params.arrays()})
+    data = load_jsonl(input_path, task=task, require_labels=False)
+    docs = batch_encode([ex.text for ex in data], feature_cfg)
+    scores, decisions = predict(forward_batch(params, docs), task)
+    write_prediction_file(output, [ex.id for ex in data], scores, decisions, task)
+
+
+WORDS = ["c0w1", "c1w2", "c2w0", "c3w4", "t0", "t3", "s1", "Hello", "@bob", "www.x.y", "!!", "é", "", "  "]
+
+
 class TestPredictCommand:
+    def assert_matches_reference(self, root, texts, task, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(texts)),
+                       encoding="utf-8")
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["predict", "--checkpoint", str(root / "model.hpc"), "--input", str(src),
+                             "--task", task, "--output", str(got)]) == 0
+        assert json.loads(out.getvalue())["n"] == len(texts)
+        predict_reference(root / "model.hpc", src, task, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=st.integers(1, 5), chunks=st.integers(0, 3), offset=st.sampled_from([-1, 0, 1]),
+           task=st.sampled_from(["harm", "targets"]), data=st.data())
+    def test_streamed_output_matches_whole_file_path(self, trained, tmp_path_factory, chunk, chunks, offset,
+                                                     task, data):
+        # N = k*chunk - 1, k*chunk or k*chunk + 1 documents, N = 0 included.
+        n = max(chunks * chunk + offset, 0)
+        texts = data.draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join),
+                                   min_size=n, max_size=n))
+        with mock.patch.object(cli, "_PREDICT_CHUNK", chunk):
+            self.assert_matches_reference(trained[0], texts, task, tmp_path_factory.mktemp("stream"))
+
+    @pytest.mark.parametrize("task", ["harm", "targets"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 1 + cli._PREDICT_CHUNK])
+    def test_output_at_chunk_boundaries_matches_whole_file_path(self, trained, tmp_path, task, extra):
+        n = cli._PREDICT_CHUNK + extra
+        texts = [" ".join(WORDS[(i * j) % len(WORDS)] for j in range(i % 11)) for i in range(n)]
+        self.assert_matches_reference(trained[0], texts, task, tmp_path)
+
+    def test_empty_input_writes_an_empty_file(self, trained, tmp_path, capsys):
+        src = tmp_path / "empty.jsonl"
+        src.write_text("\n", encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["predict", "--checkpoint", str(trained[0] / "model.hpc"),
+                         "--input", str(src), "--output", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 0
+        assert out.read_bytes() == b""
+
     def test_line_per_document(self, trained, split_files, tmp_path):
         root, _ = trained
         _, val_path = split_files

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import unicodedata
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from harmkit import corpus
 from harmkit.corpus import (
     LabeledExample,
+    iter_jsonl,
     load_jsonl,
     normalize_text,
     parse_labels,
@@ -151,6 +153,23 @@ class TestLoadJsonl:
         assert examples == [LabeledExample(id=str(i), text="x", harm=i % 4, targets=(0, 1, 0, 0, i % 2))
                             for i in range(7)]
         assert len({hash(ex) for ex in examples}) == 7
+
+    def test_iter_jsonl_reads_a_record_only_when_asked(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "text": "X  y"}\n{"id": "b", "text": "z"}\n{"broken\n', encoding="utf-8")
+        examples = iter_jsonl(path, task="harm", require_labels=False)
+        assert [next(examples).text, next(examples).text] == ["x y", "z"]
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed JSON")):
+            next(examples)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int string-conversion limit")
+    def test_oversized_integer_literal_names_path_and_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(f'{{"id": "a", "text": "x", "label": 1}}\n{{"id": "b", "text": "y", "n": {digits}}}\n',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed JSON: Exceeds the limit")):
+            load_jsonl(path, task="harm")
 
     def test_save_load_idempotent(self, tmp_path):
         path = tmp_path / "data.jsonl"

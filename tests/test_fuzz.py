@@ -1,20 +1,27 @@
 """Fuzzed input files: every reader either accepts a file or rejects it with
 exit 2 and a message. No input may end in a traceback or in exit 1, which is
 reserved for a failed check. The config parser either raises ConfigError or
-returns a config whose numbers are all finite."""
+returns a config whose numbers are all finite. A checkpoint either loads or
+is rejected with a message that names it."""
 
 import contextlib
 import io
 import json
 import math
+import struct
+import sys
 import tempfile
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harmkit import cli
+from harmkit.featurizer import FeatureConfig
+from harmkit.model import ModelConfig, init_params, save_params
 
 scalars = st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=4)
 values = st.recursive(
@@ -113,3 +120,101 @@ def test_config_parser_raises_config_error_or_returns_finite_floats(lines):
                 return
         floats = (cfg.train.learning_rate, cfg.train.contrastive.tau, cfg.train.contrastive.lam)
         assert all(math.isfinite(x) for x in floats), floats
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    """A small valid checkpoint and an input file for predict."""
+    root = tmp_path_factory.mktemp("fuzz-model")
+    fcfg = FeatureConfig(max_tokens=16, hash_bits=8)
+    mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=3, seed=1)
+    save_params(init_params(mcfg), mcfg, fcfg, root / "m.hpc")
+    lines = [json.dumps({"id": f"d{i}", "text": f"w{i} w{i % 3} !"}) for i in range(5)] + ['{"id": "e", "text": ""}']
+    (root / "in.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return root
+
+
+U32 = st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 22, 23, 30, 256, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+# Little-endian float32 patterns: NaN, +inf, -inf, the largest finite, a subnormal.
+FLOAT_BYTES = st.sampled_from([b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f", b"\x00\x00\x80\xff",
+                               b"\xff\xff\x7f\x7f", b"\x01\x00\x00\x00"]) | st.binary(min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_is_named(model_dir, data):
+    """Header fields (the 8 u32 ints, the u64 seed) and bytes anywhere before
+    the CRC are rewritten, then the CRC is recomputed so that every check
+    behind it runs."""
+    blob = bytearray((model_dir / "m.hpc").read_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["field", "seed", "bytes"]))
+        if kind == "field":
+            struct.pack_into("<I", blob, 9 + 4 * data.draw(st.integers(0, 7)), data.draw(U32))
+        elif kind == "seed":
+            struct.pack_into("<Q", blob, 41, data.draw(st.integers(0, 2**64 - 1)))
+        else:
+            at = data.draw(st.integers(0, len(blob) - 5))
+            chunk = data.draw(FLOAT_BYTES)[: len(blob) - 4 - at]
+            blob[at : at + len(chunk)] = chunk
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "mutated.hpc"
+        checkpoint.write_bytes(bytes(blob))
+        code, err = run(["predict", "--checkpoint", str(checkpoint), "--input", str(model_dir / "in.jsonl"),
+                         "--output", str(Path(tmp) / "out.jsonl")])
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert err.startswith(f"error: {checkpoint}: "), err
+
+
+@st.composite
+def lines_with_big_ints(draw):
+    """Valid records for every command, some field values or array entries
+    swapped for integer literals at or just past the int conversion limit.
+    Returns the lines and whether the first swapped literal is past it, so
+    that the first error a reader meets is on its line."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+    lines, first_over = [], None
+    for i in range(draw(st.integers(1, 6))):
+        rec = {"id": f"d{i}", "text": f"w{i % 4} w9", "label": i % 4, "targets": [0, 0, 1, 0, 0],
+               "probs": [0.25, 0.25, 0.25, 0.25], "sigmas": [0.5, 0.25, 0.75, 0.0, 1.0]}
+        if not draw(st.booleans()):
+            lines.append(json.dumps(rec))
+            continue
+        key = draw(st.sampled_from(sorted(rec)))
+        if isinstance(rec[key], list):
+            rec[key][draw(st.integers(0, len(rec[key]) - 1))] = "@BIG@"
+        else:
+            rec[key] = "@BIG@"
+        digits = draw(st.integers(limit - 1, limit + 2))
+        if first_over is None:
+            first_over = digits > limit
+        literal = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from("123456789")) + "0" * (digits - 1)
+        lines.append(json.dumps(rec).replace('"@BIG@"', literal))
+    return lines, bool(first_over)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=lines_with_big_ints())
+def test_oversized_integer_literals_exit_2_naming_the_line(model_dir, drawn):
+    lines, over = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = str(Path(tmp) / "out.jsonl")
+        commands = [
+            ["split", "--input", str(data)],
+            ["predict", "--checkpoint", str(model_dir / "m.hpc"), "--input", str(data), "--output", out],
+            ["ensemble", "--members", str(data), str(data), "--strategy", "avg", "--gold", str(data),
+             "--output", out],
+            ["evaluate", "--gold", str(data), "--pred", str(data), "--task", "harm"],
+            ["evaluate", "--gold", str(data), "--pred", str(data), "--task", "targets"],
+        ]
+        for argv in commands:
+            code, err = run(argv)
+            assert code in (0, 2), (argv[0], code, err)
+            if code == 2:
+                assert err.startswith("error: ") and len(err.strip()) > len("error:"), (argv[0], err)
+            if over and hasattr(sys, "get_int_max_str_digits"):
+                assert err.startswith(f"error: {data}:") and "malformed JSON: Exceeds the limit" in err, (argv[0], err)

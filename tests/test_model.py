@@ -13,9 +13,11 @@ from harmkit.corpus import NUM_CLASSES, NUM_TARGETS
 from harmkit.featurizer import EncodedDoc, FeatureConfig
 from harmkit.model import (
     ModelConfig,
+    ModelParams,
     forward_batch,
     init_params,
     load_params,
+    mean_pool,
     predict,
     save_params,
     sigmoid,
@@ -162,6 +164,33 @@ class TestForward:
         norms = np.linalg.norm(acts.z_hat, axis=1)
         nonzero = acts.z_norm > 0
         assert np.allclose(norms[nonzero], 1.0, atol=1e-6)
+
+    def test_float32_table_pools_like_its_float64_copy(self, tmp_path):
+        # A loaded table is float32; training's is float64. Every length
+        # 0..max_tokens, plus one document far longer, must pool to the same
+        # bits, and so give the same activations.
+        fcfg = FeatureConfig(hash_bits=10)
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size, seed=4)
+        path = tmp_path / "m.hpc"
+        save_params(init_params(cfg), cfg, fcfg, path)
+        loaded, _, _ = load_params(path)
+        as64 = ModelParams(**{name: arr.astype(np.float64) for name, arr in loaded.arrays()})
+        rng = np.random.default_rng(8)
+        lengths = [*range(fcfg.max_tokens + 1), 50_000]
+        docs = [EncodedDoc(ids=rng.integers(0, cfg.vocab_size, n), length=n) for n in lengths]
+        assert loaded.embed.dtype == np.float32
+        assert np.array_equal(mean_pool(loaded, docs), mean_pool(as64, docs))
+        got, want = forward_batch(loaded, docs[-40:]), forward_batch(as64, docs[-40:])
+        for name in ("h0", "z", "z_norm", "z_hat", "class_logits", "target_logits"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_forward_batch_is_mean_pool_then_heads(self):
+        rng = np.random.default_rng(31)
+        params = init_params(small_cfg(seed=5))
+        docs = [random_doc(rng, 256) for _ in range(9)] + [EMPTY]
+        h0 = mean_pool(params, docs)
+        assert np.array_equal(forward_batch(params, docs).h0, h0)
+        assert mean_pool(params, []).shape == (0, params.embed.shape[1])
 
 class TestSoftmax:
     def test_uniform(self):
@@ -334,6 +363,53 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {counts}; expected 4, 5")):
             load_params(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (1, 30, "hash_bits must be in 8..22, got 30"),
+        (0, 0, "max_tokens must be >= 1, got 0"),
+        (4, 0, "embed_dim must be >= 1, got 0"),
+        (2, 3, "ngram must be 1 or 2, got 3"),
+    ])
+    def test_bad_header_field_names_the_file(self, tmp_path, field, value, message):
+        fcfg = FeatureConfig(hash_bits=8)
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        path = tmp_path / "field.hpc"
+        save_params(init_params(cfg), cfg, fcfg, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 9 + 4 * field, value)
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_params(path)
+
+    def test_largest_header_dims_give_the_exact_expected_size(self, tmp_path):
+        # embed_dim * hidden_dim = (2**32 - 1)**2 overflows an int64 product.
+        fcfg = FeatureConfig(hash_bits=8)
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        path = tmp_path / "huge.hpc"
+        save_params(init_params(cfg), cfg, fcfg, path)
+        blob = bytearray(path.read_bytes())
+        dim = 2**32 - 1
+        struct.pack_into("<2I", blob, 9 + 4 * 4, dim, dim)
+        path.write_bytes(bytes(blob))
+        floats = 256 * dim + dim * dim + dim + dim * 4 + 4 + dim * 5 + 5
+        expected = 49 + 4 * floats + 4
+        with pytest.raises(ValueError, match=re.escape(f"{path}: file is {len(blob)} bytes, expected {expected} ")):
+            load_params(path)
+
+    def test_embed_loads_as_an_aligned_writable_float32_view(self, tmp_path):
+        fcfg = FeatureConfig(hash_bits=8)
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=3)
+        params = init_params(cfg)
+        path = tmp_path / "m.hpc"
+        save_params(params, cfg, fcfg, path)
+        for _ in range(4):  # each load places a new buffer
+            loaded, _, _ = load_params(path)
+            assert loaded.embed.dtype == np.float32
+            assert loaded.embed.ctypes.data % 16 == 0
+            assert loaded.embed.flags.writeable and loaded.embed.flags.c_contiguous
+            assert all(arr.dtype == np.float64 for name, arr in loaded.arrays() if name != "embed")
+            assert np.array_equal(loaded.embed, params.embed)
 
     def test_truncated_file(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)

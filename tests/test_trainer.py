@@ -1,10 +1,14 @@
 """Batching, optimizer updates, the training loop, and the gradient checker."""
 
+import contextlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from harmkit import cli
 from harmkit.corpus import LabeledExample, split_train_val
 from harmkit.featurizer import EncodedDoc, FeatureConfig, batch_encode
 from harmkit.losses import ContrastiveConfig, GradientSet, _pool_backward
@@ -393,6 +397,37 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * params.embed.nbytes
+
+    def test_predict_peak_memory_grows_by_pooled_rows_not_by_text(self, tmp_path):
+        # Predict holds one chunk of texts and ids at a time, so from 1000 to
+        # 4000 long documents its traced peak grows only by what it keeps
+        # per document: the pooled row and the activations computed from it.
+        fcfg, mcfg = FeatureConfig(), ModelConfig(vocab_size=2**15)
+        save_params(init_params(mcfg), mcfg, fcfg, tmp_path / "m.hpc")
+        rng = np.random.default_rng(0)
+        words = np.array([f"w{k}" for k in range(5000)])
+
+        def traced_peak(n):
+            path = tmp_path / f"in{n}.jsonl"
+            with path.open("w", encoding="utf-8") as fh:
+                for i in range(n):
+                    text = " ".join(words[rng.integers(0, len(words), rng.integers(100, 300))])
+                    fh.write(json.dumps({"id": f"d{i}", "text": text}) + "\n")
+            argv = ["predict", "--checkpoint", str(tmp_path / "m.hpc"), "--input", str(path),
+                    "--output", str(tmp_path / "out.jsonl")]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The loaded table is in both peaks. Per document, the growth is about
+        # 2 float64 rows of embed_dim + hidden_dim values; reading, encoding
+        # and pooling the whole file at once grew by 4.8.
+        growth = traced_peak(4000) - traced_peak(1000)
+        assert growth <= 3000 * (mcfg.embed_dim + mcfg.hidden_dim) * 8 * 3
 
 
 class TestConfigValidation:
