@@ -53,23 +53,9 @@ class ContrastiveConfig:
 
 @dataclass
 class GradientSet(ModelParams):
-    """Partial derivatives of the batch loss, one array per ModelParams field.
-
-    The embedding gradient is compact: ``embed`` holds one row per id in
-    ``embed_ids`` (sorted, unique: the ids the batch's tokens hash to), and
-    every other embedding row's gradient is exactly zero. The other fields
-    are full arrays shaped like their parameters.
-    """
-
-    embed_ids: np.ndarray  # (U,) sorted unique token ids; embed is (U, embed_dim)
-
-    def dense(self, name: str, params: ModelParams) -> np.ndarray:
-        """The gradient of ``name`` as a full array shaped like its parameter."""
-        if name != "embed":
-            return getattr(self, name)
-        out = np.zeros_like(params.embed)
-        out[self.embed_ids] = self.embed
-        return out
+    """Partial derivatives of the batch loss, one array per ModelParams field,
+    each shaped like its parameter; ``embed`` is dense over the table handed
+    to ``gradients``, with zero rows where no token of the batch hashes."""
 
 
 def cross_entropy(probs: np.ndarray, classes: np.ndarray | int) -> float:
@@ -158,25 +144,24 @@ def gradients(
     g_a = g_z * (1.0 - acts.z**2)
     grads["w1"] += acts.h0.T @ g_a
     grads["b1"] += g_a.sum(axis=0)
-    embed_ids, embed = _pool_backward(docs, g_a @ params.w1.T)
-    return loss, GradientSet(embed=embed, embed_ids=embed_ids, **grads)
+    embed = _pool_backward(docs, g_a @ params.w1.T, params.embed.shape[0])
+    return loss, GradientSet(embed=embed, **grads)
 
 
-def _pool_backward(docs: list[EncodedDoc], g_h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean pooling's backward: the sorted unique token ids of the batch and,
-    per id, the sum of g_h0[i] / length_i over its occurrences in document i.
+def _pool_backward(docs: list[EncodedDoc], g_h0: np.ndarray, rows: int) -> np.ndarray:
+    """Mean pooling's backward: the (rows, embed_dim) table whose row t sums
+    g_h0[i] / length_i over the occurrences of id t in each document i.
 
-    One np.add.at over the batch's tokens, in document then token order, gives
-    every row its adds in the order a per-document np.add.at into a dense
-    table would, so the rows are bit-identical to that table's.
+    One bincount over (id, column) bins adds the batch's tokens into a zeroed
+    table in document then token order, so each sum is the sequential one.
     """
-    full = [i for i, doc in enumerate(docs) if doc.length]
-    lengths = np.array([docs[i].length for i in full], dtype=np.int64)
-    flat_ids = np.concatenate([docs[i].ids for i in full]) if full else np.zeros(0, dtype=np.int64)
-    ids, inverse = np.unique(flat_ids, return_inverse=True)
-    rows = np.zeros((ids.size, g_h0.shape[1]))
-    np.add.at(rows, inverse, np.repeat(g_h0[full] / lengths[:, None], lengths, axis=0))
-    return ids, rows
+    dim = g_h0.shape[1]
+    lengths = np.array([doc.length for doc in docs], dtype=np.int64)
+    ids = np.concatenate([doc.ids for doc in docs if doc.length] or [np.zeros(0, np.int64)])
+    # An empty document's row is divided by 1 and then repeated 0 times.
+    vals = np.repeat(g_h0 / np.maximum(lengths, 1)[:, None], lengths, axis=0)
+    bins = (ids[:, None] * dim + np.arange(dim)).ravel()
+    return np.bincount(bins, weights=vals.ravel(), minlength=rows * dim).reshape(rows, dim)
 
 
 def _harm_backward(

@@ -11,7 +11,8 @@ The forward pass is ``mean_pool`` (documents to pooled rows) followed by
 two on one batch, and ``predict`` is the only rule that turns activations
 into scores and decisions. Training, validation and the tests call
 ``forward_batch``; the CLI's ``predict`` pools its input chunk by chunk and
-runs ``forward_pooled`` once over every row.
+runs ``forward_pooled`` once over every row. Training hands them a compact
+table of the rows its documents reach, with the ids remapped to it.
 
 Parameters are float64 in memory, with one exception: ``load_params`` keeps
 the embedding table as the float32 array the checkpoint stores. Pooling
@@ -143,13 +144,14 @@ def mean_pool(params: ModelParams, docs: list[EncodedDoc]) -> np.ndarray:
     copy.
     """
     vocab_size, embed_dim = params.embed.shape
+    ids = [doc.ids for doc in docs if doc.length]
+    # As unsigned, a negative id is larger than any valid one.
+    if ids and np.asarray(np.concatenate(ids), np.int64).view(np.uint64).max() >= vocab_size:
+        raise ValueError(f"token id out of range for vocab size {vocab_size}")
     h0 = np.zeros((len(docs), embed_dim))
     for i, doc in enumerate(docs):
         if doc.length == 0:
             continue
-        # As unsigned, a negative id is larger than any valid one.
-        if np.asarray(doc.ids, np.int64).view(np.uint64).max() >= vocab_size:
-            raise ValueError(f"token id out of range for vocab size {vocab_size}")
         # The same row sum and division as ``mean(axis=0)``, bit for bit.
         rows = params.embed.take(doc.ids, axis=0).astype(np.float64, copy=False)
         h0[i] = rows.sum(axis=0) / doc.length
@@ -172,10 +174,8 @@ def forward_pooled(params: ModelParams, h0: np.ndarray) -> BatchActivations:
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of x scaled to unit L2 norm, and the norms; zero rows stay zero."""
     norms = np.linalg.norm(x, axis=1)
-    out = np.zeros_like(x)
     nonzero = norms > 0.0
-    out[nonzero] = x[nonzero] / norms[nonzero, None]
-    return out, norms
+    return np.divide(x, norms[:, None], out=np.zeros_like(x), where=nonzero[:, None]), norms
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

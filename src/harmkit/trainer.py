@@ -5,7 +5,9 @@ seed, per-epoch shuffles from (train seed, epoch). Two runs with identical
 configs and data produce identical reports. The checkpoint kept is the one
 from the epoch with the best validation F1 (macro-F1 for the harm task,
 micro-F1 over thresholded decisions for the targets task); ties keep the
-earliest epoch.
+earliest epoch. Training steps a compact copy of the embedding table, the
+rows the train and val documents hash to, with plain dense optimizers; the
+best epoch's rows are then written back into the full table.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -81,22 +83,14 @@ class SgdOptimizer:
 
     def step(self, params: ModelParams, grads: GradientSet) -> None:
         for name, arr in params.arrays():
-            if name == "embed":
-                # Rows outside embed_ids have zero gradient: a dense step leaves them as they are.
-                arr[grads.embed_ids] -= self.learning_rate * grads.embed
-            else:
-                arr -= self.learning_rate * getattr(grads, name)
+            arr -= self.learning_rate * getattr(grads, name)
 
 
 class AdamOptimizer:
-    """Adam (Kingma & Ba 2015) with the dense trajectory, stepped sparsely.
+    """Adam (Kingma & Ba 2015), a dense step over every array it is handed.
 
     A row whose gradient has been zero since the start has m = v = 0, and the
-    dense update subtracts exactly 0 from it. So each step updates only the
-    embedding rows some step has ever touched, with a zero gradient for those
-    absent from this batch, and the parameters stay bit-identical to dense Adam.
-    The embedding moments are held for those rows only, row-aligned with the
-    sorted id array ``_rows``; the other arrays keep full-shape moments.
+    step subtracts exactly 0 from it, so a row no batch reaches keeps its value.
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -107,40 +101,35 @@ class AdamOptimizer:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._rows = np.empty(0, np.int64)  # sorted embedding rows some step has touched
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: ModelParams, grads: GradientSet) -> None:
         self.t += 1
         for name, arr in params.arrays():
             if name not in self._m:
-                shape = (0, arr.shape[1]) if name == "embed" else arr.shape
-                self._m[name] = np.zeros(shape, arr.dtype)
-                self._v[name] = np.zeros(shape, arr.dtype)
-            if name != "embed":
-                self._update(arr, self._m[name], self._v[name], getattr(grads, name))
-                continue
-            new = np.setdiff1d(grads.embed_ids, self._rows, assume_unique=True)
-            if new.size:
-                at = np.searchsorted(self._rows, new)
-                self._rows = np.insert(self._rows, at, new)
-                self._m[name] = np.insert(self._m[name], at, 0.0, axis=0)
-                self._v[name] = np.insert(self._v[name], at, 0.0, axis=0)
-            rows = self._rows
-            g = np.zeros((rows.size, arr.shape[1]), arr.dtype)
-            g[np.searchsorted(rows, grads.embed_ids)] = grads.embed
-            arr_rows = arr[rows]
-            self._update(arr_rows, self._m[name], self._v[name], g)
-            arr[rows] = arr_rows
+                self._m[name] = np.zeros_like(arr)
+                self._v[name] = np.zeros_like(arr)
+                self._scratch[name] = (np.empty_like(arr), np.empty_like(arr))
+            self._update(arr, self._m[name], self._v[name], getattr(grads, name), *self._scratch[name])
 
-    def _update(self, arr: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
-        """The Adam rule, in place on arr, m and v."""
+    def _update(self, arr: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                a: np.ndarray, b: np.ndarray) -> None:
+        """The Adam rule in place on arr, m and v, with scratch a and b: the IEEE
+        operations of ``arr -= lr * m_hat / (sqrt(v_hat) + eps)`` in its order."""
+        np.multiply(g, 1.0 - self.beta1, out=a)
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += a
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        a *= g
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        v += a
+        np.divide(m, 1.0 - self.beta1**self.t, out=a)  # m_hat
+        a *= self.learning_rate
+        np.divide(v, 1.0 - self.beta2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        arr -= a
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -223,6 +212,14 @@ def evaluate_params(params: ModelParams, docs: list[EncodedDoc], labels: list, t
     return multilabel_report(labels, scores).micro_f1
 
 
+def _compact_ids(docs: list[EncodedDoc]) -> tuple[np.ndarray, list[EncodedDoc]]:
+    """The sorted distinct ids of ``docs``, and the documents with each id
+    replaced by its index in that array."""
+    rows, inverse = np.unique(np.concatenate([doc.ids for doc in docs]), return_inverse=True)
+    ends = np.cumsum([doc.length for doc in docs]).tolist()
+    return rows, [EncodedDoc(ids=inverse[end - doc.length : end], length=doc.length) for doc, end in zip(docs, ends)]
+
+
 def train(
     train_set: Sequence[LabeledExample],
     val_set: Sequence[LabeledExample],
@@ -253,20 +250,22 @@ def train(
     if train_cfg.task == "targets" and train_cfg.contrastive.lam > 0.0:
         warnings.warn("the contrastive term does not apply to the targets task; ignoring lambda", stacklevel=2)
 
+    # Train on a compact copy of the table, the rows the documents hash to. A
+    # dense step moves a row with zero gradient (every val-only row) by exactly
+    # 0, so the copy follows the full table's trajectory.
+    full = init_params(model_cfg)
+    rows, docs = _compact_ids([*enc_train, *enc_val])
+    if rows.size and rows[-1] >= model_cfg.vocab_size:
+        raise ValueError(f"token id out of range for vocab size {model_cfg.vocab_size}")
+    enc_train, enc_val = docs[: len(enc_train)], docs[len(enc_train) :]
     items = list(zip(enc_train, train_labels))
-    params = init_params(model_cfg)
+    params = replace(full, embed=full.embed[rows])
     optimizer = _make_optimizer(train_cfg)
-    # A step changes only embedding rows its batch's tokens hash to, so the
-    # best-epoch snapshot holds those rows and the small arrays; every other
-    # row keeps its init_params value throughout.
-    trainable = {name: slice(None) for name in params.FIELDS}
-    trainable["embed"] = np.unique(np.concatenate([doc.ids for doc in enc_train]))
 
     loss_series: list[float] = []
     f1_series: list[float] = []
     best_epoch = -1
     best_f1 = -1.0
-    best: dict[str, np.ndarray] = {}
     for epoch in range(train_cfg.epochs):
         batches = make_batches(
             items, train_cfg.batch_size, train_cfg.seed, epoch, drop_singleton=contrastive_on
@@ -278,13 +277,13 @@ def train(
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
-            best = {name: arr[trainable[name]].copy() for name, arr in params.arrays()}
+            best = params.copy()
         if progress is not None:
             progress(epoch, mean_loss, val_f1)
 
     # F1 is never negative, so epoch 0 always took a snapshot.
-    for name, arr in params.arrays():
-        arr[trainable[name]] = best[name]
+    full.embed[rows] = best.embed
+    params = replace(best, embed=full.embed)
     if checkpoint_path is not None:
         save_params(params, model_cfg, feature_cfg, checkpoint_path)
     report = TrainReport(
@@ -368,7 +367,7 @@ def grad_check(trials: int = 30, seed: int = 0, step: float = 1e-4) -> GradCheck
 
         _, analytic = gradients(params, docs, labels, cfg, task=task)
         for name, arr in params.arrays():
-            grad_arr = analytic.dense(name, params)
+            grad_arr = getattr(analytic, name)
             for index in np.ndindex(arr.shape):
                 original = arr[index]
                 arr[index] = original + step

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmkit.featurizer import EncodedDoc
 from harmkit.losses import (
@@ -253,6 +255,48 @@ def ce_only_gradients_reference(params, docs, classes):
     return total / batch, grads
 
 
+def add_at_pool_backward_table(docs, g_h0, rows):
+    """Mean pooling's backward as one np.add.at over the batch's sorted unique
+    ids, scattered into a zeroed (rows, embed_dim) table: the oracle for the
+    bincount in ``_pool_backward``."""
+    full = [i for i, doc in enumerate(docs) if doc.length]
+    lengths = np.array([docs[i].length for i in full], dtype=np.int64)
+    flat_ids = np.concatenate([docs[i].ids for i in full]) if full else np.zeros(0, dtype=np.int64)
+    ids, inverse = np.unique(flat_ids, return_inverse=True)
+    compact = np.zeros((ids.size, g_h0.shape[1]))
+    np.add.at(compact, inverse, np.repeat(g_h0[full] / lengths[:, None], lengths, axis=0))
+    table = np.zeros((rows, g_h0.shape[1]))
+    table[ids] = compact
+    return table
+
+
+@st.composite
+def pool_backward_cases(draw):
+    """A table of 1-12 rows, documents with repeated ids and empty ones, and a
+    g_h0 whose rows are sometimes exactly zero, of either sign."""
+    rows = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 4))
+    docs = [
+        EncodedDoc(ids=np.array(ids, dtype=np.int64), length=len(ids))
+        for ids in draw(st.lists(st.lists(st.integers(0, rows - 1), max_size=10), min_size=1, max_size=8))
+    ]
+    value = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    zero_row = st.sampled_from([[0.0] * dim, [-0.0] * dim])
+    g_h0 = draw(st.lists(st.one_of(zero_row, st.lists(value, min_size=dim, max_size=dim)),
+                         min_size=len(docs), max_size=len(docs)))
+    return docs, np.array(g_h0, dtype=np.float64).reshape(len(docs), dim), rows
+
+
+class TestPoolBackwardOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=pool_backward_cases())
+    def test_bincount_matches_add_at_bitwise(self, case):
+        docs, g_h0, rows = case
+        got = _pool_backward(docs, g_h0, rows)
+        assert got.shape == (rows, g_h0.shape[1])
+        assert got.tobytes() == add_at_pool_backward_table(docs, g_h0, rows).tobytes()
+
+
 class TestGradients:
     def test_lambda_zero_matches_ce_only_reference(self):
         rng = np.random.default_rng(11)
@@ -263,7 +307,7 @@ class TestGradients:
             ref_loss, ref = ce_only_gradients_reference(params, docs, labels)
             assert loss == pytest.approx(ref_loss, abs=1e-12)
             for name, _ in params.arrays():
-                assert np.allclose(grads.dense(name, params), ref[name], atol=1e-12), name
+                assert np.allclose(getattr(grads, name), ref[name], atol=1e-12), name
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_harm_loss_is_ce_plus_lambda_info_nce(self, lam):
@@ -297,13 +341,14 @@ class TestGradients:
         _, grads = gradients(params, docs, labels, ContrastiveConfig(tau=0.1, lam=1.0), task="harm")
         unused = sorted(set(range(params.embed.shape[0])) - used)
         assert unused, "fixture needs untouched rows"
-        assert grads.embed_ids.tolist() == sorted(used)
-        assert not grads.dense("embed", params)[unused].any()
+        assert grads.embed.shape == params.embed.shape
+        assert np.flatnonzero(grads.embed.any(axis=1)).tolist() == sorted(used)
+        assert not grads.embed[unused].any()
 
     def test_embedding_rows_match_dense_per_document_reference(self):
-        # The compact rows equal, bit for bit, the dense table that one
-        # np.add.at per document builds, with ids repeated within and across
-        # documents and empty documents in the batch.
+        # The table equals, bit for bit, the one that one np.add.at per
+        # document builds, with ids repeated within and across documents and
+        # empty documents in the batch.
         rng = np.random.default_rng(31)
         for trial in range(50):
             docs = []
@@ -315,10 +360,7 @@ class TestGradients:
             for i, doc in enumerate(docs):
                 if doc.length:
                     np.add.at(dense, doc.ids, g_h0[i] / doc.length)
-            ids, rows = _pool_backward(docs, g_h0)
-            assert ids.tolist() == sorted({int(t) for doc in docs for t in doc.ids})
-            assert np.array_equal(rows, dense[ids])
-            assert not np.delete(dense, ids, axis=0).any()
+            assert _pool_backward(docs, g_h0, 24).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("tau", [0.05, 0.1, 1.0])
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -333,7 +375,7 @@ class TestGradients:
         step = 1e-4
         worst = 0.0
         for name, arr in params.arrays():
-            grad_arr = grads.dense(name, params)
+            grad_arr = getattr(grads, name)
             for index in np.ndindex(arr.shape):
                 keep = arr[index]
                 arr[index] = keep + step
@@ -356,7 +398,7 @@ class TestGradients:
         _, grads = gradients(params, docs, target_rows, cfg, task="targets")
         step = 1e-4
         for name, arr in params.arrays():
-            grad_arr = grads.dense(name, params)
+            grad_arr = getattr(grads, name)
             for index in np.ndindex(arr.shape):
                 keep = arr[index]
                 arr[index] = keep + step

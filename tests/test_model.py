@@ -8,6 +8,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmkit.corpus import NUM_CLASSES, NUM_TARGETS
 from harmkit.featurizer import EncodedDoc, FeatureConfig
@@ -18,6 +20,7 @@ from harmkit.model import (
     init_params,
     load_params,
     mean_pool,
+    normalize_rows,
     predict,
     save_params,
     sigmoid,
@@ -191,6 +194,39 @@ class TestForward:
         h0 = mean_pool(params, docs)
         assert np.array_equal(forward_batch(params, docs).h0, h0)
         assert mean_pool(params, []).shape == (0, params.embed.shape[1])
+
+def normalize_rows_oracle(x):
+    """normalize_rows through a masked copy and its quotient: the oracle for
+    the divide into a zeroed output."""
+    norms = np.linalg.norm(x, axis=1)
+    out = np.zeros_like(x)
+    nonzero = norms > 0.0
+    out[nonzero] = x[nonzero] / norms[nonzero, None]
+    return out, norms
+
+
+@st.composite
+def row_blocks(draw):
+    """0-40 rows of 1-8 columns, some of them zero rows of either sign."""
+    n, dim = draw(st.integers(0, 40)), draw(st.integers(1, 8))
+    value = st.floats(-1e150, 1e150, allow_nan=False, width=64)
+    zero_row = st.sampled_from([[0.0] * dim, [-0.0] * dim])
+    rows = draw(st.lists(st.one_of(zero_row, st.lists(value, min_size=dim, max_size=dim)), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64).reshape(n, dim)
+
+
+class TestNormalizeRows:
+    @settings(max_examples=400, deadline=None)
+    @given(x=row_blocks())
+    @example(x=np.zeros((0, 4)))
+    @example(x=np.array([[3.0, -4.0]]))
+    @example(x=np.array([[0.0, -0.0], [1e-300, 0.0], [5.0, 12.0]]))
+    def test_matches_masked_copy_oracle_bitwise(self, x):
+        got, norms = normalize_rows(x)
+        want, want_norms = normalize_rows_oracle(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes() and norms.tobytes() == want_norms.tobytes()
+
 
 class TestSoftmax:
     def test_uniform(self):

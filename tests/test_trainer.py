@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmkit import cli
+from harmkit import cli, losses
 from harmkit.corpus import LabeledExample, split_train_val
-from harmkit.featurizer import EncodedDoc, FeatureConfig, batch_encode
-from harmkit.losses import ContrastiveConfig, GradientSet, _pool_backward
+from harmkit.featurizer import FeatureConfig, batch_encode
+from harmkit.losses import ContrastiveConfig
 from harmkit.model import ModelConfig, init_params, load_params, save_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import (
@@ -20,6 +20,7 @@ from harmkit.trainer import (
     SgdOptimizer,
     TrainConfig,
     _extract_labels,
+    _labels_array,
     _make_optimizer,
     evaluate_params,
     grad_check,
@@ -27,6 +28,7 @@ from harmkit.trainer import (
     train,
     train_epoch,
 )
+from test_losses import add_at_pool_backward_table
 
 
 class QuadraticStub:
@@ -93,21 +95,6 @@ class TestOptimizers:
             runs.append(params.p[0])
         assert runs[0] == runs[1]
 
-    def test_adam_embedding_moments_hold_only_seen_rows(self):
-        rng = np.random.default_rng(8)
-        params = init_params(ModelConfig(vocab_size=64, embed_dim=6, hidden_dim=5, seed=3))
-        opt = AdamOptimizer(0.05)
-        seen = set()
-        for step in range(20):
-            grads = random_compact_gradients(rng, params, step)
-            opt.step(params, grads)
-            seen.update(grads.embed_ids.tolist())
-            assert opt._m["embed"].shape == opt._v["embed"].shape == (len(seen), 6), step
-            assert opt._rows.tolist() == sorted(seen), step
-        for name, arr in params.arrays():
-            if name != "embed":
-                assert opt._m[name].shape == opt._v[name].shape == arr.shape
-
 
 class DenseSgdReference:
     """The dense SGD step over every parameter row: an oracle for SgdOptimizer."""
@@ -147,42 +134,71 @@ class DenseAdamReference:
             arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def random_compact_gradients(rng, params, step):
-    """A GradientSet whose embedding ids come from random documents, with ids
-    repeated within and across documents. Rows 0-3 appear only at step 0 and
-    then idle; rows 48-63 never appear; rows 4-47 appear at random."""
-    dim = params.embed.shape[1]
-    docs = []
-    for _ in range(int(rng.integers(1, 6))):
-        n = int(rng.integers(0, 8))
-        ids = rng.integers(4, 48, size=n) if step else rng.integers(0, 4, size=n + 2)
-        docs.append(EncodedDoc(ids=ids, length=len(ids)))
-    g_h0 = rng.normal(0.0, 1.0, (len(docs), dim))
-    g_h0[rng.random(len(docs)) < 0.2] = 0.0  # some rows present with an exactly zero gradient
-    embed_ids, embed = _pool_backward(docs, g_h0)
-    small = {name: rng.normal(0.0, 1.0, arr.shape) for name, arr in params.arrays() if name != "embed"}
-    return GradientSet(embed=embed, embed_ids=embed_ids, **small)
+def full_table_reference(train_set, val_set, mcfg, fcfg, tcfg):
+    """train over the whole embedding table, with DenseSgdReference or
+    DenseAdamReference and the np.add.at pool backward: an oracle for the
+    compact table, the dense optimizers and the bincount backward of train.
+    Returns the best epoch's params and the report's series."""
+    task = tcfg.task
+    items = list(zip(batch_encode([ex.text for ex in train_set], fcfg), _extract_labels(train_set, task)))
+    val_docs = batch_encode([ex.text for ex in val_set], fcfg)
+    val_labels = _extract_labels(val_set, task)
+    params = init_params(mcfg)
+    optimizer = (DenseAdamReference if tcfg.optimizer == "adam" else DenseSgdReference)(tcfg.learning_rate)
+    contrastive_on = task == "harm" and tcfg.contrastive.lam > 0.0
+    loss_series, f1_series, best_f1, best = [], [], -1.0, None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_pool_backward", add_at_pool_backward_table)
+        for epoch in range(tcfg.epochs):
+            batch_losses = []
+            for batch in make_batches(items, tcfg.batch_size, tcfg.seed, epoch, drop_singleton=contrastive_on):
+                labels = _labels_array([label for _, label in batch], task)
+                loss, grads = losses.gradients(params, [doc for doc, _ in batch], labels, tcfg.contrastive, task=task)
+                optimizer.step(params, {name: getattr(grads, name) for name in params.FIELDS})
+                batch_losses.append(loss)
+            loss_series.append(float(np.mean(batch_losses)))
+            f1_series.append(evaluate_params(params, val_docs, val_labels, task))
+            if f1_series[-1] > best_f1:
+                best_f1, best = f1_series[-1], params.copy()
+    return best, loss_series, f1_series
 
 
-class TestSparseStepOracle:
-    @pytest.mark.parametrize("sparse, dense", [
-        (lambda: SgdOptimizer(0.05), lambda: DenseSgdReference(0.05)),
-        (lambda: AdamOptimizer(0.05), lambda: DenseAdamReference(0.05)),
-    ], ids=["sgd", "adam"])
-    def test_matches_dense_step_bitwise(self, sparse, dense):
-        rng = np.random.default_rng(5)
-        params = init_params(ModelConfig(vocab_size=64, embed_dim=6, hidden_dim=5, seed=3))
-        before = params.copy()
-        reference = params.copy()
-        opt, ref_opt = sparse(), dense()
-        for step in range(60):
-            grads = random_compact_gradients(rng, params, step)
-            opt.step(params, grads)
-            ref_opt.step(reference, {name: grads.dense(name, params) for name in params.FIELDS})
-            for name, arr in params.arrays():
-                assert np.array_equal(arr, getattr(reference, name)), (step, name)
-        assert np.array_equal(params.embed[48:], before.embed[48:])
-        assert not np.array_equal(params.embed[:4], before.embed[:4])
+def oracle_split():
+    """A small corpus with both labels, plus an empty document in train and
+    in val, and val documents whose tokens no train document has."""
+    data = generate_corpus(classes=4, docs_per_class=16, overlap=0.4, seed=12)
+    split = split_train_val(data, seed=3, stratify=True)
+    empty = LabeledExample(id="empty", text="", harm=0, targets=(0, 0, 0, 0, 0))
+    val_only = [LabeledExample(id=f"v{i}", text=f"valonly{i} qq{i} zz", harm=i % 4, targets=(1, 0, 1, 0, 0))
+                for i in range(3)]
+    return [*split.train, empty], [*split.val, *val_only, empty]
+
+
+class TestFullTableOracle:
+    @pytest.mark.parametrize("task", ["harm", "targets"])
+    @pytest.mark.parametrize("optimizer, learning_rate", [("sgd", 0.5), ("adam", 0.05)], ids=["sgd", "adam"])
+    def test_train_matches_full_table_reference(self, tmp_path, optimizer, learning_rate, task):
+        train_set, val_set = oracle_split()
+        fcfg = FeatureConfig(hash_bits=9, max_tokens=24)
+        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=11)
+        lam = 0.5 if task == "harm" else 0.0
+        tcfg = TrainConfig(epochs=5, batch_size=8, learning_rate=learning_rate, optimizer=optimizer,
+                           seed=11, contrastive=ContrastiveConfig(lam=lam), task=task)
+        train_ids = {int(t) for doc in batch_encode([ex.text for ex in train_set], fcfg) for t in doc.ids}
+        val_ids = {int(t) for doc in batch_encode([ex.text for ex in val_set], fcfg) for t in doc.ids}
+        assert val_ids - train_ids, "fixture needs val-only rows"
+
+        params, report = train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
+        best, loss_series, f1_series = full_table_reference(train_set, val_set, mcfg, fcfg, tcfg)
+        assert report.train_loss == loss_series
+        assert report.val_f1 == f1_series
+        assert report.best_val_f1 == max(f1_series) and report.best_epoch == f1_series.index(max(f1_series))
+        assert 0 < report.best_epoch < tcfg.epochs - 1  # the snapshot is restored
+        for name, arr in params.arrays():
+            assert arr.shape == getattr(best, name).shape, name
+            assert arr.tobytes() == getattr(best, name).tobytes(), name
+        save_params(best, mcfg, fcfg, tmp_path / "want.hpc")
+        assert (tmp_path / "got.hpc").read_bytes() == (tmp_path / "want.hpc").read_bytes()
 
 
 def keyword_corpus(n_per_class=40, classes=2, seed=0):
@@ -204,8 +220,8 @@ def items_for(examples, fcfg, task="harm"):
 
 
 def reference_train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path):
-    """train's harm loop with a full params.copy() of the best epoch: an oracle
-    for the row snapshot that train keeps."""
+    """train's harm loop over the full table with a full params.copy() of the
+    best epoch: an oracle for the compact snapshot and write-back of train."""
     items = list(zip(batch_encode([ex.text for ex in train_set], fcfg), _extract_labels(train_set, "harm")))
     val_docs = batch_encode([ex.text for ex in val_set], fcfg)
     val_labels = _extract_labels(val_set, "harm")
@@ -332,6 +348,12 @@ class TestTrain:
         with pytest.warns(UserWarning, match="does not apply"):
             train(split.train, split.val, mcfg, fcfg, tcfg)
 
+    def test_ids_beyond_the_model_vocab_rejected(self, easy_split):
+        fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
+        mcfg = ModelConfig(vocab_size=fcfg.vocab_size // 2, embed_dim=8, hidden_dim=8, seed=0)
+        with pytest.raises(ValueError, match="out of range for vocab size 512"):
+            train(easy_split.train, easy_split.val, mcfg, fcfg, TrainConfig(epochs=1))
+
     def test_empty_sets_rejected(self):
         fcfg = FeatureConfig(hash_bits=9)
         mcfg = ModelConfig(vocab_size=fcfg.vocab_size, seed=0)
@@ -424,10 +446,11 @@ class TestTrain:
                 tracemalloc.stop()
 
         # The loaded table is in both peaks. Per document, the growth is about
-        # 2 float64 rows of embed_dim + hidden_dim values; reading, encoding
-        # and pooling the whole file at once grew by 4.8.
+        # 0.6 float64 rows of embed_dim + hidden_dim values; it was 2 while
+        # normalize_rows built a masked copy and a quotient, and reading,
+        # encoding and pooling the whole file at once grew by 4.8.
         growth = traced_peak(4000) - traced_peak(1000)
-        assert growth <= 3000 * (mcfg.embed_dim + mcfg.hidden_dim) * 8 * 3
+        assert growth <= 3000 * (mcfg.embed_dim + mcfg.hidden_dim) * 8
 
 
 class TestConfigValidation:
