@@ -156,14 +156,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
     sidecar = stem.with_name(stem.name + ".split.json")
     corpus.save_jsonl(split.train, train_path)
     corpus.save_jsonl(split.val, val_path)
-    sidecar.write_text(
-        json.dumps(
-            {"seed": split.seed, "ratio": list(split.ratio), "stratify": split.stratify},
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    sidecar.write_text(json.dumps({"seed": args.seed, "ratio": list(ratio), "stratify": args.stratify},
+                                  sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps({"train": str(train_path), "val": str(val_path),
                       "n_train": len(split.train), "n_val": len(split.val)}, sort_keys=True))
     return EXIT_OK
@@ -237,6 +231,7 @@ def _gold_for(doc_ids: list[str], gold_path: str, task: str) -> list:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    metrics.check_eta(args.eta)
     pred_path = Path(args.pred)
     if args.task == "harm":
         doc_ids, labels = [], []
@@ -256,6 +251,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
+    if args.weights is not None and args.strategy != "w-avg":
+        raise ConfigError(f"--weights applies only to --strategy w-avg, not {args.strategy}")
     aligned = ensembles.align_members([ensembles.load_member_file(path) for path in args.members])
     gold = _gold_for(aligned.doc_ids, args.gold, "harm") if args.gold else None
 
@@ -270,7 +267,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         if args.weights is not None:
             weights = [float(x) for x in args.weights.split(",")]
         elif gold is not None:
-            weights = ensembles.derive_weights([metrics.classification_report(metrics.confusion(gold, member))
+            weights = ensembles.derive_weights([metrics.classification_report(metrics.confusion(gold, member)).macro_f1
                                                 for member in aligned.labels()])
         else:
             raise ConfigError("strategy w-avg requires --gold or --weights")

@@ -18,7 +18,7 @@ import math
 import random
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -84,13 +84,10 @@ def _label_error(harm: object, targets: object) -> str | None:
 
 @dataclass
 class DatasetSplit:
-    """A disjoint, exhaustive train/validation partition plus its provenance."""
+    """A disjoint, exhaustive train/validation partition."""
 
     train: list[LabeledExample]
     val: list[LabeledExample]
-    seed: int
-    ratio: tuple[int, int] = (4, 1)
-    stratify: bool = field(default=True)
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -316,4 +313,4 @@ def split_train_val(
         train = shuffled[:n_train]
         val = shuffled[n_train:]
 
-    return DatasetSplit(train=train, val=val, seed=seed, ratio=ratio, stratify=stratify)
+    return DatasetSplit(train=train, val=val)

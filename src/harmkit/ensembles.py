@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import NUM_CLASSES, id_list, read_records, read_rows
-from .metrics import MetricsReport
 
 _ROW_SUM_TOL = 1e-6
 _WEIGHT_SUM_TOL = 1e-9
@@ -194,9 +193,9 @@ def weighted_average_ensemble(
     return aligned.doc_ids, combined, np.argmax(combined, axis=1).tolist()
 
 
-def derive_weights(val_reports: Sequence[MetricsReport | float]) -> list[float]:
+def derive_weights(val_f1s: Sequence[float]) -> list[float]:
     """Validation-F1-proportional weights; uniform when every F1 is zero."""
-    f1s = [r.macro_f1 if isinstance(r, MetricsReport) else float(r) for r in val_reports]
+    f1s = [float(f1) for f1 in val_f1s]
     if any(f1 < 0.0 for f1 in f1s):
         raise ValueError("macro-F1 values must be nonnegative")
     total = sum(f1s)

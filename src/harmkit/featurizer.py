@@ -159,10 +159,9 @@ class FeatureConfig:
 
 @dataclass
 class EncodedDoc:
-    """Token ids for one document; length == len(ids) <= max_tokens."""
+    """Token ids for one document, at most max_tokens of them."""
 
     ids: np.ndarray
-    length: int
 
 
 def fnv1a64(data: bytes) -> int:
@@ -216,7 +215,7 @@ def encode(tokens: Sequence[str], cfg: FeatureConfig, table: TokenTable | None =
         pairs = zip(tokens, tokens[1 : n_bigrams + 1])
         bigrams = (_token_id(a + _NGRAM_SEP + b, cfg.hash_bits) for a, b in pairs)
         ids = np.concatenate([ids, np.fromiter(bigrams, np.int64, n_bigrams)])
-    return EncodedDoc(ids=ids, length=len(ids))
+    return EncodedDoc(ids=ids)
 
 
 def batch_encode(texts: Sequence[str], cfg: FeatureConfig, table: TokenTable | None = None) -> list[EncodedDoc]:

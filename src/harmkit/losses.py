@@ -15,9 +15,11 @@ sharing its class label; the denominator runs over all j != i; anchors
 without positives are skipped; the loss is the mean over contributing
 anchors (0.0 when there are none). Similarities are cosine, computed as dot
 products of the L2-normalized representations, so every exponent is bounded
-by 1/tau. A zero representation stays zero under normalization and
-contributes zero similarity and zero gradient (degenerate empty-document
-case).
+by 1/tau. The representation is the tanh hidden vector ``z`` of the forward
+pass; ``normalize_rows`` scales it here, in the loss, and only when the
+contrastive weight is positive, so inference never computes it. A zero
+representation stays zero under normalization and contributes zero
+similarity and zero gradient (degenerate empty-document case).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurizer import EncodedDoc
-from .model import BatchActivations, ModelParams, forward_batch, normalize_rows, sigmoid, softmax
+from .model import BatchActivations, ModelParams, forward_batch, sigmoid, softmax
 
 _LOG_CLAMP = 1e-12
 
@@ -101,6 +103,13 @@ def info_nce(reps: np.ndarray, labels: np.ndarray, tau: float) -> float:
     return _info_nce_backward(normalize_rows(reps)[0], labels, tau)[0]
 
 
+def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x scaled to unit L2 norm, and the norms; zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=1)
+    nonzero = norms > 0.0
+    return np.divide(x, norms[:, None], out=np.zeros_like(x), where=nonzero[:, None]), norms
+
+
 def _check_finite(value: float, term: str) -> None:
     if not np.isfinite(value):
         raise NonFiniteLossError(f"{term} term diverged (value {value})")
@@ -156,8 +165,8 @@ def _pool_backward(docs: list[EncodedDoc], g_h0: np.ndarray, rows: int) -> np.nd
     table in document then token order, so each sum is the sequential one.
     """
     dim = g_h0.shape[1]
-    lengths = np.array([doc.length for doc in docs], dtype=np.int64)
-    ids = np.concatenate([doc.ids for doc in docs if doc.length] or [np.zeros(0, np.int64)])
+    lengths = np.array([doc.ids.size for doc in docs], dtype=np.int64)
+    ids = np.concatenate([doc.ids for doc in docs if doc.ids.size] or [np.zeros(0, np.int64)])
     # An empty document's row is divided by 1 and then repeated 0 times.
     vals = np.repeat(g_h0 / np.maximum(lengths, 1)[:, None], lengths, axis=0)
     bins = (ids[:, None] * dim + np.arange(dim)).ravel()
@@ -186,13 +195,14 @@ def _harm_backward(
 
     nce = 0.0
     if cfg.lam > 0.0:
-        nce, g_zhat = _info_nce_backward(acts.z_hat, classes, cfg.tau)
+        z_hat, z_norm = normalize_rows(acts.z)
+        nce, g_zhat = _info_nce_backward(z_hat, classes, cfg.tau)
         _check_finite(nce, "contrastive")
         # Through the normalization z_hat = z / |z|: project out the radial
         # component. Zero-norm rows stay zero (documented degenerate case).
-        nonzero = acts.z_norm > 0.0
-        radial = (g_zhat[nonzero] * acts.z_hat[nonzero]).sum(axis=1, keepdims=True)
-        g_z[nonzero] += cfg.lam * (g_zhat[nonzero] - radial * acts.z_hat[nonzero]) / acts.z_norm[nonzero, None]
+        nonzero = z_norm > 0.0
+        radial = (g_zhat[nonzero] * z_hat[nonzero]).sum(axis=1, keepdims=True)
+        g_z[nonzero] += cfg.lam * (g_zhat[nonzero] - radial * z_hat[nonzero]) / z_norm[nonzero, None]
 
     return mean_ce + cfg.lam * nce, g_z
 

@@ -4,6 +4,9 @@ Conventions: 0/0 is scored as 0 for precision, recall, and F1; macro-F1 is
 the unweighted mean over classes (degenerate classes included); weighted-F1
 weights by gold support; micro-F1 pools TP/FP/FN, which for single-label
 multi-class classification equals accuracy.
+
+``confusion`` owns the single-label counts: it returns the plain (C, C)
+array, and ``classification_report`` scores that array.
 """
 
 from __future__ import annotations
@@ -13,21 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class ConfusionMatrix:
-    """counts[g][p] = number of documents with gold class g predicted as p."""
-
-    counts: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -59,7 +47,8 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def confusion(gold: Sequence[int], pred: Sequence[int], num_classes: int = 4) -> ConfusionMatrix:
+def confusion(gold: Sequence[int], pred: Sequence[int], num_classes: int = 4) -> np.ndarray:
+    """The (C, C) count array: counts[g, p] documents of gold class g predicted as p."""
     if len(gold) != len(pred):
         raise ValueError(f"gold has {len(gold)} labels, pred has {len(pred)}")
     if len(gold) == 0:
@@ -69,8 +58,7 @@ def confusion(gold: Sequence[int], pred: Sequence[int], num_classes: int = 4) ->
     if not in_range.all():
         first = int(np.argmin(in_range))
         raise ValueError(f"label pair ({gold[first]}, {pred[first]}) outside 0..{num_classes - 1}")
-    counts = np.bincount(g * num_classes + p, minlength=num_classes**2)
-    return ConfusionMatrix(counts=counts.reshape(num_classes, num_classes))
+    return np.bincount(g * num_classes + p, minlength=num_classes**2).reshape(num_classes, num_classes)
 
 
 def _report_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray, support: np.ndarray) -> MetricsReport:
@@ -96,11 +84,11 @@ def _report_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray, support:
     )
 
 
-def classification_report(cm: ConfusionMatrix) -> MetricsReport:
-    """Per-class P/R/F1 with macro, micro, and support-weighted aggregates."""
-    if cm.total == 0:
+def classification_report(counts: np.ndarray) -> MetricsReport:
+    """Per-class P/R/F1 with macro, micro, and support-weighted aggregates,
+    from the count array ``confusion`` returns."""
+    if counts.sum() == 0:
         raise ValueError("empty confusion matrix")
-    counts = cm.counts
     tp = np.diag(counts).astype(np.float64)
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp

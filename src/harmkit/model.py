@@ -2,9 +2,9 @@
 
 Architecture: token-embedding table, mean pooling over the document, one
 tanh hidden layer, then two linear heads (4-class harm level, 5 independent
-target-identity logits). The L2-normalized hidden vector is the
-representation used by the contrastive objective, so cosine similarity
-between documents reduces to a dot product.
+target-identity logits). The contrastive objective reads the tanh hidden
+vector ``z``; it L2-normalizes the rows itself (``losses.normalize_rows``),
+so the forward pass, shared with inference, never computes them.
 
 The forward pass is ``mean_pool`` (documents to pooled rows) followed by
 ``forward_pooled`` (pooled rows to activations); ``forward_batch`` runs the
@@ -94,8 +94,6 @@ class BatchActivations:
 
     h0: np.ndarray             # (B, embed_dim) mean-pooled embeddings
     z: np.ndarray              # (B, hidden_dim)
-    z_norm: np.ndarray         # (B,) row norms of z
-    z_hat: np.ndarray          # (B, hidden_dim)
     class_logits: np.ndarray   # (B, num_classes)
     target_logits: np.ndarray  # (B, num_targets)
 
@@ -144,17 +142,17 @@ def mean_pool(params: ModelParams, docs: list[EncodedDoc]) -> np.ndarray:
     copy.
     """
     vocab_size, embed_dim = params.embed.shape
-    ids = [doc.ids for doc in docs if doc.length]
+    ids = [doc.ids for doc in docs if doc.ids.size]
     # As unsigned, a negative id is larger than any valid one.
     if ids and np.asarray(np.concatenate(ids), np.int64).view(np.uint64).max() >= vocab_size:
         raise ValueError(f"token id out of range for vocab size {vocab_size}")
     h0 = np.zeros((len(docs), embed_dim))
     for i, doc in enumerate(docs):
-        if doc.length == 0:
+        if doc.ids.size == 0:
             continue
         # The same row sum and division as ``mean(axis=0)``, bit for bit.
         rows = params.embed.take(doc.ids, axis=0).astype(np.float64, copy=False)
-        h0[i] = rows.sum(axis=0) / doc.length
+        h0[i] = rows.sum(axis=0) / doc.ids.size
     return h0
 
 
@@ -165,17 +163,7 @@ def forward_pooled(params: ModelParams, h0: np.ndarray) -> BatchActivations:
     matrix products may round differently.
     """
     z = np.tanh(h0 @ params.w1 + params.b1)
-    z_hat, z_norm = normalize_rows(z)
-    class_logits = z @ params.wc + params.bc
-    target_logits = z @ params.wt + params.bt
-    return BatchActivations(h0, z, z_norm, z_hat, class_logits, target_logits)
-
-
-def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of x scaled to unit L2 norm, and the norms; zero rows stay zero."""
-    norms = np.linalg.norm(x, axis=1)
-    nonzero = norms > 0.0
-    return np.divide(x, norms[:, None], out=np.zeros_like(x), where=nonzero[:, None]), norms
+    return BatchActivations(h0, z, z @ params.wc + params.bc, z @ params.wt + params.bt)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -8,6 +8,10 @@ micro-F1 over thresholded decisions for the targets task); ties keep the
 earliest epoch. Training steps a compact copy of the embedding table, the
 rows the train and val documents hash to, with plain dense optimizers; the
 best epoch's rows are then written back into the full table.
+
+The data around the step are plain arrays built once: each split's labels
+are one array from ``_extract_labels``, and each epoch's batches are index
+arrays from ``make_batches`` into the encoded documents and that array.
 """
 
 from __future__ import annotations
@@ -139,76 +143,64 @@ def _make_optimizer(cfg: TrainConfig):
 
 
 def make_batches(
-    data: Sequence,
+    n: int,
     batch_size: int,
     seed: int,
     epoch: int,
     drop_singleton: bool = False,
-) -> list[list]:
-    """Shuffle deterministically by (seed, epoch) and chunk into batches.
+) -> list[np.ndarray]:
+    """Shuffle the indices 0..n-1 deterministically by (seed, epoch) and
+    chunk them into index arrays.
 
     The trailing batch may be short; with drop_singleton a trailing batch of
-    one element is dropped (a single document has no contrastive pairs).
+    one index is dropped (a single document has no contrastive pairs).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rng = np.random.default_rng([seed, epoch])
-    order = rng.permutation(len(data))
-    batches = [
-        [data[i] for i in order[start : start + batch_size]]
-        for start in range(0, len(data), batch_size)
-    ]
+    order = np.random.default_rng([seed, epoch]).permutation(n)
+    batches = [order[start : start + batch_size] for start in range(0, n, batch_size)]
     if drop_singleton and batches and len(batches[-1]) < 2:
         batches.pop()
     return batches
 
 
-def _labels_array(batch_labels: list, task: str) -> np.ndarray:
-    if task == "harm":
-        return np.asarray(batch_labels, dtype=np.int64)
-    return np.asarray(batch_labels, dtype=np.float64)
-
-
 def train_epoch(
     params: ModelParams,
-    batches: list[list[tuple[EncodedDoc, object]]],
+    docs: list[EncodedDoc],
+    labels: np.ndarray,
+    batches: list[np.ndarray],
     cfg: TrainConfig,
     optimizer,
 ) -> float:
-    """Run one optimizer pass over the prepared batches; returns mean batch loss."""
+    """Run one optimizer pass over the index batches of ``docs`` and their
+    ``labels`` rows; returns the mean batch loss."""
     if not batches:
         raise ValueError("no batches to train on")
     losses = []
     for batch in batches:
-        docs = [doc for doc, _ in batch]
-        labels = _labels_array([label for _, label in batch], cfg.task)
-        loss, grads = gradients(params, docs, labels, cfg.contrastive, task=cfg.task)
+        loss, grads = gradients(params, [docs[i] for i in batch], labels[batch], cfg.contrastive, task=cfg.task)
         optimizer.step(params, grads)
         losses.append(loss)
     return float(np.mean(losses))
 
 
-def _extract_labels(examples: Sequence[LabeledExample], task: str) -> list:
-    labels = []
-    for ex in examples:
-        if task == "harm":
-            if ex.harm is None:
-                raise ValueError(f"example {ex.id!r} lacks the harm label required for training")
-            labels.append(ex.harm)
-        else:
-            if ex.targets is None:
-                raise ValueError(f"example {ex.id!r} lacks the target flags required for training")
-            labels.append(ex.targets)
-    return labels
+def _extract_labels(examples: Sequence[LabeledExample], task: str) -> np.ndarray:
+    """The labels ``task`` trains on, one row per example: (N,) int64 class
+    indices for harm, (N, 5) float64 0/1 flags for targets."""
+    attr, noun = ("harm", "harm label") if task == "harm" else ("targets", "target flags")
+    labels = [getattr(ex, attr) for ex in examples]
+    if None in labels:
+        raise ValueError(f"example {examples[labels.index(None)].id!r} lacks the {noun} required for training")
+    return np.array(labels, dtype=np.int64 if task == "harm" else np.float64)
 
 
-def evaluate_params(params: ModelParams, docs: list[EncodedDoc], labels: list, task: str) -> float:
+def evaluate_params(params: ModelParams, docs: list[EncodedDoc], labels: np.ndarray, task: str) -> float:
     """Validation score over one ``forward_batch`` of every document: macro-F1
     over the ``predict`` decisions (harm), or micro-F1 over the sigmoids
     thresholded at 0.5 (targets)."""
     scores, decisions = predict(forward_batch(params, docs), task)
     if task == "harm":
-        return classification_report(confusion(labels, decisions, num_classes=params.bc.shape[0])).macro_f1
+        return classification_report(confusion(labels, decisions)).macro_f1
     return multilabel_report(labels, scores).micro_f1
 
 
@@ -216,8 +208,8 @@ def _compact_ids(docs: list[EncodedDoc]) -> tuple[np.ndarray, list[EncodedDoc]]:
     """The sorted distinct ids of ``docs``, and the documents with each id
     replaced by its index in that array."""
     rows, inverse = np.unique(np.concatenate([doc.ids for doc in docs]), return_inverse=True)
-    ends = np.cumsum([doc.length for doc in docs]).tolist()
-    return rows, [EncodedDoc(ids=inverse[end - doc.length : end], length=doc.length) for doc, end in zip(docs, ends)]
+    ends = np.cumsum([doc.ids.size for doc in docs]).tolist()
+    return rows, [EncodedDoc(ids=inverse[end - doc.ids.size : end]) for doc, end in zip(docs, ends)]
 
 
 def train(
@@ -240,8 +232,7 @@ def train(
 
     contrastive_on = train_cfg.task == "harm" and train_cfg.contrastive.lam > 0.0
     if contrastive_on:
-        present = set(train_labels)
-        missing = sorted(set(range(NUM_CLASSES)) - present)
+        missing = sorted(set(range(NUM_CLASSES)) - set(train_labels.tolist()))
         if missing:
             warnings.warn(
                 f"classes {missing} absent from the training set; their contrastive anchors are skipped",
@@ -258,7 +249,6 @@ def train(
     if rows.size and rows[-1] >= model_cfg.vocab_size:
         raise ValueError(f"token id out of range for vocab size {model_cfg.vocab_size}")
     enc_train, enc_val = docs[: len(enc_train)], docs[len(enc_train) :]
-    items = list(zip(enc_train, train_labels))
     params = replace(full, embed=full.embed[rows])
     optimizer = _make_optimizer(train_cfg)
 
@@ -268,9 +258,9 @@ def train(
     best_f1 = -1.0
     for epoch in range(train_cfg.epochs):
         batches = make_batches(
-            items, train_cfg.batch_size, train_cfg.seed, epoch, drop_singleton=contrastive_on
+            len(enc_train), train_cfg.batch_size, train_cfg.seed, epoch, drop_singleton=contrastive_on
         )
-        mean_loss = train_epoch(params, batches, train_cfg, optimizer)
+        mean_loss = train_epoch(params, enc_train, train_labels, batches, train_cfg, optimizer)
         val_f1 = evaluate_params(params, enc_val, val_labels, train_cfg.task)
         loss_series.append(mean_loss)
         f1_series.append(val_f1)
@@ -355,10 +345,7 @@ def grad_check(trials: int = 30, seed: int = 0, step: float = 1e-4) -> GradCheck
             wt=rng.normal(0.0, 0.5, (hidden_dim, 5)),
             bt=rng.normal(0.0, 0.5, 5),
         )
-        docs = []
-        for _ in range(6):
-            ids = rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))
-            docs.append(EncodedDoc(ids=ids, length=len(ids)))
+        docs = [EncodedDoc(ids=rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))) for _ in range(6)]
         if task == "harm":
             # 6 draws from 3 classes guarantee at least one positive pair.
             labels = rng.integers(0, 3, size=6)

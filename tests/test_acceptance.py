@@ -17,7 +17,7 @@ import pytest
 from harmkit import cli, ensembles
 from harmkit.corpus import LabeledExample, split_train_val
 from harmkit.featurizer import FeatureConfig, batch_encode
-from harmkit.losses import ContrastiveConfig, binary_cross_entropy, cross_entropy, info_nce
+from harmkit.losses import ContrastiveConfig, binary_cross_entropy, cross_entropy, info_nce, normalize_rows
 from harmkit.metrics import classification_report, confusion, multilabel_report
 from harmkit.model import ModelConfig, forward_batch, init_params, softmax
 from harmkit.synth import generate_corpus
@@ -114,7 +114,6 @@ def test_criterion_4_contrastive_direction():
         enc_val = batch_encode([ex.text for ex in split.val], feature_cfg)
         train_labels = _extract_labels(split.train, "harm")
         val_labels = _extract_labels(split.val, "harm")
-        items = list(zip(enc_train, train_labels))
 
         # Fixed 10-epoch SGD budget; both runs are compared on their final
         # models so the geometry reflects the objective actually optimized.
@@ -128,13 +127,13 @@ def test_criterion_4_contrastive_direction():
             params = init_params(model_cfg)
             optimizer = _make_optimizer(train_cfg)
             for epoch in range(train_cfg.epochs):
-                batches = make_batches(items, train_cfg.batch_size, train_cfg.seed, epoch,
+                batches = make_batches(len(enc_train), train_cfg.batch_size, train_cfg.seed, epoch,
                                        drop_singleton=lam > 0)
-                train_epoch(params, batches, train_cfg, optimizer)
-            acts = forward_batch(params, enc_val)
+                train_epoch(params, enc_train, train_labels, batches, train_cfg, optimizer)
+            z_hat = normalize_rows(forward_batch(params, enc_val).z)[0]
             results[lam] = (
                 evaluate_params(params, enc_val, val_labels, "harm"),
-                _inter_class_cosine_distance(acts.z_hat, np.array(val_labels)),
+                _inter_class_cosine_distance(z_hat, val_labels),
             )
 
         (f1_ce, dist_ce), (f1_con, dist_con) = results[0.0], results[0.5]

@@ -496,6 +496,15 @@ class TestEnsembleCommand:
         assert "weights must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategy, weights", [("vote", "x"), ("vote", "0.5,0.5,0"), ("avg", "0.9,0.1")])
+    def test_weights_rejected_outside_wavg(self, tmp_path, capsys, strategy, weights):
+        out = tmp_path / "o.jsonl"
+        code = cli.main(["ensemble", "--members", *self.member_args(), "--strategy", strategy,
+                         "--weights", weights, "--output", str(out)])
+        assert code == 2
+        assert "--weights applies only to --strategy w-avg" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_known_report(self, tmp_path, capsys):
@@ -524,6 +533,19 @@ class TestEvaluateCommand:
         pred = tmp_path / "pred.jsonl"
         pred.write_text('{"id": "zz", "label": 0}\n', encoding="utf-8")
         assert cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 2
+
+    @pytest.mark.parametrize("eta", ["5", "0", "1", "-3", "nan"])
+    def test_harm_eta_outside_unit_interval_rejected(self, tmp_path, capsys, eta):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"id": "a", "text": "t", "label": 0}\n', encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": "a", "label": 0}\n', encoding="utf-8")
+        report = tmp_path / "rep.json"
+        code = cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--task", "harm",
+                         f"--eta={eta}", "--report", str(report)])
+        assert code == 2
+        assert "eta must be in (0, 1)" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestMalformedInput:

@@ -26,7 +26,6 @@ from harmkit.ensembles import (
     weighted_average_ensemble,
     write_prediction_file,
 )
-from harmkit.metrics import MetricsReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -258,13 +257,6 @@ class TestDeriveWeights:
 
     def test_all_zero_fallback_uniform(self):
         assert derive_weights([0.0, 0.0]) == [0.5, 0.5]
-
-    def test_accepts_reports(self):
-        reports = [
-            MetricsReport((1,), (1,), (1,), (1,), macro_f1=0.6, micro_f1=0.6, weighted_f1=0.6),
-            MetricsReport((1,), (1,), (1,), (1,), macro_f1=0.2, micro_f1=0.2, weighted_f1=0.2),
-        ]
-        assert derive_weights(reports) == pytest.approx([0.75, 0.25])
 
 
 class TestInvariants:

@@ -184,12 +184,10 @@ class TestEncode:
     def test_truncation_to_max_tokens(self):
         cfg = FeatureConfig(max_tokens=512)
         doc = encode([f"t{i}" for i in range(600)], cfg)
-        assert doc.length == 512
         assert len(doc.ids) == 512
 
     def test_empty(self):
         doc = encode([], FeatureConfig())
-        assert doc.length == 0
         assert doc.ids.size == 0
 
     def test_hash_determinism_same_token(self):
@@ -217,7 +215,7 @@ class TestEncode:
         cfg2 = FeatureConfig(ngram=2)
         uni = encode(["a", "b", "c"], cfg1)
         both = encode(["a", "b", "c"], cfg2)
-        assert both.length == 5  # 3 unigrams + 2 bigrams
+        assert both.ids.size == 5  # 3 unigrams + 2 bigrams
         assert np.array_equal(both.ids[:3], uni.ids)
 
     @pytest.mark.parametrize("ngram", [1, 2])
@@ -231,7 +229,6 @@ class TestEncode:
                 tokens = [words[int(i)] for i in rng.integers(0, len(words), size=n)]
                 doc = encode(tokens, cfg)
                 assert doc.ids.dtype == np.int64
-                assert doc.length == len(doc.ids)
                 assert np.array_equal(doc.ids, encode_reference(tokens, cfg))
 
     def test_table_gains_only_the_kept_unigrams(self):
@@ -247,7 +244,7 @@ class TestEncode:
         assert sorted(table) == ["a", "b", "c"]
         # A table entry is trusted as the token's id.
         assert doc.ids.tolist()[:3] == [table["a"], 7, table["c"]]
-        assert doc.length == 4
+        assert doc.ids.size == 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -275,7 +272,6 @@ class TestBatchEncode:
         assert len(batched) == len(texts)
         for text, doc in zip(texts, batched):
             single = encode(tokenize(text), cfg)
-            assert doc.length == single.length
             assert np.array_equal(doc.ids, single.ids)
 
     @pytest.mark.parametrize("ngram", [1, 2])

@@ -31,7 +31,7 @@ def random_batch(rng, vocab_size=64, batch=6):
     docs = []
     for _ in range(batch):
         ids = rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))
-        docs.append(EncodedDoc(ids=ids, length=len(ids)))
+        docs.append(EncodedDoc(ids=ids))
     labels = rng.integers(0, 3, size=batch)
     return docs, labels
 
@@ -230,10 +230,10 @@ def ce_only_gradients_reference(params, docs, classes):
     total = 0.0
     for doc, y in zip(docs, classes):
         h0 = np.zeros(embed_dim)
-        if doc.length:
+        if doc.ids.size:
             for t in doc.ids:
                 h0 += params.embed[int(t)]
-            h0 /= doc.length
+            h0 /= doc.ids.size
         a = h0 @ params.w1 + params.b1
         z = np.tanh(a)
         logits = z @ params.wc + params.bc
@@ -249,9 +249,9 @@ def ce_only_gradients_reference(params, docs, classes):
         grads["w1"] += np.outer(h0, g_a)
         grads["b1"] += g_a
         g_h0 = params.w1 @ g_a
-        if doc.length:
+        if doc.ids.size:
             for t in doc.ids:
-                grads["embed"][int(t)] += g_h0 / doc.length
+                grads["embed"][int(t)] += g_h0 / doc.ids.size
     return total / batch, grads
 
 
@@ -259,8 +259,8 @@ def add_at_pool_backward_table(docs, g_h0, rows):
     """Mean pooling's backward as one np.add.at over the batch's sorted unique
     ids, scattered into a zeroed (rows, embed_dim) table: the oracle for the
     bincount in ``_pool_backward``."""
-    full = [i for i, doc in enumerate(docs) if doc.length]
-    lengths = np.array([docs[i].length for i in full], dtype=np.int64)
+    full = [i for i, doc in enumerate(docs) if doc.ids.size]
+    lengths = np.array([docs[i].ids.size for i in full], dtype=np.int64)
     flat_ids = np.concatenate([docs[i].ids for i in full]) if full else np.zeros(0, dtype=np.int64)
     ids, inverse = np.unique(flat_ids, return_inverse=True)
     compact = np.zeros((ids.size, g_h0.shape[1]))
@@ -277,7 +277,7 @@ def pool_backward_cases(draw):
     rows = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 4))
     docs = [
-        EncodedDoc(ids=np.array(ids, dtype=np.int64), length=len(ids))
+        EncodedDoc(ids=np.array(ids, dtype=np.int64))
         for ids in draw(st.lists(st.lists(st.integers(0, rows - 1), max_size=10), min_size=1, max_size=8))
     ]
     value = st.floats(-1e6, 1e6, allow_nan=False, width=64)
@@ -354,12 +354,12 @@ class TestGradients:
             docs = []
             for _ in range(int(rng.integers(1, 12))):
                 n = int(rng.integers(0, 10))
-                docs.append(EncodedDoc(ids=rng.integers(0, 24, size=n), length=n))
+                docs.append(EncodedDoc(ids=rng.integers(0, 24, size=n)))
             g_h0 = rng.normal(0.0, 1.0, (len(docs), 5))
             dense = np.zeros((24, 5))
             for i, doc in enumerate(docs):
-                if doc.length:
-                    np.add.at(dense, doc.ids, g_h0[i] / doc.length)
+                if doc.ids.size:
+                    np.add.at(dense, doc.ids, g_h0[i] / doc.ids.size)
             assert _pool_backward(docs, g_h0, 24).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("tau", [0.05, 0.1, 1.0])
@@ -432,7 +432,7 @@ class TestGradients:
         params = random_model(rng)
         params.b1[:] = 0.0  # forces z = 0 exactly for the empty doc
         docs, labels = random_batch(rng, batch=5)
-        docs.append(EncodedDoc(ids=np.array([], dtype=np.int64), length=0))
+        docs.append(EncodedDoc(ids=np.array([], dtype=np.int64)))
         labels = np.concatenate([labels, [0]])
         loss, grads = gradients(params, docs, labels, ContrastiveConfig(tau=0.1, lam=0.5), task="harm")
         assert np.isfinite(loss)

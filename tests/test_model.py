@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from harmkit.corpus import NUM_CLASSES, NUM_TARGETS
 from harmkit.featurizer import EncodedDoc, FeatureConfig
+from harmkit.losses import normalize_rows
 from harmkit.model import (
     ModelConfig,
     ModelParams,
@@ -20,14 +21,13 @@ from harmkit.model import (
     init_params,
     load_params,
     mean_pool,
-    normalize_rows,
     predict,
     save_params,
     sigmoid,
     softmax,
 )
 
-EMPTY = EncodedDoc(ids=np.array([], dtype=np.int64), length=0)
+EMPTY = EncodedDoc(ids=np.array([], dtype=np.int64))
 
 
 def small_cfg(seed=0):
@@ -36,17 +36,17 @@ def small_cfg(seed=0):
 
 def random_doc(rng, vocab_size, min_len=1, max_len=12):
     ids = rng.integers(0, vocab_size, size=int(rng.integers(min_len, max_len + 1)))
-    return EncodedDoc(ids=ids, length=len(ids))
+    return EncodedDoc(ids=ids)
 
 
 def forward_reference(params, doc):
     """Straight-line single-document reimplementation used as an oracle."""
     embed_dim = params.embed.shape[1]
     h0 = np.zeros(embed_dim)
-    if doc.length:
+    if doc.ids.size:
         for t in doc.ids:
             h0 += params.embed[int(t)]
-        h0 /= doc.length
+        h0 /= doc.ids.size
     hidden_dim = params.w1.shape[1]
     a = np.zeros(hidden_dim)
     for j in range(hidden_dim):
@@ -123,12 +123,12 @@ class TestForward:
     def test_empty_doc_zero_propagation(self):
         acts = forward_batch(init_params(small_cfg()), [EMPTY])
         assert acts.z.shape == (1, 6)
-        for arr in (acts.h0, acts.z, acts.z_norm, acts.z_hat, acts.class_logits, acts.target_logits):
+        for arr in (acts.h0, acts.z, *normalize_rows(acts.z), acts.class_logits, acts.target_logits):
             assert not arr.any()
 
     def test_repeated_token_mean_pooling(self):
         params = init_params(small_cfg(seed=3))
-        docs = [EncodedDoc(ids=np.array([17] * k), length=k) for k in (1, 2, 5)]
+        docs = [EncodedDoc(ids=np.array([17] * k)) for k in (1, 2, 5)]
         class_logits = forward_batch(params, docs).class_logits
         assert np.allclose(class_logits[0], class_logits[1], atol=0)
         assert np.allclose(class_logits[0], class_logits[2], atol=0)
@@ -142,10 +142,11 @@ class TestForward:
                 arr += rng.normal(0, 0.3, arr.shape)
             docs = [random_doc(rng, cfg.vocab_size) for _ in range(3)] + [EMPTY]
             acts = forward_batch(params, docs)
+            z_hat = normalize_rows(acts.z)[0]
             for i, doc in enumerate(docs):
                 z_ref, z_hat_ref, cls_ref, tgt_ref = forward_reference(params, doc)
                 assert np.allclose(acts.z[i], z_ref, atol=1e-12)
-                assert np.allclose(acts.z_hat[i], z_hat_ref, atol=1e-12)
+                assert np.allclose(z_hat[i], z_hat_ref, atol=1e-12)
                 assert np.allclose(acts.class_logits[i], cls_ref, atol=1e-12)
                 assert np.allclose(acts.target_logits[i], tgt_ref, atol=1e-12)
 
@@ -153,19 +154,19 @@ class TestForward:
         params = init_params(small_cfg())
         vocab_size = params.embed.shape[0]
         for ids in ([9999], [vocab_size], [-1], [3, -2, 5], [np.iinfo(np.int64).min]):
-            doc = EncodedDoc(ids=np.array(ids, dtype=np.int64), length=len(ids))
+            doc = EncodedDoc(ids=np.array(ids, dtype=np.int64))
             with pytest.raises(ValueError, match="out of range"):
                 forward_batch(params, [doc])
-        forward_batch(params, [EncodedDoc(ids=np.array([0, vocab_size - 1]), length=2)])
+        forward_batch(params, [EncodedDoc(ids=np.array([0, vocab_size - 1]))])
 
     def test_z_hat_unit_norm_property(self):
         rng = np.random.default_rng(23)
         cfg = small_cfg(seed=2)
         params = init_params(cfg)
         docs = [random_doc(rng, cfg.vocab_size) for _ in range(200)]
-        acts = forward_batch(params, docs)
-        norms = np.linalg.norm(acts.z_hat, axis=1)
-        nonzero = acts.z_norm > 0
+        z_hat, z_norm = normalize_rows(forward_batch(params, docs).z)
+        norms = np.linalg.norm(z_hat, axis=1)
+        nonzero = z_norm > 0
         assert np.allclose(norms[nonzero], 1.0, atol=1e-6)
 
     def test_float32_table_pools_like_its_float64_copy(self, tmp_path):
@@ -180,11 +181,11 @@ class TestForward:
         as64 = ModelParams(**{name: arr.astype(np.float64) for name, arr in loaded.arrays()})
         rng = np.random.default_rng(8)
         lengths = [*range(fcfg.max_tokens + 1), 50_000]
-        docs = [EncodedDoc(ids=rng.integers(0, cfg.vocab_size, n), length=n) for n in lengths]
+        docs = [EncodedDoc(ids=rng.integers(0, cfg.vocab_size, n)) for n in lengths]
         assert loaded.embed.dtype == np.float32
         assert np.array_equal(mean_pool(loaded, docs), mean_pool(as64, docs))
         got, want = forward_batch(loaded, docs[-40:]), forward_batch(as64, docs[-40:])
-        for name in ("h0", "z", "z_norm", "z_hat", "class_logits", "target_logits"):
+        for name in ("h0", "z", "class_logits", "target_logits"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_forward_batch_is_mean_pool_then_heads(self):
@@ -280,7 +281,7 @@ class TestPredict:
 
     def test_shift_invariance(self):
         params = init_params(small_cfg(seed=4))
-        doc = EncodedDoc(ids=np.array([3, 4, 5]), length=3)
+        doc = EncodedDoc(ids=np.array([3, 4, 5]))
         before = harm_label(params, doc)
         params.bc += 123.0
         assert harm_label(params, doc) == before

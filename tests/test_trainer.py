@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmkit import cli, losses
 from harmkit.corpus import LabeledExample, split_train_val
@@ -20,7 +22,6 @@ from harmkit.trainer import (
     SgdOptimizer,
     TrainConfig,
     _extract_labels,
-    _labels_array,
     _make_optimizer,
     evaluate_params,
     grad_check,
@@ -43,32 +44,65 @@ class QuadraticStub:
         return [("p", self.p)]
 
 
+def make_batches_oracle(data, batch_size, seed, epoch, drop_singleton=False):
+    """The list-of-items batching that index batches replaced, kept as their oracle."""
+    order = np.random.default_rng([seed, epoch]).permutation(len(data))
+    batches = [[data[i] for i in order[start : start + batch_size]] for start in range(0, len(data), batch_size)]
+    if drop_singleton and batches and len(batches[-1]) < 2:
+        batches.pop()
+    return batches
+
+
 class TestMakeBatches:
     def test_partition_sizes(self):
-        batches = make_batches(list(range(10)), 4, seed=0, epoch=0)
+        batches = make_batches(10, 4, seed=0, epoch=0)
         assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_every_example_once(self):
-        data = list(range(23))
-        batches = make_batches(data, 5, seed=1, epoch=3)
-        flat = [x for batch in batches for x in batch]
-        assert sorted(flat) == data
+        batches = make_batches(23, 5, seed=1, epoch=3)
+        assert sorted(np.concatenate(batches).tolist()) == list(range(23))
 
     def test_deterministic(self):
-        a = make_batches(list(range(20)), 6, seed=9, epoch=2)
-        b = make_batches(list(range(20)), 6, seed=9, epoch=2)
-        assert a == b
+        a = make_batches(20, 6, seed=9, epoch=2)
+        b = make_batches(20, 6, seed=9, epoch=2)
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
     def test_epochs_permute_differently(self):
-        a = make_batches(list(range(50)), 50, seed=4, epoch=0)[0]
-        b = make_batches(list(range(50)), 50, seed=4, epoch=1)[0]
-        assert a != b
+        a = make_batches(50, 50, seed=4, epoch=0)[0]
+        b = make_batches(50, 50, seed=4, epoch=1)[0]
+        assert not np.array_equal(a, b)
 
     def test_drop_singleton_tail(self):
-        batches = make_batches(list(range(9)), 4, seed=0, epoch=0, drop_singleton=True)
+        batches = make_batches(9, 4, seed=0, epoch=0, drop_singleton=True)
         assert [len(b) for b in batches] == [4, 4]
-        kept = make_batches(list(range(10)), 4, seed=0, epoch=0, drop_singleton=True)
+        kept = make_batches(10, 4, seed=0, epoch=0, drop_singleton=True)
         assert [len(b) for b in kept] == [4, 4, 2]
+
+    @pytest.mark.parametrize("drop_singleton", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 70), batch_size=st.integers(1, 33), seed=st.integers(0, 2**64 - 1),
+           epoch=st.integers(0, 50))
+    def test_index_batches_select_the_oracle_batches(self, n, batch_size, seed, epoch, drop_singleton):
+        data = [f"doc{i}" for i in range(n)]
+        got = [[data[i] for i in b] for b in make_batches(n, batch_size, seed, epoch, drop_singleton)]
+        assert got == make_batches_oracle(data, batch_size, seed, epoch, drop_singleton)
+
+
+class TestExtractLabels:
+    def test_one_array_per_split(self):
+        examples = [LabeledExample(id="a", text="x", harm=2, targets=(1, 0, 0, 1, 0)),
+                    LabeledExample(id="b", text="y", harm=0, targets=(0, 0, 1, 0, 0))]
+        harm = _extract_labels(examples, "harm")
+        assert harm.dtype == np.int64 and harm.tolist() == [2, 0]
+        targets = _extract_labels(examples, "targets")
+        assert targets.dtype == np.float64 and targets.tolist() == [[1, 0, 0, 1, 0], [0, 0, 1, 0, 0]]
+
+    @pytest.mark.parametrize("task, noun", [("harm", "harm label"), ("targets", "target flags")])
+    def test_missing_label_names_the_first_example(self, task, noun):
+        examples = [LabeledExample(id="a", text="x", harm=1, targets=(0, 0, 0, 0, 1)),
+                    LabeledExample(id="b", text="y"), LabeledExample(id="c", text="z")]
+        with pytest.raises(ValueError, match=f"example 'b' lacks the {noun} required for training"):
+            _extract_labels(examples, task)
 
 
 class TestOptimizers:
@@ -141,6 +175,7 @@ def full_table_reference(train_set, val_set, mcfg, fcfg, tcfg):
     Returns the best epoch's params and the report's series."""
     task = tcfg.task
     items = list(zip(batch_encode([ex.text for ex in train_set], fcfg), _extract_labels(train_set, task)))
+    label_dtype = np.int64 if task == "harm" else np.float64
     val_docs = batch_encode([ex.text for ex in val_set], fcfg)
     val_labels = _extract_labels(val_set, task)
     params = init_params(mcfg)
@@ -151,8 +186,8 @@ def full_table_reference(train_set, val_set, mcfg, fcfg, tcfg):
         mp.setattr(losses, "_pool_backward", add_at_pool_backward_table)
         for epoch in range(tcfg.epochs):
             batch_losses = []
-            for batch in make_batches(items, tcfg.batch_size, tcfg.seed, epoch, drop_singleton=contrastive_on):
-                labels = _labels_array([label for _, label in batch], task)
+            for batch in make_batches_oracle(items, tcfg.batch_size, tcfg.seed, epoch, drop_singleton=contrastive_on):
+                labels = np.asarray([label for _, label in batch], dtype=label_dtype)
                 loss, grads = losses.gradients(params, [doc for doc, _ in batch], labels, tcfg.contrastive, task=task)
                 optimizer.step(params, {name: getattr(grads, name) for name in params.FIELDS})
                 batch_losses.append(loss)
@@ -211,26 +246,21 @@ def keyword_corpus(n_per_class=40, classes=2, seed=0):
     return examples
 
 
-def items_for(examples, fcfg, task="harm"):
-    from harmkit.featurizer import batch_encode
-    from harmkit.trainer import _extract_labels
-
-    docs = batch_encode([ex.text for ex in examples], fcfg)
-    return list(zip(docs, _extract_labels(examples, task)))
+def encoded_for(examples, fcfg, task="harm"):
+    return batch_encode([ex.text for ex in examples], fcfg), _extract_labels(examples, task)
 
 
 def reference_train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path):
     """train's harm loop over the full table with a full params.copy() of the
     best epoch: an oracle for the compact snapshot and write-back of train."""
-    items = list(zip(batch_encode([ex.text for ex in train_set], fcfg), _extract_labels(train_set, "harm")))
-    val_docs = batch_encode([ex.text for ex in val_set], fcfg)
-    val_labels = _extract_labels(val_set, "harm")
+    docs, labels = encoded_for(train_set, fcfg)
+    val_docs, val_labels = encoded_for(val_set, fcfg)
     params = init_params(mcfg)
     optimizer = _make_optimizer(tcfg)
     best_f1, best_params = -1.0, None
     for epoch in range(tcfg.epochs):
-        batches = make_batches(items, tcfg.batch_size, tcfg.seed, epoch, drop_singleton=tcfg.contrastive.lam > 0.0)
-        train_epoch(params, batches, tcfg, optimizer)
+        batches = make_batches(len(docs), tcfg.batch_size, tcfg.seed, epoch, drop_singleton=tcfg.contrastive.lam > 0.0)
+        train_epoch(params, docs, labels, batches, tcfg, optimizer)
         f1 = evaluate_params(params, val_docs, val_labels, "harm")
         if f1 > best_f1:
             best_f1, best_params = f1, params.copy()
@@ -243,29 +273,29 @@ class TestTrainEpoch:
         # SGD with an (effectively) zero step: loss reported equals the loss
         # of the initial parameters and the parameters do not move.
         fcfg = FeatureConfig(hash_bits=8, max_tokens=32)
-        items = items_for(keyword_corpus(), fcfg)
+        docs, labels = encoded_for(keyword_corpus(), fcfg)
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-300, optimizer="sgd",
                           seed=0, contrastive=ContrastiveConfig(lam=0.0))
         params = init_params(ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=0))
         before = {name: arr.copy() for name, arr in params.arrays()}
-        batches = make_batches(items, 16, 0, 0)
-        loss = train_epoch(params, batches, cfg, SgdOptimizer(0.0))
+        batches = make_batches(len(docs), 16, 0, 0)
+        loss = train_epoch(params, docs, labels, batches, cfg, SgdOptimizer(0.0))
         for name, arr in params.arrays():
             assert np.array_equal(arr, before[name])
-        loss_again = train_epoch(params, batches, cfg, SgdOptimizer(0.0))
+        loss_again = train_epoch(params, docs, labels, batches, cfg, SgdOptimizer(0.0))
         assert loss == loss_again
 
     def test_epoch_loss_decreases_on_separable_corpus(self):
         fcfg = FeatureConfig(hash_bits=8, max_tokens=32)
-        items = items_for(keyword_corpus(), fcfg)
+        docs, labels = encoded_for(keyword_corpus(), fcfg)
         cfg = TrainConfig(epochs=5, batch_size=16, learning_rate=0.05, optimizer="adam",
                           seed=3, contrastive=ContrastiveConfig(lam=0.0))
         params = init_params(ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=16, hidden_dim=16, seed=3))
         opt = AdamOptimizer(0.05)
         losses = []
         for epoch in range(5):
-            batches = make_batches(items, 16, cfg.seed, epoch)
-            losses.append(train_epoch(params, batches, cfg, opt))
+            batches = make_batches(len(docs), 16, cfg.seed, epoch)
+            losses.append(train_epoch(params, docs, labels, batches, cfg, opt))
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
 
@@ -302,9 +332,6 @@ class TestTrain:
         assert report.best_epoch == series.index(max(series))
 
     def test_checkpoint_holds_best_params(self, easy_split, tmp_path):
-        from harmkit.featurizer import batch_encode
-        from harmkit.trainer import _extract_labels, evaluate_params
-
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=16, hidden_dim=16, seed=4)
         tcfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.05, seed=4, task="harm")
@@ -375,15 +402,15 @@ class TestTrain:
     def test_sgd_displacement_scales_with_learning_rate(self):
         # Parameter displacement after one epoch shrinks proportionally to lr.
         fcfg = FeatureConfig(hash_bits=8, max_tokens=32)
-        items = items_for(keyword_corpus(), fcfg)
+        docs, labels = encoded_for(keyword_corpus(), fcfg)
         displacements = []
         for lr in (1e-2, 1e-3, 1e-4):
             cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=lr, optimizer="sgd",
                               seed=0, contrastive=ContrastiveConfig(lam=0.0))
             params = init_params(ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=0))
             before = {name: arr.copy() for name, arr in params.arrays()}
-            batches = make_batches(items, 16, 0, 0)
-            train_epoch(params, batches, cfg, SgdOptimizer(lr))
+            batches = make_batches(len(docs), 16, 0, 0)
+            train_epoch(params, docs, labels, batches, cfg, SgdOptimizer(lr))
             displacement = sum(
                 float(np.linalg.norm(arr - before[name])) for name, arr in params.arrays()
             )
@@ -446,9 +473,10 @@ class TestTrain:
                 tracemalloc.stop()
 
         # The loaded table is in both peaks. Per document, the growth is about
-        # 0.6 float64 rows of embed_dim + hidden_dim values; it was 2 while
-        # normalize_rows built a masked copy and a quotient, and reading,
-        # encoding and pooling the whole file at once grew by 4.8.
+        # 0.51 float64 rows of embed_dim + hidden_dim values; it was 0.66 while
+        # the forward pass normalized every row, 2 while normalize_rows built
+        # a masked copy and a quotient, and reading, encoding and pooling the
+        # whole file at once grew by 4.8.
         growth = traced_peak(4000) - traced_peak(1000)
         assert growth <= 3000 * (mcfg.embed_dim + mcfg.hidden_dim) * 8
 
