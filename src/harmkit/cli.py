@@ -218,7 +218,7 @@ def _pool_input(params: ModelParams, feature_cfg: FeatureConfig, path: str,
 
 
 def _gold_for(doc_ids: list[str], gold_path: str, task: str) -> list:
-    # Only the labels are scored, so the text is checked for presence but not normalized.
+    # Only the labels are scored, so the text is checked to be a string but not normalized.
     path = Path(gold_path)
     gold = {}
     for line_no, rec in corpus.read_records(path):

@@ -207,13 +207,15 @@ def parse_labels(raw: dict, line_no: int, path: Path, task: str,
                  require_labels: bool = True) -> tuple[int | None, tuple[int, ...] | None]:
     """Check one corpus record and return its ``(harm, targets)`` labels.
 
-    The record must have a ``text`` field; ``label`` and ``targets``, where
-    present and not null, must be valid, and ``task`` decides which of them
-    is required (see ``load_jsonl``). Violations raise ValueError naming
-    ``path:line``. The text itself is neither read nor normalized.
+    The record must have a ``text`` field holding a string; ``label`` and
+    ``targets``, where present and not null, must be valid, and ``task``
+    decides which of them is required (see ``load_jsonl``). Violations raise
+    ValueError naming ``path:line``. The text is not normalized here.
     """
     if "text" not in raw:
         raise ValueError(f"{path}:{line_no}: missing required field 'text'")
+    if not isinstance(raw["text"], str):
+        raise ValueError(f"{path}:{line_no}: field 'text' must be a string")
 
     harm, flags = raw.get("label"), raw.get("targets")
     if error := _label_error(harm, flags):
@@ -250,7 +252,7 @@ def iter_jsonl(path: str | Path, task: str = "both", require_labels: bool = True
     p = Path(path)
     for line_no, raw in read_records(p):
         harm, targets = parse_labels(raw, line_no, p, task, require_labels)
-        text = normalize_text(str(raw["text"]))
+        text = normalize_text(raw["text"])
         yield LabeledExample._checked(raw["id"], text, harm, targets)
 
 

@@ -6,7 +6,9 @@ runs of punctuation, dropping whitespace. A character is whitespace when
 in Unicode category L, N or M (letters, digits, combining marks), and
 punctuation when it is anything else. Combining marks count as word
 characters so that scripts written with them (Devanagari, Bangla, ...) keep
-whole words together; the regex ``\\w`` alone would split them off.
+whole words together; the regex ``\\w`` alone would split them off. ASCII
+text with no punctuation is split with ``str.split``, which gives the same
+tokens, since there every non-whitespace character is a word character.
 
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
@@ -134,6 +136,11 @@ _TOKEN_RE = _token_re(
 # ranges gives the same tokens; ``re`` tests the astral ranges one by one at
 # the end of every word run, which this pattern skips.
 _ASCII_TOKEN_RE = _token_re(())
+# The ASCII bytes that are ``_``, alphanumeric or whitespace: deleting them
+# from an ASCII text leaves nothing exactly when the text has no punctuation.
+_ASCII_WORD_OR_SPACE = bytes(
+    cp for cp in range(128) if chr(cp) == "_" or chr(cp).isalnum() or chr(cp).isspace()
+)
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,17 @@ def fnv1a64(data: bytes) -> int:
 
 def tokenize(text: str) -> list[str]:
     """Split on whitespace/punctuation boundaries; punctuation runs are single tokens."""
+    if text.isascii():
+        # Without punctuation every non-whitespace character is a word
+        # character, so the word runs are the whitespace-separated fields,
+        # and ``str.split`` uses the same whitespace test as ``\s``.
+        if not text.encode().translate(None, _ASCII_WORD_OR_SPACE):
+            return text.split()
+        pattern = _ASCII_TOKEN_RE
+    else:
+        pattern = _TOKEN_RE
     # Trailing whitespace is stripped first: findall would otherwise retry the
     # leading \s* from every position of a trailing run, quadratic in its length.
-    pattern = _ASCII_TOKEN_RE if text.isascii() else _TOKEN_RE
     return pattern.findall(text.rstrip())
 
 

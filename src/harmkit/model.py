@@ -162,7 +162,11 @@ def forward_pooled(params: ModelParams, h0: np.ndarray) -> BatchActivations:
     Callers run it once over all their rows: computed over row blocks, the
     matrix products may round differently.
     """
-    z = np.tanh(h0 @ params.w1 + params.b1)
+    # In place, so only one (N, hidden_dim) array is held; the operations,
+    # and so the bits, are those of ``np.tanh(h0 @ w1 + b1)``.
+    z = h0 @ params.w1
+    z += params.b1
+    np.tanh(z, out=z)
     return BatchActivations(h0, z, z @ params.wc + params.bc, z @ params.wt + params.bt)
 
 

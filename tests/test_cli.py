@@ -559,6 +559,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("task, record, message", [
         ("harm", {"id": "b", "label": 1}, "missing required field 'text'"),
+        ("harm", {"id": "b", "text": None, "label": 1}, "field 'text' must be a string"),
         ("harm", {"id": "b", "text": "t", "label": 9}, "label 9 outside {0..3}"),
         ("harm", {"id": "b", "text": "t", "label": True}, "label True outside {0..3}"),
         ("harm", {"id": "b", "text": "t", "label": 1, "targets": [1]}, "targets must be an array of 5 0/1 flags"),
@@ -566,7 +567,7 @@ class TestMalformedInput:
         ("harm", {"id": "a", "text": "t", "label": 1}, "duplicate id 'a'"),
         ("targets", {"id": "b", "text": "t", "label": 1}, "record lacks 'targets' required by task=targets"),
         ("targets", {"id": "b", "text": "t", "targets": [0, 2, 0, 0, 0]}, "targets must be an array of 5 0/1 flags"),
-    ], ids=["missing-text", "label-9", "label-bool", "short-targets", "missing-label", "duplicate-id",
+    ], ids=["missing-text", "null-text", "label-9", "label-bool", "short-targets", "missing-label", "duplicate-id",
             "missing-targets", "targets-flag-2"])
     def test_malformed_gold_names_path_and_line(self, tmp_path, capsys, task, record, message):
         gold = tmp_path / "gold.jsonl"
@@ -576,6 +577,26 @@ class TestMalformedInput:
         pred.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         assert cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--task", task]) == 2
         assert f"{gold}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, 7, 1.5, True, ["x"], {"a": "b"}],
+                             ids=["null", "int", "float", "bool", "list", "object"])
+    @pytest.mark.parametrize("command", ["predict", "train", "split"])
+    def test_non_string_text_names_path_and_line(self, trained, split_files, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.jsonl"
+        records = [{"id": "a", "text": "ok", "label": 0}, {"id": "b", "text": text, "label": 1}]
+        bad.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+        if command == "predict":
+            argv = ["predict", "--checkpoint", str(trained[0] / "model.hpc"), "--input", str(bad),
+                    "--output", str(tmp_path / "pred.jsonl")]
+        elif command == "train":
+            config = write_config(tmp_path / "run.cfg", train_file=bad, val_file=split_files[1],
+                                  checkpoint=tmp_path / "model.hpc")
+            argv = ["train", "--config", str(config)]
+        else:
+            argv = ["split", "--input", str(bad)]
+        assert cli.main(argv) == 2
+        assert f"{bad}:2: field 'text' must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "pred.jsonl").exists() and not (tmp_path / "model.hpc").exists()
 
     @pytest.mark.parametrize("command, lines, line_no", [
         pytest.param("ensemble", ['{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25]}',

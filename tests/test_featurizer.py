@@ -2,6 +2,7 @@
 
 import json
 import os
+import string
 import subprocess
 import sys
 import unicodedata
@@ -62,6 +63,22 @@ ASCII_TRICKY = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x7f", "\x00", "_", "__
                 "...", "!?", "-_-", "a", "Z"]
 
 
+# The ASCII word characters, every ASCII whitespace character (written out
+# here, not derived from str.isspace), and the rest of ASCII: punctuation.
+ASCII_WORD = string.ascii_letters + string.digits + "_"
+ASCII_SPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+ASCII_PUNCT = [chr(cp) for cp in range(128) if chr(cp) not in ASCII_WORD + ASCII_SPACE]
+
+
+class RegexReached(Exception):
+    pass
+
+
+class UnreachableRegex:
+    def findall(self, text):
+        raise RegexReached(text)
+
+
 def fnv1a64_reference(data: bytes) -> int:
     """Independent FNV-1a oracle, written from the published constants."""
     h = 14695981039346656037
@@ -100,6 +117,31 @@ class TestTokenize:
         text = "".join(pieces) + tail
         assert text.isascii()
         assert tokenize(text) == featurizer._ASCII_TOKEN_RE.findall(text.rstrip()) == tokenize_reference(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(runs=st.lists(st.one_of(st.text(ASCII_WORD, min_size=1), st.text(ASCII_SPACE, min_size=1))),
+           punct=st.one_of(st.none(), st.tuples(st.sampled_from(ASCII_PUNCT), st.integers(0, 10**6))))
+    def test_punctuation_free_ascii_splits_like_the_regex(self, runs, punct):
+        # Word and whitespace runs take the str.split path; one inserted
+        # punctuation character sends the same text to the regex.
+        text = "".join(runs)
+        if punct is not None:
+            ch, at = punct
+            at %= len(text) + 1
+            text = text[:at] + ch + text[at:]
+        assert tokenize(text) == tokenize_reference(text) == featurizer._ASCII_TOKEN_RE.findall(text.rstrip())
+
+    def test_only_punctuated_ascii_reaches_the_regex(self, monkeypatch):
+        monkeypatch.setattr(featurizer, "_ASCII_TOKEN_RE", UnreachableRegex())
+        for text in ["", ASCII_SPACE, ASCII_WORD, f"{ASCII_SPACE}ab_1{ASCII_SPACE}9Z c{ASCII_SPACE}"]:
+            assert tokenize(text) == tokenize_reference(text)
+        for ch in ASCII_PUNCT:
+            with pytest.raises(RegexReached):
+                tokenize(f"ab {ch}c")
+
+    def test_word_or_space_bytes_are_the_reference_classes(self):
+        want = bytes(cp for cp in range(128) if char_kind_reference(chr(cp)) in ("word", "space"))
+        assert featurizer._ASCII_WORD_OR_SPACE == want
 
     def test_every_code_point_has_the_reference_kind(self):
         # "a" + ch is one token when ch is a word character, two when it is
@@ -159,9 +201,18 @@ class TestTokenize:
 
     def test_trailing_whitespace_is_linear(self):
         # A regex whose leading \s* is retried from every position of a
-        # trailing run would take hours on this input; run it in a child
-        # process that the timeout can kill.
-        script = "from harmkit.featurizer import tokenize\nassert tokenize('a' + ' ' * 200_000) == ['a']\n"
+        # trailing run would take hours on these inputs; run them in a child
+        # process that the timeout can kill. Each tokenizer path gets
+        # whitespace-only input and 200k-character leading and trailing runs.
+        script = (
+            "from harmkit.featurizer import tokenize\n"
+            "for space in (' ', '\\u3000'):\n"
+            "    run = space * 200_000\n"
+            "    assert tokenize(run) == []\n"
+            "    assert tokenize('a' + run) == tokenize(run + 'a' + run) == ['a']\n"
+            "    assert tokenize('a.' + run) == tokenize(run + 'a.' + run) == ['a', '.']\n"
+            "    assert tokenize(run + '\\u0928' + run) == ['\\u0928']\n"
+        )
         subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
                        timeout=60, check=True)
 

@@ -18,6 +18,7 @@ from harmkit.model import (
     ModelConfig,
     ModelParams,
     forward_batch,
+    forward_pooled,
     init_params,
     load_params,
     mean_pool,
@@ -195,6 +196,21 @@ class TestForward:
         h0 = mean_pool(params, docs)
         assert np.array_equal(forward_batch(params, docs).h0, h0)
         assert mean_pool(params, []).shape == (0, params.embed.shape[1])
+
+    def test_forward_pooled_peak_is_about_one_hidden_array(self):
+        # The tanh layer runs in place: one (N, hidden_dim) array, not the
+        # three of ``np.tanh(h0 @ w1 + b1)``, and the same bits.
+        cfg = ModelConfig(vocab_size=256)
+        params = init_params(cfg)
+        h0 = np.random.default_rng(37).normal(0, 0.5, (10_000, cfg.embed_dim))
+        tracemalloc.start()
+        try:
+            acts = forward_pooled(params, h0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * h0.shape[0] * cfg.hidden_dim * 8
+        assert np.array_equal(acts.z, np.tanh(h0 @ params.w1 + params.b1))
 
 def normalize_rows_oracle(x):
     """normalize_rows through a masked copy and its quotient: the oracle for
