@@ -7,8 +7,8 @@ in Unicode category L, N or M (letters, digits, combining marks), and
 punctuation when it is anything else. Combining marks count as word
 characters so that scripts written with them (Devanagari, Bangla, ...) keep
 whole words together; the regex ``\\w`` alone would split them off. ASCII
-text with no punctuation is split with ``str.split``, which gives the same
-tokens, since there every non-whitespace character is a word character.
+text is split with ``str.split`` once a separator fences off each
+punctuation run, which gives the same tokens as the regex.
 
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
@@ -132,15 +132,16 @@ def _token_re(mark_ranges: Sequence[tuple[int, int]]) -> re.Pattern[str]:
 _TOKEN_RE = _token_re(
     _MARK_RANGES if unicodedata.unidata_version == _MARK_RANGES_UNIDATA else _mark_ranges()
 )
-# No combining mark is ASCII, so on ASCII text the pattern without the mark
-# ranges gives the same tokens; ``re`` tests the astral ranges one by one at
-# the end of every word run, which this pattern skips.
-_ASCII_TOKEN_RE = _token_re(())
-# The ASCII bytes that are ``_``, alphanumeric or whitespace: deleting them
-# from an ASCII text leaves nothing exactly when the text has no punctuation.
+# The ASCII bytes that are ``_``, alphanumeric or whitespace; deleting them
+# from an ASCII text leaves its punctuation.
 _ASCII_WORD_OR_SPACE = bytes(
     cp for cp in range(128) if chr(cp) == "_" or chr(cp).isalnum() or chr(cp).isspace()
 )
+# A character that ``str.split`` splits on and no ASCII text holds, and, for
+# each ASCII punctuation byte, its character and that character between two
+# separators.
+_SEP = "\x85"
+_FENCED = {cp: (chr(cp), f"{_SEP}{chr(cp)}{_SEP}") for cp in range(128) if cp not in _ASCII_WORD_OR_SPACE}
 
 
 @dataclass(frozen=True)
@@ -180,18 +181,23 @@ def fnv1a64(data: bytes) -> int:
 
 def tokenize(text: str) -> list[str]:
     """Split on whitespace/punctuation boundaries; punctuation runs are single tokens."""
-    if text.isascii():
-        # Without punctuation every non-whitespace character is a word
-        # character, so the word runs are the whitespace-separated fields,
-        # and ``str.split`` uses the same whitespace test as ``\s``.
-        if not text.encode().translate(None, _ASCII_WORD_OR_SPACE):
-            return text.split()
-        pattern = _ASCII_TOKEN_RE
-    else:
-        pattern = _TOKEN_RE
-    # Trailing whitespace is stripped first: findall would otherwise retry the
-    # leading \s* from every position of a trailing run, quadratic in its length.
-    return pattern.findall(text.rstrip())
+    if not text.isascii():
+        # Trailing whitespace is stripped first: findall would otherwise retry
+        # the leading \s* from every position of a trailing run, quadratic in
+        # its length.
+        return _TOKEN_RE.findall(text.rstrip())
+    # No combining mark is ASCII, so the tokens are the maximal runs of word
+    # and of punctuation characters. Fencing every punctuation character with
+    # separators and then dropping the pairs between two of them leaves one
+    # separator at each word/punctuation boundary, and ``str.split`` uses the
+    # same whitespace test as ``\s``. One ``replace`` pass per distinct
+    # punctuation character, so the work stays linear in the text.
+    punct = text.encode().translate(None, _ASCII_WORD_OR_SPACE)
+    if punct:
+        for cp in set(punct):
+            text = text.replace(*_FENCED[cp])
+        text = text.replace(_SEP + _SEP, "")
+    return text.split()
 
 
 def _token_id(token: str, hash_bits: int) -> int:

@@ -113,35 +113,37 @@ class TestTokenize:
     @given(pieces=st.lists(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from(ASCII_TRICKY))),
            tail=st.sampled_from(["", " ", "\t\n", "\x1f", " \x1c\x1d\x1e "]))
     def test_matches_reference_on_ascii_text(self, pieces, tail):
-        # ASCII text takes the pattern without the mark ranges.
+        # ASCII text takes the str.split path.
         text = "".join(pieces) + tail
         assert text.isascii()
-        assert tokenize(text) == featurizer._ASCII_TOKEN_RE.findall(text.rstrip()) == tokenize_reference(text)
+        assert tokenize(text) == tokenize_reference(text)
 
     @settings(max_examples=400, deadline=None)
-    @given(runs=st.lists(st.one_of(st.text(ASCII_WORD, min_size=1), st.text(ASCII_SPACE, min_size=1))),
-           punct=st.one_of(st.none(), st.tuples(st.sampled_from(ASCII_PUNCT), st.integers(0, 10**6))))
-    def test_punctuation_free_ascii_splits_like_the_regex(self, runs, punct):
-        # Word and whitespace runs take the str.split path; one inserted
-        # punctuation character sends the same text to the regex.
+    @given(runs=st.lists(st.one_of(st.text(ASCII_WORD, min_size=1), st.text(ASCII_SPACE, min_size=1),
+                                   st.text(st.sampled_from(ASCII_PUNCT), min_size=1))))
+    def test_ascii_runs_split_like_the_reference(self, runs):
+        # Word, whitespace and punctuation runs in any order, so punctuation
+        # runs meet words, whitespace, the ends of the text and each other.
         text = "".join(runs)
-        if punct is not None:
-            ch, at = punct
-            at %= len(text) + 1
-            text = text[:at] + ch + text[at:]
-        assert tokenize(text) == tokenize_reference(text) == featurizer._ASCII_TOKEN_RE.findall(text.rstrip())
+        assert tokenize(text) == tokenize_reference(text)
 
-    def test_only_punctuated_ascii_reaches_the_regex(self, monkeypatch):
-        monkeypatch.setattr(featurizer, "_ASCII_TOKEN_RE", UnreachableRegex())
-        for text in ["", ASCII_SPACE, ASCII_WORD, f"{ASCII_SPACE}ab_1{ASCII_SPACE}9Z c{ASCII_SPACE}"]:
+    def test_no_ascii_text_reaches_the_regex(self, monkeypatch):
+        monkeypatch.setattr(featurizer, "_TOKEN_RE", UnreachableRegex())
+        every_ascii = "".join(map(chr, range(128)))
+        for text in ["", ASCII_SPACE, ASCII_WORD, f"{ASCII_SPACE}ab_1{ASCII_SPACE}9Z c{ASCII_SPACE}",
+                     every_ascii, every_ascii[::-1], "<user> hi!! <url>", *(f"ab {ch}c{ch}{ch}" for ch in ASCII_PUNCT)]:
             assert tokenize(text) == tokenize_reference(text)
-        for ch in ASCII_PUNCT:
-            with pytest.raises(RegexReached):
-                tokenize(f"ab {ch}c")
+        with pytest.raises(RegexReached):
+            tokenize("ab \xe9")
 
     def test_word_or_space_bytes_are_the_reference_classes(self):
         want = bytes(cp for cp in range(128) if char_kind_reference(chr(cp)) in ("word", "space"))
         assert featurizer._ASCII_WORD_OR_SPACE == want
+
+    def test_separator_splits_and_fences_every_ascii_punctuation_character(self):
+        sep = featurizer._SEP
+        assert not sep.isascii() and f"a{sep}b{sep}".split() == ["a", "b"]
+        assert featurizer._FENCED == {ord(ch): (ch, f"{sep}{ch}{sep}") for ch in ASCII_PUNCT}
 
     def test_every_code_point_has_the_reference_kind(self):
         # "a" + ch is one token when ch is a word character, two when it is
@@ -203,7 +205,8 @@ class TestTokenize:
         # A regex whose leading \s* is retried from every position of a
         # trailing run would take hours on these inputs; run them in a child
         # process that the timeout can kill. Each tokenizer path gets
-        # whitespace-only input and 200k-character leading and trailing runs.
+        # whitespace-only input, 200k-character leading and trailing runs and
+        # a 200k-character punctuation run.
         script = (
             "from harmkit.featurizer import tokenize\n"
             "for space in (' ', '\\u3000'):\n"
@@ -211,6 +214,7 @@ class TestTokenize:
             "    assert tokenize(run) == []\n"
             "    assert tokenize('a' + run) == tokenize(run + 'a' + run) == ['a']\n"
             "    assert tokenize('a.' + run) == tokenize(run + 'a.' + run) == ['a', '.']\n"
+            "    assert tokenize(run + '.!' * 100_000 + run) == ['.!' * 100_000]\n"
             "    assert tokenize(run + '\\u0928' + run) == ['\\u0928']\n"
         )
         subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
