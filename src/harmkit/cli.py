@@ -193,6 +193,7 @@ _PREDICT_CHUNK = 1024
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    metrics.check_eta(args.eta)
     params, _, feature_cfg = load_params(args.checkpoint)
     doc_ids, h0 = _pool_input(params, feature_cfg, args.input, args.task)
     scores, decisions = predict(forward_pooled(params, h0), args.task, args.eta)

@@ -43,6 +43,11 @@ def normalize_text(text: str) -> str:
         text = _URL_RE.sub("<url>", text)
     text = _MENTION_RE.sub("<user>", text)
     text = text.lower()
+    # U+0020 is the only whitespace character that str.isprintable accepts,
+    # so a printable text is already collapsed unless it has a double,
+    # leading or trailing space.
+    if text.isprintable() and "  " not in text and not text.startswith(" ") and not text.endswith(" "):
+        return text
     return " ".join(text.split())
 
 

@@ -13,9 +13,13 @@ punctuation run, which gives the same tokens as the regex.
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
 across runs and platforms. Sequences are head-truncated to max_tokens.
-``batch_encode`` keeps a token-to-id table for the length of one call, or
-of every call that passes it the same table, so each distinct token is
-hashed once per table, on first sight; nothing is cached at module level.
+With unigrams, ``batch_encode`` tokenizes and hashes ASCII texts in numpy, a
+block of texts at a time: each byte's kind comes from a 128-entry table, the
+token bounds from where the kind changes, and the hashes from FNV-1a run one
+byte column at a time over uint64 arrays. Other texts take ``tokenize`` and
+``encode`` with a token-to-id table for the length of one call, or of every
+call that passes it the same table, so each distinct token is hashed once
+per table, on first sight; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -132,16 +136,23 @@ def _token_re(mark_ranges: Sequence[tuple[int, int]]) -> re.Pattern[str]:
 _TOKEN_RE = _token_re(
     _MARK_RANGES if unicodedata.unidata_version == _MARK_RANGES_UNIDATA else _mark_ranges()
 )
-# The ASCII bytes that are ``_``, alphanumeric or whitespace; deleting them
-# from an ASCII text leaves its punctuation.
-_ASCII_WORD_OR_SPACE = bytes(
-    cp for cp in range(128) if chr(cp) == "_" or chr(cp).isalnum() or chr(cp).isspace()
+# The kind of each ASCII byte: 0 whitespace, 1 word (``_`` or alphanumeric),
+# 2 punctuation.
+_ASCII_KIND = np.array(
+    [0 if chr(cp).isspace() else 1 if chr(cp) == "_" or chr(cp).isalnum() else 2 for cp in range(128)], np.uint8
 )
+# The ASCII bytes that are word characters or whitespace; deleting them from
+# an ASCII text leaves its punctuation.
+_ASCII_WORD_OR_SPACE = bytes(np.flatnonzero(_ASCII_KIND != 2).tolist())
 # A character that ``str.split`` splits on and no ASCII text holds, and, for
 # each ASCII punctuation byte, its character and that character between two
 # separators.
 _SEP = "\x85"
 _FENCED = {cp: (chr(cp), f"{_SEP}{chr(cp)}{_SEP}") for cp in range(128) if cp not in _ASCII_WORD_OR_SPACE}
+# Texts per numpy block in batch_encode, and the longest token it hashes by
+# byte columns (below 255: token lengths are sorted as uint8, clipped to it + 1).
+_BLOCK = 64
+_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -239,11 +250,66 @@ def encode(tokens: Sequence[str], cfg: FeatureConfig, table: TokenTable | None =
     return EncodedDoc(ids=ids)
 
 
+def _encode_ascii_block(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
+    """``encode(tokenize(text), cfg)`` for each ASCII text, with unigrams only,
+    tokenized and hashed in numpy over the texts joined into one byte array."""
+    # One space before, between and after the texts: no token crosses a text
+    # boundary, and the first and last bytes are whitespace.
+    data = np.frombuffer(" ".join(["", *texts, ""]).encode("ascii"), np.uint8)
+    kind = _ASCII_KIND[data]
+    # A token starts where the kind is nonzero and differs from the byte
+    # before, and ends where it differs from the byte after.
+    edges = np.flatnonzero(kind[1:] != kind[:-1]) + 1
+    starts = edges[kind[edges] != 0]
+    lengths = edges[kind[edges - 1] != 0] - starts
+    # Each text's first token, then head truncation to max_tokens.
+    begins = np.cumsum([1] + [len(text) + 1 for text in texts[:-1]])
+    firsts = np.searchsorted(starts, begins)
+    counts = np.diff(firsts, append=starts.size)
+    if counts.max() > cfg.max_tokens:
+        kept = np.arange(starts.size) - np.repeat(firsts, counts) < cfg.max_tokens
+        starts, lengths = starts[kept], lengths[kept]
+        counts = np.minimum(counts, cfg.max_tokens)
+    # FNV-1a one byte column at a time over the tokens still active: sorted
+    # by length, they are a suffix. uint64 arrays wrap modulo 2**64 as
+    # ``& _MASK64`` does. Tokens longer than _COLUMNS bytes are hashed whole
+    # by fnv1a64 instead, so one long token costs no run of near-empty columns.
+    clipped = np.minimum(lengths, _COLUMNS + 1).astype(np.uint8)
+    order = np.argsort(clipped, kind="stable")
+    pos = starts[order]
+    state = np.full(pos.size, _FNV_OFFSET, np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    columns = min(int(clipped.max(initial=0)), _COLUMNS)
+    for first in np.searchsorted(clipped[order], np.arange(columns), "right").tolist():
+        state[first:] ^= data[pos[first:]]
+        state[first:] *= prime
+        pos[first:] += 1
+    mask = (1 << cfg.hash_bits) - 1
+    ids = np.empty(pos.size, np.int64)
+    ids[order] = state & np.uint64(mask)
+    for i in np.flatnonzero(lengths > _COLUMNS).tolist():
+        ids[i] = fnv1a64(data[starts[i] : starts[i] + lengths[i]].tobytes()) & mask
+    # Each document owns a copy of its ids, so that no document keeps the
+    # block's arrays alive (views held predict's peak RSS 1-2 MB higher).
+    ends = np.cumsum(counts).tolist()
+    return [EncodedDoc(ids=ids[end - count : end].copy()) for end, count in zip(ends, counts.tolist())]
+
+
 def batch_encode(texts: Sequence[str], cfg: FeatureConfig, table: TokenTable | None = None) -> list[EncodedDoc]:
-    """Tokenize and encode each text; order preserved. One token table serves
-    the whole call, or every call that passes the same ``table`` (a
-    ``TokenTable(cfg.hash_bits)``); documents are tokenized one at a time, so
-    only one document's token list is held at once."""
+    """Tokenize and encode each text; order preserved.
+
+    With unigrams, ASCII texts are tokenized and hashed in numpy, _BLOCK
+    texts at a time, and never touch ``table``. Every other text (non-ASCII,
+    or any text when ``cfg.ngram == 2``) takes ``encode(tokenize(text))`` one
+    at a time, with one token table for the whole call, or for every call
+    that passes the same ``table`` (a ``TokenTable(cfg.hash_bits)``).
+    """
     if table is None:
         table = TokenTable(cfg.hash_bits)
-    return [encode(tokenize(text), cfg, table) for text in texts]
+    docs: list[EncodedDoc | None] = [None] * len(texts)
+    ascii_at = [i for i, text in enumerate(texts) if text.isascii()] if cfg.ngram == 1 else []
+    for lo in range(0, len(ascii_at), _BLOCK):
+        block = ascii_at[lo : lo + _BLOCK]
+        for i, doc in zip(block, _encode_ascii_block([texts[i] for i in block], cfg)):
+            docs[i] = doc
+    return [encode(tokenize(text), cfg, table) if doc is None else doc for text, doc in zip(texts, docs)]

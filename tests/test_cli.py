@@ -339,6 +339,14 @@ class TestPredictCommand:
         assert code == 2
         assert "eta must be in (0, 1)" in capsys.readouterr().err
 
+    def test_eta_checked_before_checkpoint_and_input(self, tmp_path, capsys):
+        # Neither file exists, and the bad eta is what predict reports.
+        code = cli.main(["predict", "--checkpoint", str(tmp_path / "nope.hpc"), "--input", str(tmp_path / "nope.jsonl"),
+                         "--task", "targets", "--eta", "1.5", "--output", str(tmp_path / "out.jsonl")])
+        assert code == 2
+        assert "eta must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_non_finite_checkpoint_rejected(self, trained, split_files, tmp_path, capsys):
         root, _ = trained
         _, val_path = split_files

@@ -82,6 +82,32 @@ class TestUrlPrefilter:
         assert normalize_text(text) == normalize_reference(text) == want
 
 
+# Every ASCII whitespace character, other Unicode whitespace (NBSP, the
+# ideographic space, the line separator, NEL), a zero-width joiner (printable
+# to neither str.isspace nor str.isprintable), and runs of spaces that give
+# leading, trailing and double spaces.
+SPACE_ALPHABET = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f") + ["\xa0", "\u3000", "\u2028", "\x85", "\u200d",
+                                                             "  ", "   ", "a", "B", "\xe9", "."]
+
+
+class TestCollapsedFastPath:
+    def test_space_is_the_only_printable_whitespace(self):
+        assert [cp for cp in range(sys.maxunicode + 1) if chr(cp).isspace() and chr(cp).isprintable()] == [0x20]
+
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(SPACE_ALPHABET), max_size=30))
+    def test_matches_reference(self, pieces):
+        text = "".join(pieces)
+        assert normalize_text(text) == normalize_reference(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("", ""), ("a b", "a b"), (" a", "a"), ("a ", "a"), ("a  b", "a b"), ("a\xa0b", "a b"),
+        ("a\u200db", "a\u200db"), ("a\x1fb", "a b"),
+    ])
+    def test_only_collapsed_printable_text_is_kept(self, text, want):
+        assert normalize_text(text) == normalize_reference(text) == want
+
+
 class TestLoadJsonl:
     def test_field_mapping(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -5,16 +5,19 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 import unicodedata
+import warnings
 from itertools import groupby
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from harmkit import featurizer
+from harmkit import corpus, featurizer, synth
 from harmkit.featurizer import FeatureConfig, TokenTable, batch_encode, encode, fnv1a64, tokenize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -345,3 +348,99 @@ class TestBatchEncode:
 
     def test_empty_batch(self):
         assert batch_encode([], FeatureConfig()) == []
+
+    def test_only_non_ascii_or_bigram_texts_are_tokenized_one_at_a_time(self, monkeypatch):
+        # ASCII texts take the numpy kernel with unigrams; the table serves the rest.
+        seen = []
+
+        def recording(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(featurizer, "tokenize", recording)
+        texts = ["ab, cd", "caf\xe9 ok", "", "x_1 !!"]
+        table = TokenTable(15)
+        batch_encode(texts, FeatureConfig(), table)
+        assert seen == ["caf\xe9 ok"]
+        assert sorted(table) == ["caf\xe9", "ok"]
+        seen.clear()
+        batch_encode(texts, FeatureConfig(ngram=2))
+        assert seen == texts
+
+    def test_block_peak_memory_at_most_the_per_doc_path(self):
+        # A predict chunk of 1024 long ASCII documents: the numpy blocks must
+        # hold no more at once than the per-doc path's token lists and table.
+        examples = synth.generate_corpus(classes=4, docs_per_class=256, overlap=0.5, shared_pool=20000,
+                                         doc_len=(100, 400), seed=3)
+        texts = [corpus.normalize_text(ex.text) for ex in examples]
+        assert len(texts) == 1024 and all(text.isascii() for text in texts)
+        cfg = FeatureConfig()
+
+        def peak(encode_all):
+            tracemalloc.start()
+            try:
+                docs = encode_all()
+                return tracemalloc.get_traced_memory()[1], docs
+            finally:
+                tracemalloc.stop()
+
+        table = TokenTable(cfg.hash_bits)
+        per_doc_peak, want = peak(lambda: [encode(tokenize(text), cfg, table) for text in texts])
+        batch_peak, got = peak(lambda: batch_encode(texts, cfg))
+        assert all(np.array_equal(a.ids, b.ids) for a, b in zip(got, want))
+        assert batch_peak <= per_doc_peak
+
+
+# Every ASCII character, the classes' meeting points, tokens longer than the
+# kernel's byte columns, and non-ASCII characters for mixed batches.
+ASCII_DOCS = st.lists(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from(ASCII_TRICKY)),
+                      max_size=40).map("".join)
+KERNEL_DOCS = st.one_of(
+    ASCII_DOCS,
+    st.just(""),
+    st.text(ASCII_SPACE, min_size=1, max_size=6),
+    st.lists(st.one_of(st.text(ASCII_WORD, min_size=1, max_size=3 * featurizer._COLUMNS),
+                       st.text(st.sampled_from(ASCII_PUNCT), min_size=1, max_size=3 * featurizer._COLUMNS),
+                       st.text(ASCII_SPACE, min_size=1, max_size=3)), max_size=8).map("".join),
+    # A lone surrogate has no UTF-8 encoding to hash.
+    st.text(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from([ch for ch in TRICKY if ch != "\ud800"])),
+            max_size=20),
+)
+
+
+class TestAsciiKernel:
+    def test_kinds_are_the_reference_kinds(self):
+        kinds = {"space": 0, "word": 1, "punct": 2}
+        assert featurizer._ASCII_KIND.tolist() == [kinds[char_kind_reference(chr(cp))] for cp in range(128)]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(texts=st.lists(KERNEL_DOCS, max_size=24), block=st.sampled_from([1, 3, 64]),
+           max_tokens=st.sampled_from([1, 2, 7, 512]), hash_bits=st.sampled_from([8, 15, 22]))
+    def test_equals_per_doc_path_and_reference(self, texts, block, max_tokens, hash_bits):
+        # Numpy warns when a uint64 scalar (not an array) overflows, so any
+        # scalar slipping into the hash loop fails here.
+        cfg = FeatureConfig(max_tokens=max_tokens, hash_bits=hash_bits)
+        with warnings.catch_warnings(), mock.patch.object(featurizer, "_BLOCK", block):
+            warnings.simplefilter("error")
+            docs = batch_encode(texts, cfg)
+        assert len(docs) == len(texts)
+        for text, doc in zip(texts, docs):
+            assert doc.ids.dtype == np.int64
+            assert np.array_equal(doc.ids, encode(tokenize(text), cfg).ids)
+            assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+
+    def test_every_ascii_code_across_blocks(self):
+        # Batches larger than the real block, each text a rotation of all 128
+        # codes plus a long word and a long punctuation run, every fourth one
+        # non-ASCII.
+        every_ascii = "".join(map(chr, range(128)))
+        texts = [every_ascii[k:] + every_ascii[:k] + " " + "w" * (k % 80) + "!" * (k % 70) for k in range(150)]
+        texts = [text + "\xe9" if k % 4 == 3 else text for k, text in enumerate(texts)]
+        for max_tokens in (1, 2, 7, 512):
+            for hash_bits in (8, 15, 22):
+                cfg = FeatureConfig(max_tokens=max_tokens, hash_bits=hash_bits)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    docs = batch_encode(texts, cfg)
+                for text, doc in zip(texts, docs):
+                    assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
