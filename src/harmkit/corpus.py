@@ -6,9 +6,11 @@ Input format: UTF-8 JSONL, one record per line with fields
   label    optional integer in 0..3 (harm-potential level)
   targets  optional array of 5 integers in {0,1} (target-identity flags)
 
-Normalization applied on load: Unicode NFC, URLs and @-mentions replaced by
-the placeholder tokens ``<url>`` / ``<user>``, lowercasing, whitespace
-collapsed to single spaces.
+Normalization (``normalize_text``): Unicode NFC, URLs and @-mentions
+replaced by the placeholder tokens ``<url>`` / ``<user>``, lowercasing,
+whitespace collapsed to single spaces. ``load_jsonl`` applies it on load;
+``featurizer.batch_encode`` applies it as it encodes, so ``predict`` hands
+it raw text and skips the work where only lowercasing could change a token.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     This is the one reader behind every JSONL input. Each record must be a
     JSON object whose ``id`` is present, not null, nonempty after ``str()``
     and unique within the file; ``record["id"]`` is replaced by that string.
-    Any violation raises ValueError naming ``path:line``.
+    Neither the id nor a string ``text`` may hold a lone surrogate (a JSON
+    ``\\ud800`` escape with no pair), which has no UTF-8 encoding. Any
+    violation raises ValueError naming ``path:line``.
     """
     p = Path(path)
     seen: set[str] = set()
@@ -134,6 +138,11 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 if rec.get("id") is None or not str(rec["id"]):
                     raise ValueError(f"{p}:{line_no}: missing or empty field 'id'")
                 rec_id = rec["id"] = str(rec["id"])
+                # Strict UTF-8 decoding yields no surrogate, so only a \u
+                # escape can put a lone one into a string. Finding one
+                # backslash is a memchr, many times faster than finding "\u".
+                if "\\" in line and "\\u" in line and (error := _surrogate_error(rec)):
+                    raise ValueError(f"{p}:{line_no}: {error}")
                 if rec_id in seen:
                     raise ValueError(f"{p}:{line_no}: duplicate id {rec_id!r}")
                 seen.add(rec_id)
@@ -145,6 +154,19 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
         lines = p.read_bytes().splitlines()
         line_no = next(n for n, raw in enumerate(lines, start=1) if not _is_utf8(raw))
         raise ValueError(f"{p}:{line_no}: not valid UTF-8: {exc.reason}") from exc
+
+
+def _surrogate_error(rec: dict) -> str | None:
+    """The complaint about a lone surrogate in a record's id or text, which
+    no UTF-8 output could hold, or None if neither holds one."""
+    for field in ("id", "text"):
+        value = rec.get(field)
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                return f"field {field!r} holds a lone surrogate U+{ord(value[exc.start]):04X}"
+    return None
 
 
 def _is_utf8(raw: bytes) -> bool:

@@ -13,13 +13,19 @@ punctuation run, which gives the same tokens as the regex.
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
 across runs and platforms. Sequences are head-truncated to max_tokens.
-With unigrams, ``batch_encode`` tokenizes and hashes ASCII texts in numpy, a
-block of texts at a time: each byte's kind comes from a 128-entry table, the
-token bounds from where the kind changes, and the hashes from FNV-1a run one
-byte column at a time over uint64 arrays. Other texts take ``tokenize`` and
-``encode`` with a token-to-id table for the length of one call, or of every
-call that passes it the same table, so each distinct token is hashed once
-per table, on first sight; nothing is cached at module level.
+
+``batch_encode`` normalizes as it encodes: it returns the ids of
+``corpus.normalize_text(text)``, so it takes raw and normalized text alike.
+With unigrams it tokenizes and hashes ASCII texts in numpy, a block of texts
+at a time: the joined bytes are lowercased, each byte's kind comes from a
+128-entry table, the token bounds from where the kind changes, and the
+hashes from FNV-1a run one byte column at a time over uint64 arrays. On an
+ASCII text with no ``@``, no ``://`` and, lowercased, no ``www.``, the only
+change normalization makes to a token is lowercasing, so such a text never
+calls ``normalize_text``. Other texts take ``tokenize`` and ``encode`` with a
+token-to-id table for the length of one call, or of every call that passes
+it the same table, so each distinct token is hashed once per table, on first
+sight; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from . import corpus
 
 # FNV-1a 64-bit constants (offset basis / prime).
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -141,6 +149,13 @@ _TOKEN_RE = _token_re(
 _ASCII_KIND = np.array(
     [0 if chr(cp).isspace() else 1 if chr(cp) == "_" or chr(cp).isalnum() else 2 for cp in range(128)], np.uint8
 )
+# Every text that normalization could change other than by lowercasing holds
+# one of these markers once lowercased, if it is ASCII: a mention starts with
+# "@", and a URL with "http://", "https://" or "www.". None holds a space, so
+# none crosses a text boundary of a block joined with spaces. Each comes after
+# a byte of it that plain text seldom holds: finding one byte is a memchr,
+# many times faster than finding a longer marker.
+_URL_OR_MENTION = ((b"@", b"@"), (b":", b"://"), (b".", b"www."))
 # The ASCII bytes that are word characters or whitespace; deleting them from
 # an ASCII text leaves its punctuation.
 _ASCII_WORD_OR_SPACE = bytes(np.flatnonzero(_ASCII_KIND != 2).tolist())
@@ -250,13 +265,26 @@ def encode(tokens: Sequence[str], cfg: FeatureConfig, table: TokenTable | None =
     return EncodedDoc(ids=ids)
 
 
+def _kernel_safe(text: str) -> bool:
+    """Whether ``corpus.normalize_text`` changes no token of ``text`` but by
+    lowercasing: NFC leaves ASCII as it is, collapsing whitespace moves no
+    token boundary, and without the markers there is nothing to replace."""
+    return text.isascii() and "@" not in text and "://" not in text and "www." not in text.lower()
+
+
 def _encode_ascii_block(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
-    """``encode(tokenize(text), cfg)`` for each ASCII text, with unigrams only,
-    tokenized and hashed in numpy over the texts joined into one byte array."""
+    """``encode(tokenize(corpus.normalize_text(text)), cfg)`` for each ASCII
+    text, with unigrams only, tokenized and hashed in numpy over the texts
+    joined into one lowercased byte array."""
     # One space before, between and after the texts: no token crosses a text
     # boundary, and the first and last bytes are whitespace.
-    data = np.frombuffer(" ".join(["", *texts, ""]).encode("ascii"), np.uint8)
-    kind = _ASCII_KIND[data]
+    joined = " ".join(["", *texts, ""]).encode("ascii").lower()
+    if any(byte in joined and marker in joined for byte, marker in _URL_OR_MENTION):
+        # Normalizing an ASCII text leaves it ASCII.
+        texts = [text if _kernel_safe(text) else corpus.normalize_text(text) for text in texts]
+        joined = " ".join(["", *texts, ""]).encode("ascii").lower()
+    data = np.frombuffer(joined, np.uint8)
+    kind = _ASCII_KIND.take(data)
     # A token starts where the kind is nonzero and differs from the byte
     # before, and ends where it differs from the byte after.
     edges = np.flatnonzero(kind[1:] != kind[:-1]) + 1
@@ -296,13 +324,18 @@ def _encode_ascii_block(texts: Sequence[str], cfg: FeatureConfig) -> list[Encode
 
 
 def batch_encode(texts: Sequence[str], cfg: FeatureConfig, table: TokenTable | None = None) -> list[EncodedDoc]:
-    """Tokenize and encode each text; order preserved.
+    """The ids of ``encode(tokenize(corpus.normalize_text(text)))`` for each
+    text; order preserved. Raw and normalized text give the same ids, since
+    normalization is idempotent.
 
     With unigrams, ASCII texts are tokenized and hashed in numpy, _BLOCK
-    texts at a time, and never touch ``table``. Every other text (non-ASCII,
-    or any text when ``cfg.ngram == 2``) takes ``encode(tokenize(text))`` one
-    at a time, with one token table for the whole call, or for every call
-    that passes the same ``table`` (a ``TokenTable(cfg.hash_bits)``).
+    texts at a time, and never touch ``table``; of them, only those that
+    hold ``@``, ``://`` or, in any letter case, ``www.`` are normalized
+    first, the rest are only lowercased. Every other text (non-ASCII, or any
+    text when ``cfg.ngram == 2``) is normalized and then takes
+    ``encode(tokenize(text))`` one at a time, with one token table for the
+    whole call, or for every call that passes the same ``table`` (a
+    ``TokenTable(cfg.hash_bits)``).
     """
     if table is None:
         table = TokenTable(cfg.hash_bits)
@@ -312,4 +345,5 @@ def batch_encode(texts: Sequence[str], cfg: FeatureConfig, table: TokenTable | N
         block = ascii_at[lo : lo + _BLOCK]
         for i, doc in zip(block, _encode_ascii_block([texts[i] for i in block], cfg)):
             docs[i] = doc
-    return [encode(tokenize(text), cfg, table) if doc is None else doc for text, doc in zip(texts, docs)]
+    return [encode(tokenize(corpus.normalize_text(text)), cfg, table) if doc is None else doc
+            for text, doc in zip(texts, docs)]

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmkit import cli
+from harmkit import cli, corpus
 from harmkit.corpus import load_jsonl, save_jsonl
 from harmkit.ensembles import write_prediction_file
 from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.metrics import classification_report, confusion
-from harmkit.model import ModelConfig, ModelParams, forward_batch, load_params, predict, save_params
+from harmkit.model import ModelConfig, ModelParams, forward_batch, init_params, load_params, predict, save_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import TrainConfig
 
@@ -223,6 +223,25 @@ def predict_reference(checkpoint, input_path, task, output):
 WORDS = ["c0w1", "c1w2", "c2w0", "c3w4", "t0", "t3", "s1", "Hello", "@bob", "www.x.y", "!!", "é", "", "  "]
 
 
+@pytest.fixture(scope="module")
+def bigram_checkpoint(tmp_path_factory):
+    """An untrained checkpoint whose featurizer hashes token pairs too."""
+    path = tmp_path_factory.mktemp("bigram") / "model.hpc"
+    feature_cfg = FeatureConfig(hash_bits=10, max_tokens=32, ngram=2)
+    model_cfg = ModelConfig(vocab_size=feature_cfg.vocab_size, embed_dim=16, hidden_dim=16, seed=5)
+    save_params(init_params(model_cfg), model_cfg, feature_cfg, path)
+    return path
+
+
+# Raw texts that normalization leaves as they are but for lowercasing and
+# whitespace, and texts it changes otherwise: mentions, URLs in any letter
+# case, non-ASCII text (Devanagari, a decomposed accent) and bare markers.
+KERNEL_SAFE_TEXTS = ["Hello WORLD", "  spaced   out\t\tTEXT  ", "C0W1 c1w2 T3", "", "a.b: c/d w.w"]
+NORMALIZED_TEXTS = ["hi @Bob_1 and @amy!", "see HTTP://Example.COM/x?y=1 now", "WwW.Site.org rocks",
+                    "\u0928\u092e\u0938\u094d\u0924\u0947 \u0926\u0941\u0928\u093f\u092f\u093e @ram C0W1",
+                    "cafe\u0301 MENU", "@", "ftp://z.q"]
+
+
 class TestPredictCommand:
     def assert_matches_reference(self, root, texts, task, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -254,6 +273,45 @@ class TestPredictCommand:
         n = cli._PREDICT_CHUNK + extra
         texts = [" ".join(WORDS[(i * j) % len(WORDS)] for j in range(i % 11)) for i in range(n)]
         self.assert_matches_reference(trained[0], texts, task, tmp_path)
+
+    def run_predict(self, checkpoint, texts, tmp_path, name, task="harm"):
+        src = tmp_path / f"{name}.jsonl"
+        src.write_text("".join(json.dumps({"id": f"d{i}", "text": t}, ensure_ascii=False) + "\n"
+                               for i, t in enumerate(texts)), encoding="utf-8")
+        out = tmp_path / f"{name}.pred.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["predict", "--checkpoint", str(checkpoint), "--input", str(src), "--task", task,
+                             "--output", str(out)]) == 0
+        return src, out.read_bytes()
+
+    @pytest.mark.parametrize("ngram", [1, 2])
+    @pytest.mark.parametrize("task", ["harm", "targets"])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_raw_input_predicts_as_its_normalized_copy(self, trained, bigram_checkpoint, tmp_path, chunk, task,
+                                                       ngram):
+        checkpoint = trained[0] / "model.hpc" if ngram == 1 else bigram_checkpoint
+        texts = [a + " " + b for a, b in zip(NORMALIZED_TEXTS, KERNEL_SAFE_TEXTS * 2)] + NORMALIZED_TEXTS
+        texts += KERNEL_SAFE_TEXTS
+        with mock.patch.object(cli, "_PREDICT_CHUNK", chunk):
+            raw, want = self.run_predict(checkpoint, texts, tmp_path, "raw", task)
+            normalized = [ex.text for ex in load_jsonl(raw, require_labels=False)]
+            assert normalized != texts
+            _, got = self.run_predict(checkpoint, normalized, tmp_path, "normalized", task)
+        assert got == want
+
+    @pytest.mark.parametrize("ngram", [1, 2])
+    def test_normalizes_each_text_once_and_only_where_it_could_change_a_token(
+            self, trained, bigram_checkpoint, tmp_path, monkeypatch, ngram):
+        seen, normalize_text = [], corpus.normalize_text
+
+        def recording(text):
+            seen.append(text)
+            return normalize_text(text)
+
+        monkeypatch.setattr(corpus, "normalize_text", recording)
+        texts = [text for pair in zip(KERNEL_SAFE_TEXTS, NORMALIZED_TEXTS) for text in pair] + NORMALIZED_TEXTS[5:]
+        self.run_predict(trained[0] / "model.hpc" if ngram == 1 else bigram_checkpoint, texts, tmp_path, "in")
+        assert sorted(seen) == sorted(NORMALIZED_TEXTS if ngram == 1 else texts)
 
     def test_empty_input_writes_an_empty_file(self, trained, tmp_path, capsys):
         src = tmp_path / "empty.jsonl"
@@ -604,6 +662,33 @@ class TestMalformedInput:
             argv = ["split", "--input", str(bad)]
         assert cli.main(argv) == 2
         assert f"{bad}:2: field 'text' must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "pred.jsonl").exists() and not (tmp_path / "model.hpc").exists()
+
+    @pytest.mark.parametrize("field", ["text", "id"])
+    @pytest.mark.parametrize("command", ["predict", "train", "split", "evaluate"])
+    def test_lone_surrogate_names_path_and_line(self, trained, split_files, tmp_path, capsys, command, field):
+        # json decodes the escape "\\ud800" to a lone surrogate, which no
+        # UTF-8 output can hold; a surrogate pair is one valid character.
+        bad = tmp_path / "bad.jsonl"
+        records = [{"id": "a", "text": "ok \U0001f600", "label": 0}, {"id": "b", "text": "ok", "label": 1}]
+        records[1][field] = "x \ud800 y"
+        bad.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+        assert "\\ud83d\\ude00" in bad.read_text(encoding="utf-8")
+        if command == "predict":
+            argv = ["predict", "--checkpoint", str(trained[0] / "model.hpc"), "--input", str(bad),
+                    "--output", str(tmp_path / "pred.jsonl")]
+        elif command == "train":
+            config = write_config(tmp_path / "run.cfg", train_file=bad, val_file=split_files[1],
+                                  checkpoint=tmp_path / "model.hpc")
+            argv = ["train", "--config", str(config)]
+        elif command == "evaluate":
+            pred = tmp_path / "labels.jsonl"
+            pred.write_text('{"id": "a", "label": 0}\n{"id": "b", "label": 1}\n', encoding="utf-8")
+            argv = ["evaluate", "--gold", str(bad), "--pred", str(pred)]
+        else:
+            argv = ["split", "--input", str(bad)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: field '{field}' holds a lone surrogate U+D800\n"
         assert not (tmp_path / "pred.jsonl").exists() and not (tmp_path / "model.hpc").exists()
 
     @pytest.mark.parametrize("command, lines, line_no", [

@@ -318,6 +318,12 @@ def read_records_reference(path):
                 if rec.get("id") is None or not str(rec["id"]):
                     raise ValueError(f"{p}:{line_no}: missing or empty field 'id'")
                 rec_id = rec["id"] = str(rec["id"])
+                for field in ("id", "text"):
+                    value = rec.get(field)
+                    surrogates = [ch for ch in value if 0xD800 <= ord(ch) <= 0xDFFF] if isinstance(value, str) else []
+                    if surrogates:
+                        raise ValueError(f"{p}:{line_no}: field {field!r} holds a lone surrogate "
+                                         f"U+{ord(surrogates[0]):04X}")
                 if rec_id in seen:
                     raise ValueError(f"{p}:{line_no}: duplicate id {rec_id!r}")
                 seen.add(rec_id)
@@ -415,6 +421,23 @@ class TestReaderOracle:
         path = tmp_path / "data.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         want = ("error", f"{path}:{line_no}: malformed JSON: {message}")
+        assert read_outcome(corpus.read_records, path) == read_outcome(read_records_reference, path) == want
+
+    @pytest.mark.parametrize("line, outcome", [
+        (r'{"id": "a", "text": "x \ud800"}', "field 'text' holds a lone surrogate U+D800"),
+        (r'{"id": "a", "text": "\uDFFF\ud83d"}', "field 'text' holds a lone surrogate U+DFFF"),
+        (r'{"id": "\udc00", "text": "\ud800"}', "field 'id' holds a lone surrogate U+DC00"),
+        (r'{"id": "a", "text": "\ud83d\ude00 ok"}', None),
+        (r'{"id": "a", "text": "\\ud800"}', None),
+        (r'{"id": "a", "text": ["\ud800"], "v": "\ud800"}', None),
+        (r'{"id": ["\ud800"], "text": "ok"}', None),
+    ], ids=["lone-high", "lone-low-then-high", "id", "pair", "escaped-backslash", "other-fields", "id-list"])
+    def test_lone_surrogate_in_id_or_text(self, tmp_path, line, outcome):
+        # A surrogate pair is one character; only a string id or text is
+        # held to UTF-8, the text's type is parse_labels' to check.
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "z"}\n' + line + "\n", encoding="utf-8")
+        want = ("error", f"{path}:2: {outcome}") if outcome else read_outcome(read_records_reference, path)
         assert read_outcome(corpus.read_records, path) == read_outcome(read_records_reference, path) == want
 
     def test_line_separators_inside_strings_are_kept(self, tmp_path):

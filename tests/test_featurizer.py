@@ -342,7 +342,7 @@ class TestBatchEncode:
         cfg = FeatureConfig(hash_bits=11, max_tokens=max_tokens, ngram=ngram)
         batched = batch_encode(texts, cfg)
         assert len(batched) == len(texts)
-        for text, doc in zip(texts, batched):
+        for text, doc in zip(map(corpus.normalize_text, texts), batched):
             assert np.array_equal(doc.ids, encode(tokenize(text), cfg).ids)
             assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
 
@@ -424,7 +424,7 @@ class TestAsciiKernel:
             warnings.simplefilter("error")
             docs = batch_encode(texts, cfg)
         assert len(docs) == len(texts)
-        for text, doc in zip(texts, docs):
+        for text, doc in zip(map(corpus.normalize_text, texts), docs):
             assert doc.ids.dtype == np.int64
             assert np.array_equal(doc.ids, encode(tokenize(text), cfg).ids)
             assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
@@ -442,5 +442,54 @@ class TestAsciiKernel:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     docs = batch_encode(texts, cfg)
-                for text, doc in zip(texts, docs):
+                for text, doc in zip(map(corpus.normalize_text, texts), docs):
                     assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+
+
+# Raw text where normalization and the ASCII kernel meet: uppercase, mentions,
+# URL prefixes in any letter case, "@" with no name after it, the ASCII
+# whitespace other than U+0020, control bytes, runs of spaces, and non-ASCII
+# text (Devanagari, a decomposed and a precomposed accent, the Kelvin sign,
+# which NFC turns into ASCII "K", and a no-break space).
+RAW_PIECES = ["Hello", "WORLD", "ok", "@name", "@Bob_1", "@", "@@", "x@y", "HTTP://X.Y/Z", "https://a.b/c",
+              "hTtP://", "://", "ftp://z", "WwW.", "WwW.Site.COM", "www.", "wWw.x", "\x0b", "\x0c", "\x1c",
+              "\x1d", "\x1e", "\x1f", "\x00", "\x07", "\x7f", " ", "  ", "\t", "\n", "!!", ".", "<", ">",
+              "न", "नमस्ते", "e\u0301", "\xe9", "\u212a", "\xa0"]
+RAW_DOCS = st.lists(st.one_of(st.sampled_from(RAW_PIECES), st.characters(max_codepoint=0x7F)),
+                    max_size=30).map("".join)
+
+
+class TestBatchEncodeNormalizes:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(texts=st.lists(RAW_DOCS, max_size=24), block=st.sampled_from([1, 3, 64]), ngram=st.sampled_from([1, 2]),
+           max_tokens=st.sampled_from([1, 7, 512]))
+    def test_raw_text_gives_the_ids_of_its_normalized_text(self, texts, block, ngram, max_tokens):
+        cfg = FeatureConfig(max_tokens=max_tokens, ngram=ngram)
+        normalized = [corpus.normalize_text(text) for text in texts]
+        with mock.patch.object(featurizer, "_BLOCK", block):
+            docs = batch_encode(texts, cfg)
+            again = batch_encode(normalized, cfg)
+        assert len(docs) == len(texts)
+        for text, doc, doc_again in zip(normalized, docs, again):
+            assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+            assert np.array_equal(doc_again.ids, doc.ids)
+
+    def test_kernel_safe_texts_are_never_normalized(self, monkeypatch):
+        seen, normalize_text = [], corpus.normalize_text
+
+        def recording(text):
+            seen.append(text)
+            return normalize_text(text)
+
+        monkeypatch.setattr(corpus, "normalize_text", recording)
+        safe = ["Hello World", "a.b:c/d", "w.w.w", "", "  X\x1fY  "]
+        unsafe = ["hi @bob", "@", "see HTTP://x.y", "ftp://z", "WwW.", "caf\xe9", "\u212a"]
+        texts = [text for pair in zip(safe + unsafe, unsafe + safe) for text in pair]
+        for block in (1, 3, 64):
+            seen.clear()
+            with mock.patch.object(featurizer, "_BLOCK", block):
+                batch_encode(texts, FeatureConfig())
+            assert sorted(seen) == sorted(text for text in texts if text in unsafe)
+        seen.clear()
+        batch_encode(texts, FeatureConfig(ngram=2))
+        assert seen == texts
