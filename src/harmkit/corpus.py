@@ -7,10 +7,11 @@ Input format: UTF-8 JSONL, one record per line with fields
   targets  optional array of 5 integers in {0,1} (target-identity flags)
 
 Normalization (``normalize_text``): Unicode NFC, URLs and @-mentions
-replaced by the placeholder tokens ``<url>`` / ``<user>``, lowercasing,
-whitespace collapsed to single spaces. ``load_jsonl`` applies it on load;
-``featurizer.batch_encode`` applies it as it encodes, so ``predict`` hands
-it raw text and skips the work where only lowercasing could change a token.
+replaced by the placeholder tokens ``<url>`` / ``<user>``, lowercasing, NFC
+again for non-ASCII text, whitespace collapsed to single spaces.
+``load_jsonl`` applies it on load; ``featurizer.batch_encode`` applies it as
+it encodes, so ``predict`` hands it raw text and skips the work where only
+lowercasing could change a token (``only_case_changes``).
 """
 
 from __future__ import annotations
@@ -35,22 +36,44 @@ _MENTION_RE = re.compile(r"@\w+")
 _SCAN = json.JSONDecoder().scan_once
 
 
+def holds_marker(lowered: str) -> bool:
+    """Whether a lowercased text holds ``@``, ``://`` or ``www.``. Every
+    mention holds the first, and every URL, lowercased, one of the others
+    (under IGNORECASE no character but "W" matches "w"), so a text without
+    them has nothing for normalization to replace."""
+    # Each longer marker is looked for only after a character of it that
+    # plain text seldom holds: finding one character is a memchr, many times
+    # faster than finding a longer marker.
+    return "@" in lowered or (":" in lowered and "://" in lowered) or ("." in lowered and "www." in lowered)
+
+
+def only_case_changes(text: str) -> bool:
+    """Whether ``normalize_text`` changes no token of ``text`` but by
+    lowercasing: true of an ASCII text with no marker (``holds_marker``),
+    since NFC leaves ASCII as it is and collapsing whitespace moves no token
+    boundary."""
+    return text.isascii() and not holds_marker(text.lower())
+
+
 def normalize_text(text: str) -> str:
     """Apply the documented normalization pipeline. Idempotent."""
     text = unicodedata.normalize("NFC", text)
-    # Every URL match holds "://" or "www." in some letter case (under
-    # IGNORECASE no character but "W" matches "w"), so a text with neither
-    # has nothing for the regex to replace.
-    if "://" in text or "www." in text.lower():
-        text = _URL_RE.sub("<url>", text)
-    text = _MENTION_RE.sub("<user>", text)
-    text = text.lower()
+    lowered = text.lower()
+    if holds_marker(lowered):
+        lowered = _MENTION_RE.sub("<user>", _URL_RE.sub("<url>", text)).lower()
+    if not lowered.isascii():
+        # Lowercasing can leave a base letter and a mark that compose, where
+        # the capital had no precomposed form: "J\u030c" lowercases to
+        # "j\u030c", which NFC makes "\u01f0". Composing again keeps the
+        # result a fixed point.
+        lowered = unicodedata.normalize("NFC", lowered)
     # U+0020 is the only whitespace character that str.isprintable accepts,
     # so a printable text is already collapsed unless it has a double,
     # leading or trailing space.
-    if text.isprintable() and "  " not in text and not text.startswith(" ") and not text.endswith(" "):
-        return text
-    return " ".join(text.split())
+    if (lowered.isprintable() and "  " not in lowered and not lowered.startswith(" ")
+            and not lowered.endswith(" ")):
+        return lowered
+    return " ".join(lowered.split())
 
 
 @dataclass(frozen=True)

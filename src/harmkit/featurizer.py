@@ -21,8 +21,9 @@ at a time: the joined bytes are lowercased, each byte's kind comes from a
 128-entry table, the token bounds from where the kind changes, and the
 hashes from FNV-1a run one byte column at a time over uint64 arrays. On an
 ASCII text with no ``@``, no ``://`` and, lowercased, no ``www.``, the only
-change normalization makes to a token is lowercasing, so such a text never
-calls ``normalize_text``. Other texts take ``tokenize`` and ``encode`` with a
+change normalization makes to a token is lowercasing
+(``corpus.only_case_changes``), so such a text never calls
+``normalize_text``. Other texts take ``tokenize`` and ``encode`` with a
 token-to-id table for the length of one call, or of every call that passes
 it the same table, so each distinct token is hashed once per table, on first
 sight; nothing is cached at module level.
@@ -149,13 +150,6 @@ _TOKEN_RE = _token_re(
 _ASCII_KIND = np.array(
     [0 if chr(cp).isspace() else 1 if chr(cp) == "_" or chr(cp).isalnum() else 2 for cp in range(128)], np.uint8
 )
-# Every text that normalization could change other than by lowercasing holds
-# one of these markers once lowercased, if it is ASCII: a mention starts with
-# "@", and a URL with "http://", "https://" or "www.". None holds a space, so
-# none crosses a text boundary of a block joined with spaces. Each comes after
-# a byte of it that plain text seldom holds: finding one byte is a memchr,
-# many times faster than finding a longer marker.
-_URL_OR_MENTION = ((b"@", b"@"), (b":", b"://"), (b".", b"www."))
 # The ASCII bytes that are word characters or whitespace; deleting them from
 # an ASCII text leaves its punctuation.
 _ASCII_WORD_OR_SPACE = bytes(np.flatnonzero(_ASCII_KIND != 2).tolist())
@@ -265,25 +259,19 @@ def encode(tokens: Sequence[str], cfg: FeatureConfig, table: TokenTable | None =
     return EncodedDoc(ids=ids)
 
 
-def _kernel_safe(text: str) -> bool:
-    """Whether ``corpus.normalize_text`` changes no token of ``text`` but by
-    lowercasing: NFC leaves ASCII as it is, collapsing whitespace moves no
-    token boundary, and without the markers there is nothing to replace."""
-    return text.isascii() and "@" not in text and "://" not in text and "www." not in text.lower()
-
-
 def _encode_ascii_block(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
     """``encode(tokenize(corpus.normalize_text(text)), cfg)`` for each ASCII
     text, with unigrams only, tokenized and hashed in numpy over the texts
     joined into one lowercased byte array."""
     # One space before, between and after the texts: no token crosses a text
-    # boundary, and the first and last bytes are whitespace.
-    joined = " ".join(["", *texts, ""]).encode("ascii").lower()
-    if any(byte in joined and marker in joined for byte, marker in _URL_OR_MENTION):
+    # boundary, and the first and last bytes are whitespace. No marker holds
+    # a space, so none crosses a text boundary either.
+    joined = " ".join(["", *texts, ""]).lower()
+    if corpus.holds_marker(joined):
         # Normalizing an ASCII text leaves it ASCII.
-        texts = [text if _kernel_safe(text) else corpus.normalize_text(text) for text in texts]
-        joined = " ".join(["", *texts, ""]).encode("ascii").lower()
-    data = np.frombuffer(joined, np.uint8)
+        texts = [text if corpus.only_case_changes(text) else corpus.normalize_text(text) for text in texts]
+        joined = " ".join(["", *texts, ""]).lower()
+    data = np.frombuffer(joined.encode("ascii"), np.uint8)
     kind = _ASCII_KIND.take(data)
     # A token starts where the kind is nonzero and differs from the byte
     # before, and ends where it differs from the byte after.
@@ -331,8 +319,9 @@ def batch_encode(texts: Sequence[str], cfg: FeatureConfig, table: TokenTable | N
     With unigrams, ASCII texts are tokenized and hashed in numpy, _BLOCK
     texts at a time, and never touch ``table``; of them, only those that
     hold ``@``, ``://`` or, in any letter case, ``www.`` are normalized
-    first, the rest are only lowercased. Every other text (non-ASCII, or any
-    text when ``cfg.ngram == 2``) is normalized and then takes
+    first, the rest are only lowercased (``corpus.only_case_changes``).
+    Every other text (non-ASCII, or any text when ``cfg.ngram == 2``) is
+    normalized and then takes
     ``encode(tokenize(text))`` one at a time, with one token table for the
     whole call, or for every call that passes the same ``table`` (a
     ``TokenTable(cfg.hash_bits)``).

@@ -235,11 +235,12 @@ def bigram_checkpoint(tmp_path_factory):
 
 # Raw texts that normalization leaves as they are but for lowercasing and
 # whitespace, and texts it changes otherwise: mentions, URLs in any letter
-# case, non-ASCII text (Devanagari, a decomposed accent) and bare markers.
+# case, non-ASCII text (Devanagari, a decomposed accent, capitals with marks
+# that compose only with their lowercase letters) and bare markers.
 KERNEL_SAFE_TEXTS = ["Hello WORLD", "  spaced   out\t\tTEXT  ", "C0W1 c1w2 T3", "", "a.b: c/d w.w"]
 NORMALIZED_TEXTS = ["hi @Bob_1 and @amy!", "see HTTP://Example.COM/x?y=1 now", "WwW.Site.org rocks",
                     "\u0928\u092e\u0938\u094d\u0924\u0947 \u0926\u0941\u0928\u093f\u092f\u093e @ram C0W1",
-                    "cafe\u0301 MENU", "@", "ftp://z.q"]
+                    "cafe\u0301 MENU", "@", "ftp://z.q", "J\u030cOSE T\u0308"]
 
 
 class TestPredictCommand:

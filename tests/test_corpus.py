@@ -30,6 +30,14 @@ def write_lines(path, records):
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+# Letters whose lowercase composes with a following mark where the capital
+# does not (J and T with caron or diaeresis), marks, letters that lowercase to
+# several characters, the markers normalization looks for, and whitespace.
+IDEMPOTENCE_ALPHABET = ["J", "T", "I", "\u0130", "\u212a", "\u017f", "\u1e9e", "\u03a3", "\u030c", "\u0308",
+                        "\u0301", "\u0307", "\u0323", "\u093f", "\u0928", "@", "://", "www.", "WWW.", "HTTPS://",
+                        " ", "  ", "\t", "\xa0"]
+
+
 class TestNormalize:
     def test_url_and_mention_placeholders(self):
         assert normalize_text("see HTTPS://ex.com/x?q=1 by @Alice") == "see <url> by <user>"
@@ -52,13 +60,29 @@ class TestNormalize:
         once = normalize_text(text)
         assert normalize_text(once) == once
 
+    @pytest.mark.parametrize("text, want", [
+        ("J\u030c", "\u01f0"), ("T\u0308", "\u1e97"), ("@Bob J\u030c", "<user> \u01f0"), ("\u01f0", "\u01f0"),
+    ])
+    def test_composes_again_after_lowercasing(self, text, want):
+        # Capital J and T with these marks have no precomposed form, but
+        # their lowercase letters do.
+        assert normalize_text(text) == normalize_reference(text) == want
+        assert normalize_text(want) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.lists(st.one_of(st.sampled_from(IDEMPOTENCE_ALPHABET), st.characters(max_codepoint=0x2FF)),
+                         max_size=30).map("".join))
+    def test_idempotent_on_cased_letters_marks_and_markers(self, text):
+        once = normalize_text(text)
+        assert normalize_text(once) == once == normalize_reference(text)
+
 
 def normalize_reference(text):
     """The pipeline with the URL regex run on every text."""
     text = unicodedata.normalize("NFC", text)
     text = re.sub(r"(?:https?://|www\.)\S+", "<url>", text, flags=re.IGNORECASE)
     text = re.sub(r"@\w+", "<user>", text)
-    return " ".join(text.lower().split())
+    return " ".join(unicodedata.normalize("NFC", text.lower()).split())
 
 
 # Characters that case-fold onto the URL prefixes (the long s folds to "s",
@@ -88,6 +112,22 @@ class TestUrlPrefilter:
 # leading, trailing and double spaces.
 SPACE_ALPHABET = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f") + ["\xa0", "\u3000", "\u2028", "\x85", "\u200d",
                                                              "  ", "   ", "a", "B", "\xe9", "."]
+
+
+class TestMarkers:
+    @pytest.mark.parametrize("text, holds", [
+        ("plain text. with: colons/slashes", False), ("a@b", True), ("x://y", True), ("see www.", True),
+        ("ww w.", False), (":/ /", False), ("", False),
+    ])
+    def test_holds_marker(self, text, holds):
+        assert corpus.holds_marker(text) is holds
+
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(URL_ALPHABET + ["A", "B", "@", "_", "x", "\x1f"]), max_size=30))
+    def test_only_case_changes_means_normalization_only_lowercases_the_tokens(self, pieces):
+        text = "".join(pieces)
+        if corpus.only_case_changes(text):
+            assert normalize_text(text) == " ".join(text.lower().split())
 
 
 class TestCollapsedFastPath:

@@ -450,11 +450,12 @@ class TestAsciiKernel:
 # URL prefixes in any letter case, "@" with no name after it, the ASCII
 # whitespace other than U+0020, control bytes, runs of spaces, and non-ASCII
 # text (Devanagari, a decomposed and a precomposed accent, the Kelvin sign,
-# which NFC turns into ASCII "K", and a no-break space).
+# which NFC turns into ASCII "K", a no-break space, and capital J and T with
+# marks that compose only with their lowercase letters).
 RAW_PIECES = ["Hello", "WORLD", "ok", "@name", "@Bob_1", "@", "@@", "x@y", "HTTP://X.Y/Z", "https://a.b/c",
               "hTtP://", "://", "ftp://z", "WwW.", "WwW.Site.COM", "www.", "wWw.x", "\x0b", "\x0c", "\x1c",
               "\x1d", "\x1e", "\x1f", "\x00", "\x07", "\x7f", " ", "  ", "\t", "\n", "!!", ".", "<", ">",
-              "न", "नमस्ते", "e\u0301", "\xe9", "\u212a", "\xa0"]
+              "न", "नमस्ते", "e\u0301", "\xe9", "\u212a", "\xa0", "J\u030c", "T\u0308"]
 RAW_DOCS = st.lists(st.one_of(st.sampled_from(RAW_PIECES), st.characters(max_codepoint=0x7F)),
                     max_size=30).map("".join)
 
