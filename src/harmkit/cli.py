@@ -25,7 +25,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -206,28 +205,20 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _pool_input(params: ModelParams, feature_cfg: FeatureConfig, path: str,
                 task: str) -> tuple[list[str], np.ndarray]:
     """The ids and mean-pooled rows of an input file's documents, in file
-    order. Each chunk is read and checked as ``corpus.load_jsonl`` checks it,
-    then its raw texts are encoded, which normalizes them (``batch_encode``
-    only lowercases an ASCII text with no mention or URL), then pooled; one
-    token table serves every chunk. The per-chunk blocks are freed on
-    return, before the heads run."""
-    documents = _raw_documents(Path(path), task)
+    order. Each chunk is read and checked by ``corpus.iter_jsonl``, one
+    record at a time, so the first faulty line in file order is the one
+    reported; then its raw texts are encoded, which normalizes them
+    (``batch_encode`` only lowercases an ASCII text with no mention or URL),
+    then pooled; one token table serves every chunk. The per-chunk blocks are
+    freed on return, before the heads run."""
+    documents = corpus.iter_jsonl(path, task, require_labels=False)
     table = TokenTable(feature_cfg.hash_bits)
     doc_ids: list[str] = []
     pooled = [mean_pool(params, [])]  # (0, embed_dim): the shape of an empty input
     while chunk := list(itertools.islice(documents, _PREDICT_CHUNK)):
-        doc_ids += [doc_id for doc_id, _ in chunk]
-        pooled.append(mean_pool(params, batch_encode([text for _, text in chunk], feature_cfg, table)))
+        doc_ids += [ex.id for ex in chunk]
+        pooled.append(mean_pool(params, batch_encode([ex.text for ex in chunk], feature_cfg, table)))
     return doc_ids, np.concatenate(pooled)
-
-
-def _raw_documents(path: Path, task: str) -> Iterator[tuple[str, str]]:
-    """The id and raw text of each record of a predict input, read and checked
-    one at a time, so the first faulty line in file order is the one
-    reported and no record dict outlives its line."""
-    for line_no, rec in corpus.read_records(path):
-        corpus.parse_labels(rec, line_no, path, task, require_labels=False)
-        yield rec["id"], rec["text"]
 
 
 def _gold_for(doc_ids: list[str], gold_path: str, task: str) -> list:

@@ -9,9 +9,10 @@ Input format: UTF-8 JSONL, one record per line with fields
 Normalization (``normalize_text``): Unicode NFC, URLs and @-mentions
 replaced by the placeholder tokens ``<url>`` / ``<user>``, lowercasing, NFC
 again for non-ASCII text, whitespace collapsed to single spaces.
-``load_jsonl`` applies it on load; ``featurizer.batch_encode`` applies it as
-it encodes, so ``predict`` hands it raw text and skips the work where only
-lowercasing could change a token (``only_case_changes``).
+``featurizer.batch_encode`` applies it as it encodes, and is the only caller
+that does: ``load_jsonl`` keeps each text as the file holds it, so ``train``
+and ``predict`` both hand ``batch_encode`` raw text, which skips the work
+where only lowercasing could change a token (``only_case_changes``).
 """
 
 from __future__ import annotations
@@ -283,7 +284,8 @@ def parse_labels(raw: dict, line_no: int, path: Path, task: str,
 
 
 def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True) -> list[LabeledExample]:
-    """Load labeled examples in file order, validating labels per task.
+    """Load labeled examples in file order, validating labels per task. Each
+    example's text is the file's, not normalized.
 
     task selects which label fields are mandatory: 'harm' requires ``label``,
     'targets' requires ``targets``, 'both' requires at least one of the two.
@@ -294,16 +296,15 @@ def load_jsonl(path: str | Path, task: str = "both", require_labels: bool = True
 
 
 def iter_jsonl(path: str | Path, task: str = "both", require_labels: bool = True) -> Iterator[LabeledExample]:
-    """``load_jsonl`` one example at a time: each record is read, checked and
-    normalized when the caller asks for it, so the examples already yielded
+    """``load_jsonl`` one example at a time: each record is read and checked
+    when the caller asks for it, so the examples already yielded
     need not stay in memory. The task is checked on the first request."""
     if task not in ("harm", "targets", "both"):
         raise ValueError(f"unknown task {task!r}")
     p = Path(path)
     for line_no, raw in read_records(p):
         harm, targets = parse_labels(raw, line_no, p, task, require_labels)
-        text = normalize_text(raw["text"])
-        yield LabeledExample._checked(raw["id"], text, harm, targets)
+        yield LabeledExample._checked(raw["id"], raw["text"], harm, targets)
 
 
 def save_jsonl(examples: Iterable[LabeledExample], path: str | Path) -> None:

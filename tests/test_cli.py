@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, strict config parsing."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,6 +23,12 @@ from harmkit.synth import generate_corpus
 from harmkit.trainer import TrainConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Raw text that normalization changes: uppercase, a mention, a URL,
+# Devanagari, a capital with a mark that composes only with its lowercase
+# letter, and runs of whitespace.
+RAW_TEXTS = ["Hello @Name", "see HTTP://Ex.COM/x", "\u0928\u092e\u0938\u094d\u0924\u0947 OK", "J\u030cOSE",
+             "  SPACED\tout  "]
 
 
 def write_config(path, **overrides):
@@ -100,6 +107,19 @@ class TestSplitCommand:
 
     def test_bad_ratio(self, corpus_file):
         assert cli.main(["split", "--input", str(corpus_file), "--ratio", "oops"]) == 2
+
+    def test_copies_text_verbatim(self, tmp_path):
+        path = tmp_path / "raw.jsonl"
+        texts = {f"d{i}": f"{text} #{i}" for i, text in enumerate(RAW_TEXTS * 2)}
+        path.write_text("".join(json.dumps({"id": doc_id, "text": text, "label": i % 4}, ensure_ascii=False) + "\n"
+                                for i, (doc_id, text) in enumerate(texts.items())), encoding="utf-8")
+        assert cli.main(["split", "--input", str(path), "--seed", "1"]) == 0
+        written = {}
+        for name in ("raw.train.jsonl", "raw.val.jsonl"):
+            for line in (tmp_path / name).read_text(encoding="utf-8").splitlines():
+                rec = json.loads(line)
+                written[rec["id"]] = rec["text"]
+        assert written == texts
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["split", "--input", str(tmp_path / "nope.jsonl")]) == 2
@@ -196,6 +216,26 @@ class TestTrainCommand:
         first = (root / "report.json").read_bytes()
         assert cli.main(["train", "--config", str(config)]) == 0
         assert (root / "report.json").read_bytes() == first
+
+    def test_raw_corpus_trains_as_its_normalized_copy(self, tmp_path):
+        examples = generate_corpus(classes=4, docs_per_class=20, overlap=0.1, seed=8)
+        raw = [dataclasses.replace(ex, text=f"{RAW_TEXTS[i % len(RAW_TEXTS)]} {ex.text.upper()}")
+               for i, ex in enumerate(examples)]
+        runs = {}
+        for name, data in (("raw", raw), ("normalized", [dataclasses.replace(ex, text=corpus.normalize_text(ex.text))
+                                                        for ex in raw])):
+            save_jsonl(data[::5], tmp_path / f"{name}.val.jsonl")
+            save_jsonl([ex for i, ex in enumerate(data) if i % 5], tmp_path / f"{name}.train.jsonl")
+            config = write_config(tmp_path / f"{name}.cfg", train_file=tmp_path / f"{name}.train.jsonl",
+                                  val_file=tmp_path / f"{name}.val.jsonl", checkpoint=tmp_path / f"{name}.hpc",
+                                  report=tmp_path / f"{name}.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["train", "--config", str(config)]) == 0
+            report = json.loads((tmp_path / f"{name}.json").read_text())
+            assert report.pop("checkpoint") == str(tmp_path / f"{name}.hpc")
+            runs[name] = (tmp_path / f"{name}.hpc").read_bytes(), report
+        assert raw[0].text != corpus.normalize_text(raw[0].text)
+        assert runs["raw"] == runs["normalized"]
 
     def test_divergence_maps_to_exit_3(self, trained, monkeypatch, capsys):
         from harmkit.losses import NonFiniteLossError
@@ -294,8 +334,8 @@ class TestPredictCommand:
         texts = [a + " " + b for a, b in zip(NORMALIZED_TEXTS, KERNEL_SAFE_TEXTS * 2)] + NORMALIZED_TEXTS
         texts += KERNEL_SAFE_TEXTS
         with mock.patch.object(cli, "_PREDICT_CHUNK", chunk):
-            raw, want = self.run_predict(checkpoint, texts, tmp_path, "raw", task)
-            normalized = [ex.text for ex in load_jsonl(raw, require_labels=False)]
+            _, want = self.run_predict(checkpoint, texts, tmp_path, "raw", task)
+            normalized = [corpus.normalize_text(text) for text in texts]
             assert normalized != texts
             _, got = self.run_predict(checkpoint, normalized, tmp_path, "normalized", task)
         assert got == want

@@ -224,7 +224,7 @@ class TestLoadJsonl:
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "text": "X  y"}\n{"id": "b", "text": "z"}\n{"broken\n', encoding="utf-8")
         examples = iter_jsonl(path, task="harm", require_labels=False)
-        assert [next(examples).text, next(examples).text] == ["x y", "z"]
+        assert [next(examples).text, next(examples).text] == ["X  y", "z"]
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed JSON")):
             next(examples)
 

@@ -1,6 +1,5 @@
 """Tokenization and hashing-trick encoding."""
 
-import json
 import os
 import string
 import subprocess
@@ -51,11 +50,12 @@ def encode_reference(tokens, cfg):
 # Characters where a tokenizer is easy to get wrong: combining marks of all
 # three M categories (BMP and astral), astral letters, digits and emoji,
 # the information separators U+001C..U+001F (whitespace to str.isspace),
-# no-break spaces, a lone surrogate, the underscore and ASCII punctuation.
+# no-break spaces, NEL (the tokenizer's own separator) and the line
+# separator, a lone surrogate, the underscore and ASCII punctuation.
 TRICKY = [
     "\u0301", "\u093f", "\u094d", "\u20dd", "\U0001d167", "\U000e0100",
     "\U00010400", "\U0001d7ce", "\U0001f600", "\U0001f3fd",
-    "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2007", "\u202f", "\u3000",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2007", "\u202f", "\u3000", "\x85", "\u2028",
     "\ud800", "_", " ", "\t", "\n", ".", "!", "a", "7", "न", "ম",
 ]
 
@@ -71,15 +71,6 @@ ASCII_TRICKY = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x7f", "\x00", "_", "__
 ASCII_WORD = string.ascii_letters + string.digits + "_"
 ASCII_SPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 ASCII_PUNCT = [chr(cp) for cp in range(128) if chr(cp) not in ASCII_WORD + ASCII_SPACE]
-
-
-class RegexReached(Exception):
-    pass
-
-
-class UnreachableRegex:
-    def findall(self, text):
-        raise RegexReached(text)
 
 
 def fnv1a64_reference(data: bytes) -> int:
@@ -130,14 +121,25 @@ class TestTokenize:
         text = "".join(runs)
         assert tokenize(text) == tokenize_reference(text)
 
-    def test_no_ascii_text_reaches_the_regex(self, monkeypatch):
-        monkeypatch.setattr(featurizer, "_TOKEN_RE", UnreachableRegex())
+    def test_ascii_edge_texts_match_the_reference(self):
         every_ascii = "".join(map(chr, range(128)))
         for text in ["", ASCII_SPACE, ASCII_WORD, f"{ASCII_SPACE}ab_1{ASCII_SPACE}9Z c{ASCII_SPACE}",
                      every_ascii, every_ascii[::-1], "<user> hi!! <url>", *(f"ab {ch}c{ch}{ch}" for ch in ASCII_PUNCT)]:
             assert tokenize(text) == tokenize_reference(text)
-        with pytest.raises(RegexReached):
-            tokenize("ab \xe9")
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("alphabet", ["".join(ASCII_PUNCT), "\u0964\u0965" + "".join(map(chr, range(0x1F600, 0x1F650)))],
+                             ids=["ascii", "non-ascii"])
+    def test_replace_and_translate_fences_match_the_reference(self, alphabet, extra):
+        # Exactly the most distinct punctuation characters that are fenced one
+        # replace at a time, and one more, which takes the translate pass, in
+        # ASCII text (for the ASCII alphabet) and in text with Devanagari.
+        punct = alphabet[: featurizer._MAX_REPLACES + extra]
+        assert len(set(punct)) == featurizer._MAX_REPLACES + extra
+        text = " ".join(f"{ch}w{i}{ch}{ch}x_{ch}" for i, ch in enumerate(punct)) + punct + punct[::-1]
+        assert text.isascii() == alphabet.isascii()
+        for mixed in (text, text + "\u0928\u094d", "\u0928\u094d" + text):
+            assert tokenize(mixed) == tokenize_reference(mixed)
 
     def test_word_or_space_bytes_are_the_reference_classes(self):
         want = bytes(cp for cp in range(128) if char_kind_reference(chr(cp)) in ("word", "space"))
@@ -146,7 +148,8 @@ class TestTokenize:
     def test_separator_splits_and_fences_every_ascii_punctuation_character(self):
         sep = featurizer._SEP
         assert not sep.isascii() and f"a{sep}b{sep}".split() == ["a", "b"]
-        assert featurizer._FENCED == {ord(ch): (ch, f"{sep}{ch}{sep}") for ch in ASCII_PUNCT}
+        for ch in ASCII_PUNCT:
+            assert f"a{sep}{ch}{sep}b".split() == ["a", ch, "b"]
 
     def test_every_code_point_has_the_reference_kind(self):
         # "a" + ch is one token when ch is a word character, two when it is
@@ -161,55 +164,15 @@ class TestTokenize:
                 wrong.append(f"U+{cp:04X}")
         assert wrong == []
 
-    def test_mark_ranges_match_this_unicode_database(self):
-        if unicodedata.unidata_version != featurizer._MARK_RANGES_UNIDATA:
-            pytest.skip(f"ranges were generated for Unicode {featurizer._MARK_RANGES_UNIDATA}; "
-                        f"this interpreter has {unicodedata.unidata_version} and rescans at import")
-        rebuilt = featurizer._mark_ranges()
-        if rebuilt != featurizer._MARK_RANGES:
-            items = [f"(0x{a:04X}, 0x{b:04X})" for a, b in rebuilt]
-            literal = "\n".join("    " + ", ".join(items[i : i + 5]) + "," for i in range(0, len(items), 5))
-            pytest.fail(f"_MARK_RANGES is stale; regenerated literal:\n{literal}")
-        assert all(unicodedata.category(chr(cp))[0] == "M"
-                   for first, last in rebuilt for cp in range(first, last + 1))
-
-    def test_import_scans_no_code_points_unless_the_unicode_version_differs(self):
-        # Count unicodedata.category calls made while importing the module,
-        # once as is and once with the database version faked.
-        script = (
-            "import json, sys, unicodedata\n"
-            "calls = 0\n"
-            "category = unicodedata.category\n"
-            "def counting(ch):\n"
-            "    global calls\n"
-            "    calls += 1\n"
-            "    return category(ch)\n"
-            "unicodedata.category = counting\n"
-            "if sys.argv[1] == 'other':\n"
-            "    unicodedata.unidata_version = '0.0.0'\n"
-            "from harmkit import featurizer\n"
-            "print(json.dumps([calls, featurizer._TOKEN_RE.pattern]))\n"
-        )
-        runs = {}
-        for version in ("same", "other"):
-            out = subprocess.run([sys.executable, "-c", script, version], capture_output=True, text=True,
-                                 env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
-            runs[version] = json.loads(out.stdout)
-        # An interpreter with another Unicode database (3.10 has 13.0, 3.12 has
-        # 15.0) rescans without the fake too.
-        committed = unicodedata.unidata_version == featurizer._MARK_RANGES_UNIDATA
-        assert runs["same"][0] == (0 if committed else sys.maxunicode + 1)
-        assert runs["other"][0] == sys.maxunicode + 1
-        # On this interpreter the rescan rebuilds exactly the committed pattern.
-        if committed:
-            assert runs["other"][1] == runs["same"][1] == featurizer._TOKEN_RE.pattern
-
     def test_trailing_whitespace_is_linear(self):
         # A regex whose leading \s* is retried from every position of a
-        # trailing run would take hours on these inputs; run them in a child
-        # process that the timeout can kill. Each tokenizer path gets
-        # whitespace-only input, 200k-character leading and trailing runs and
-        # a 200k-character punctuation run.
+        # trailing run would take hours on these inputs, and so would one
+        # replace pass per distinct punctuation character on the last one;
+        # run them in a child process that the timeout can kill. ASCII and
+        # other text get whitespace-only input, 200k-character leading and
+        # trailing runs and a 200k-character punctuation run. The last text
+        # is 3.9M characters that hold each of the 131068 supplementary
+        # private-use code points, all punctuation.
         script = (
             "from harmkit.featurizer import tokenize\n"
             "for space in (' ', '\\u3000'):\n"
@@ -219,6 +182,11 @@ class TestTokenize:
             "    assert tokenize('a.' + run) == tokenize(run + 'a.' + run) == ['a', '.']\n"
             "    assert tokenize(run + '.!' * 100_000 + run) == ['.!' * 100_000]\n"
             "    assert tokenize(run + '\\u0928' + run) == ['\\u0928']\n"
+            "words = ['\\u0928\\u092e\\u0938\\u094d\\u0924\\u0947', 'abcdefghijklmnopqrstu']\n"
+            "private = [chr(cp) for plane in (15, 16) for cp in range(plane << 16, (plane << 16) + 0xfffe)]\n"
+            "text = ''.join(ch + ' '.join(words) + ' ' for ch in private)\n"
+            "assert len(text) > 3_900_000\n"
+            "assert tokenize(text) == [token for ch in private for token in (ch, *words)]\n"
         )
         subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
                        timeout=60, check=True)
