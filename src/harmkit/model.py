@@ -147,13 +147,13 @@ def mean_pool(params: ModelParams, docs: list[EncodedDoc]) -> np.ndarray:
     if ids and np.asarray(np.concatenate(ids), np.int64).view(np.uint64).max() >= vocab_size:
         raise ValueError(f"token id out of range for vocab size {vocab_size}")
     h0 = np.zeros((len(docs), embed_dim))
+    lengths = np.array([doc.ids.size for doc in docs], dtype=np.int64)[:, None]
     for i, doc in enumerate(docs):
-        if doc.ids.size == 0:
-            continue
-        # The same row sum and division as ``mean(axis=0)``, bit for bit.
-        rows = params.embed.take(doc.ids, axis=0).astype(np.float64, copy=False)
-        h0[i] = rows.sum(axis=0) / doc.ids.size
-    return h0
+        if doc.ids.size:
+            # The same float64 row sum as ``mean(axis=0)``, bit for bit.
+            np.add.reduce(params.embed.take(doc.ids, axis=0), axis=0, dtype=np.float64, out=h0[i])
+    # And the same division.
+    return np.divide(h0, lengths, out=h0, where=lengths > 0)
 
 
 def forward_pooled(params: ModelParams, h0: np.ndarray) -> BatchActivations:

@@ -14,6 +14,8 @@ float32 checkpoint it names, and from the prediction file through ``evaluate``.
 import contextlib
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,15 @@ GOLDEN = {
         "pred.jsonl": "3b134b6a450f34b334441280210399f1566b8f88551d48069c98c16f89b0579c",
     },
 }
+
+# The synthetic corpora themselves: the seed-0 corpus every run above splits,
+# and the output of the README's ``gen-synth ... --seed 7`` command.
+CORPUS_GOLDEN = {
+    "corpus.jsonl": "0de5af7d323aa6cfe3fe8bd0ac5f0c95d6c14491fc54b5386acf1c4363c216ea",
+    "readme.jsonl": "87214bf60f79ecc7c1a6736ee02c6da24df825e37c417fc9a7faa8741d08e7cc",
+}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Config lines of each golden run beyond its file paths: (task, lines).
 _SMALL = ["hash_bits = 10", "max_tokens = 32", "embed_dim = 16", "hidden_dim = 16", "epochs = 3", "seed = 0"]
@@ -98,6 +109,23 @@ def run(request, tmp_path_factory):
 def test_output_digests(run):
     name, _, root = run
     assert {file: sha256(root / file) for file in GOLDEN[name]} == GOLDEN[name]
+
+
+def test_corpus_digest(run):
+    _, _, root = run
+    assert sha256(root / "corpus.jsonl") == CORPUS_GOLDEN["corpus.jsonl"]
+
+
+def test_readme_gen_synth_digest(tmp_path):
+    # The command and its backslash-continued lines.
+    match = re.search(r"^harmkit (gen-synth (?:.*\\\n)*.*)$", README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert match, "README has no gen-synth command"
+    argv = shlex.split(match.group(1).replace("\\\n", " "))
+    out = argv.index("--output") + 1
+    argv[out] = str(tmp_path / argv[out])
+    assert argv[argv.index("--seed") + 1] == "7"
+    assert cli.main(argv) == 0
+    assert sha256(argv[out]) == CORPUS_GOLDEN["readme.jsonl"]
 
 
 def test_best_val_f1_reproducible_from_checkpoint(run):

@@ -197,6 +197,17 @@ class TestForward:
         assert np.array_equal(forward_batch(params, docs).h0, h0)
         assert mean_pool(params, []).shape == (0, params.embed.shape[1])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mean_pool_is_each_rows_mean_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(41)
+        params = init_params(ModelConfig(vocab_size=512, embed_dim=24, hidden_dim=4))
+        for scale in (1e-3, 1.0, 1e3):
+            params.embed = rng.normal(0, scale, params.embed.shape).astype(dtype)
+            docs = [EncodedDoc(ids=rng.integers(0, 512, n)) for n in (0, 1, 2, 3, 17, 250, 513)]
+            want = [params.embed.take(doc.ids, axis=0).astype(np.float64).mean(axis=0) if doc.ids.size
+                    else np.zeros(24) for doc in docs]
+            assert np.array_equal(mean_pool(params, docs), np.array(want))
+
     def test_forward_pooled_peak_is_about_one_hidden_array(self):
         # The tanh layer runs in place: one (N, hidden_dim) array, not the
         # three of ``np.tanh(h0 @ w1 + b1)``, and the same bits.
