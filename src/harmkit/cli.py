@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, ensembles, metrics, synth
-from .featurizer import FeatureConfig, TokenTable, batch_encode
+from .featurizer import FeatureConfig, batch_encode
 from .losses import ContrastiveConfig, NonFiniteLossError
 from .model import (
     ModelConfig,
@@ -209,15 +209,14 @@ def _pool_input(params: ModelParams, feature_cfg: FeatureConfig, path: str,
     record at a time, so the first faulty line in file order is the one
     reported; then its raw texts are encoded, which normalizes them
     (``batch_encode`` only lowercases an ASCII text with no mention or URL),
-    then pooled; one token table serves every chunk. The per-chunk blocks are
-    freed on return, before the heads run."""
+    then pooled. Nothing but the ids and pooled rows outlives its chunk, and
+    the per-chunk blocks are freed on return, before the heads run."""
     documents = corpus.iter_jsonl(path, task, require_labels=False)
-    table = TokenTable(feature_cfg.hash_bits)
     doc_ids: list[str] = []
     pooled = [mean_pool(params, [])]  # (0, embed_dim): the shape of an empty input
     while chunk := list(itertools.islice(documents, _PREDICT_CHUNK)):
         doc_ids += [ex.id for ex in chunk]
-        pooled.append(mean_pool(params, batch_encode([ex.text for ex in chunk], feature_cfg, table)))
+        pooled.append(mean_pool(params, batch_encode([ex.text for ex in chunk], feature_cfg)))
     return doc_ids, np.concatenate(pooled)
 
 

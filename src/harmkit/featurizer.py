@@ -13,21 +13,16 @@ the separators between two punctuation characters, and splits.
 
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
-across runs and platforms. Sequences are head-truncated to max_tokens.
+across runs and platforms. Sequences are head-truncated to max_tokens. One
+numpy kernel hashes the tokens of ``encode`` and ``batch_encode`` alike, one
+byte column at a time over their UTF-8 bytes; a bigram continues its first
+token's hash over U+001F and then over the second token's bytes.
 
-``batch_encode`` normalizes as it encodes: it returns the ids of
-``corpus.normalize_text(text)``, so it takes raw and normalized text alike.
-With unigrams it tokenizes and hashes ASCII texts in numpy, a block of texts
-at a time: the joined bytes are lowercased, each byte's kind comes from a
-128-entry table, the token bounds from where the kind changes, and the
-hashes from FNV-1a run one byte column at a time over uint64 arrays. On an
-ASCII text with no ``@``, no ``://`` and, lowercased, no ``www.``, the only
-change normalization makes to a token is lowercasing
-(``corpus.only_case_changes``), so such a text never calls
-``normalize_text``. Other texts take ``tokenize`` and ``encode`` with a
-token-to-id table for the length of one call, or of every call that passes
-it the same table, so each distinct token is hashed once per table, on first
-sight; nothing is cached at module level.
+``batch_encode`` returns the ids of ``corpus.normalize_text(text)``, so it
+takes raw and normalized text alike, and encodes a block of texts at a time.
+ASCII texts are tokenized in numpy, and only those that hold ``@``, ``://``
+or ``www.`` are normalized (``corpus.only_case_changes``); other texts are
+normalized and tokenized one at a time. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -45,28 +40,20 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Joins the pieces of an n-gram before hashing; U+001F never survives
-# tokenization, so joined n-grams cannot collide with single tokens.
-_NGRAM_SEP = "\x1f"
+# Hashed between the two tokens of a bigram; U+001F never survives
+# tokenization, so bigrams cannot collide with single tokens.
+_NGRAM_SEP = 0x1F
 
-# The kind of each ASCII byte: 0 whitespace, 1 word (``_`` or alphanumeric),
-# 2 punctuation.
-_ASCII_KIND = np.array(
-    [0 if chr(cp).isspace() else 1 if chr(cp) == "_" or chr(cp).isalnum() else 2 for cp in range(128)], np.uint8
-)
-# The ASCII bytes that are word characters or whitespace; deleting them from
-# an ASCII text leaves its punctuation.
-_ASCII_WORD_OR_SPACE = bytes(np.flatnonzero(_ASCII_KIND != 2).tolist())
+# The kind of each byte of ASCII text, as a ``bytes.translate`` table:
+# 0 whitespace, 1 word (``_`` or alphanumeric), 2 punctuation.
+_ASCII_KIND = bytes(0 if chr(cp).isspace() else 1 if chr(cp) == "_" or chr(cp).isalnum() else 2 for cp in range(256))
 # A character that ``str.split`` splits on and no ASCII text holds.
 _SEP = "\x85"
 # Up to this many distinct punctuation characters, tokenize fences each with
 # its own ``str.replace`` pass; above it, with one ``str.translate`` pass,
-# which keeps the work linear in the text. A translate pass looks up every
-# character in a dict and costs about as much as 80 replace passes; the
-# bound stays below the 55 ASCII punctuation characters, so ASCII text can
-# take either branch.
+# which keeps the work linear in the text and costs about 80 replace passes.
 _MAX_REPLACES = 48
-# Texts per numpy block in batch_encode, and the longest token it hashes by
+# Texts per numpy block in batch_encode, and the longest token hashed by
 # byte columns (below 255: token lengths are sorted as uint8, clipped to it + 1).
 _BLOCK = 64
 _COLUMNS = 32
@@ -100,8 +87,8 @@ class EncodedDoc:
     ids: np.ndarray
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a 64-bit over ``data``, continued from the state ``h``."""
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
@@ -114,16 +101,13 @@ def tokenize(text: str) -> list[str]:
     # the pairs between two of them leaves one separator at each
     # word/punctuation boundary, and ``str.split`` splits on exactly the
     # characters ``str.isspace`` accepts.
-    if text.isascii():
-        punct = set(text.encode().translate(None, _ASCII_WORD_OR_SPACE).decode())
-    else:
-        if _SEP in text:
-            # Collapsing whitespace changes no token, and leaves no separator
-            # but those of the fences.
-            text = " ".join(text.split())
-        # isalnum is a shortcut: letters and digits are categories L and N.
-        punct = {ch for ch in set(text) if not (ch.isalnum() or ch.isspace() or ch == "_")
-                 and unicodedata.category(ch)[0] not in "LNM"}
+    if _SEP in text:
+        # Collapsing whitespace changes no token, and leaves no separator
+        # but those of the fences.
+        text = " ".join(text.split())
+    # isalnum is a shortcut: letters and digits are categories L and N.
+    punct = {ch for ch in set(text) if not (ch.isalnum() or ch.isspace() or ch == "_")
+             and unicodedata.category(ch)[0] not in "LNM"}
     if not punct:
         return text.split()
     if len(punct) > _MAX_REPLACES:
@@ -134,49 +118,75 @@ def tokenize(text: str) -> list[str]:
     return text.replace(_SEP + _SEP, "").split()
 
 
-def _token_id(token: str, hash_bits: int) -> int:
-    return fnv1a64(token.encode("utf-8")) & ((1 << hash_bits) - 1)
+def _fnv(data: np.ndarray, pos: np.ndarray, lengths: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """FNV-1a continued from each uint64 ``state`` over the ``lengths`` bytes
+    of ``data`` from ``pos``, one byte column at a time over the tokens still
+    active (sorted by length, a suffix); uint64 arrays wrap modulo 2**64 as
+    ``& _MASK64`` does. Bytes past the first _COLUMNS go through fnv1a64, so
+    one long token costs no run of near-empty columns."""
+    clipped = np.minimum(lengths, _COLUMNS + 1).astype(np.uint8)
+    order = np.argsort(clipped, kind="stable")
+    at, state = pos[order], state[order]
+    prime = np.uint64(_FNV_PRIME)
+    for first in np.searchsorted(clipped[order], np.arange(min(int(clipped.max(initial=0)), _COLUMNS)), "right").tolist():
+        state[first:] ^= data[at[first:]]
+        state[first:] *= prime
+        at[first:] += 1
+    out = np.empty_like(state)
+    out[order] = state
+    for i in np.flatnonzero(lengths > _COLUMNS).tolist():
+        out[i] = fnv1a64(data[pos[i] + _COLUMNS : pos[i] + lengths[i]].tobytes(), int(out[i]))
+    return out
 
 
-class TokenTable(dict):
-    """Unigram to id under ``hash_bits``; a missing token is hashed on lookup
-    and stored, so each distinct token is hashed once per table."""
-
-    def __init__(self, hash_bits: int) -> None:
-        super().__init__()
-        self.hash_bits = hash_bits
-
-    def __missing__(self, token: str) -> int:
-        self[token] = token_id = _token_id(token, self.hash_bits)
-        return token_id
-
-
-def encode(tokens: Sequence[str], cfg: FeatureConfig, table: TokenTable | None = None) -> EncodedDoc:
-    """Hash tokens (plus adjacent bigrams when ngram=2), truncate to max_tokens.
-
-    Bigram ids follow the unigram ids, so head truncation always keeps the
-    leading unigrams first; only the bigrams that survive truncation are
-    built. ``table`` is a ``TokenTable(cfg.hash_bits)`` and gains every
-    unigram hashed here, so a caller encoding many documents can pass one
-    table and hash each distinct token once. Bigrams are hashed directly and
-    never enter it.
-    """
-    if table is None:
-        table = TokenTable(cfg.hash_bits)
-    unigrams = tokens[: cfg.max_tokens]
-    ids = np.fromiter(map(table.__getitem__, unigrams), np.int64, len(unigrams))
-    n_bigrams = min(len(tokens) - 1, cfg.max_tokens - len(unigrams)) if cfg.ngram == 2 else 0
-    if n_bigrams > 0:
-        pairs = zip(tokens, tokens[1 : n_bigrams + 1])
-        bigrams = (_token_id(a + _NGRAM_SEP + b, cfg.hash_bits) for a, b in pairs)
-        ids = np.concatenate([ids, np.fromiter(bigrams, np.int64, n_bigrams)])
-    return EncodedDoc(ids=ids)
+def _ids(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, counts: np.ndarray,
+         cfg: FeatureConfig) -> list[EncodedDoc]:
+    """The ids of documents whose tokens are, in order, the ``lengths`` bytes
+    of ``data`` at ``starts``, ``counts`` tokens each: a document's first
+    max_tokens unigram ids, then as many of its leading bigram ids as fit."""
+    if counts.max(initial=0) > cfg.max_tokens:
+        kept = np.arange(starts.size) - np.repeat(np.cumsum(counts) - counts, counts) < cfg.max_tokens
+        starts, lengths = starts[kept], lengths[kept]
+        counts = np.minimum(counts, cfg.max_tokens)
+    state = _fnv(data, starts, lengths, np.full(starts.size, _FNV_OFFSET, np.uint64))
+    if cfg.ngram == 2:
+        # A document cut by max_tokens now holds max_tokens unigrams, which
+        # leaves no room for a bigram. Bigram j of a document pairs its
+        # tokens j and j + 1.
+        pairs = np.maximum(np.minimum(counts - 1, cfg.max_tokens - counts), 0)
+        left = np.repeat(np.cumsum(counts) - counts - np.cumsum(pairs) + pairs, pairs) + np.arange(pairs.sum())
+        bigrams = _fnv(data, starts[left + 1], lengths[left + 1],
+                       (state[left] ^ np.uint64(_NGRAM_SEP)) * np.uint64(_FNV_PRIME))
+        # Each document's unigram ids, then its bigram ids.
+        doc = np.arange(counts.size)
+        order = np.argsort(np.concatenate([np.repeat(doc, counts), np.repeat(doc, pairs)]), kind="stable")
+        state = np.concatenate([state, bigrams])[order]
+        counts = counts + pairs
+    # Ids are below 2**22, so their uint64 bits are their int64 ones. Each
+    # document owns a copy of its ids, so that no document keeps the block's
+    # arrays alive (views held predict's peak RSS 1-2 MB higher).
+    state &= np.uint64((1 << cfg.hash_bits) - 1)
+    ids = state.view(np.int64)
+    ends = np.cumsum(counts).tolist()
+    return [EncodedDoc(ids=ids[end - count : end].copy()) for end, count in zip(ends, counts.tolist())]
 
 
-def _encode_ascii_block(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
-    """``encode(tokenize(corpus.normalize_text(text)), cfg)`` for each ASCII
-    text, with unigrams only, tokenized and hashed in numpy over the texts
-    joined into one lowercased byte array."""
+def _runs(kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and lengths of the maximal runs of one nonzero value in
+    ``kind``, whose first and last entries must be zero: a run starts after
+    each change to a nonzero value and ends after each change from one."""
+    last = np.flatnonzero(kind[1:] != kind[:-1])
+    starts = last[kind[1:][last] != 0]
+    lengths = last[kind[last] != 0]
+    lengths -= starts
+    starts += 1
+    return starts, lengths
+
+
+def _ascii_block(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes, token starts, token lengths and tokens per text of
+    ``tokenize(corpus.normalize_text(text))`` for ASCII texts, tokenized in
+    numpy over the texts joined into one lowercased byte array."""
     # One space before, between and after the texts: no token crosses a text
     # boundary, and the first and last bytes are whitespace. No marker holds
     # a space, so none crosses a text boundary either.
@@ -185,68 +195,56 @@ def _encode_ascii_block(texts: Sequence[str], cfg: FeatureConfig) -> list[Encode
         # Normalizing an ASCII text leaves it ASCII.
         texts = [text if corpus.only_case_changes(text) else corpus.normalize_text(text) for text in texts]
         joined = " ".join(["", *texts, ""]).lower()
-    data = np.frombuffer(joined.encode("ascii"), np.uint8)
-    kind = _ASCII_KIND.take(data)
-    # A token starts where the kind is nonzero and differs from the byte
-    # before, and ends where it differs from the byte after.
-    edges = np.flatnonzero(kind[1:] != kind[:-1]) + 1
-    starts = edges[kind[edges] != 0]
-    lengths = edges[kind[edges - 1] != 0] - starts
-    # Each text's first token, then head truncation to max_tokens.
-    begins = np.cumsum([1] + [len(text) + 1 for text in texts[:-1]])
-    firsts = np.searchsorted(starts, begins)
-    counts = np.diff(firsts, append=starts.size)
-    if counts.max() > cfg.max_tokens:
-        kept = np.arange(starts.size) - np.repeat(firsts, counts) < cfg.max_tokens
-        starts, lengths = starts[kept], lengths[kept]
-        counts = np.minimum(counts, cfg.max_tokens)
-    # FNV-1a one byte column at a time over the tokens still active: sorted
-    # by length, they are a suffix. uint64 arrays wrap modulo 2**64 as
-    # ``& _MASK64`` does. Tokens longer than _COLUMNS bytes are hashed whole
-    # by fnv1a64 instead, so one long token costs no run of near-empty columns.
-    clipped = np.minimum(lengths, _COLUMNS + 1).astype(np.uint8)
-    order = np.argsort(clipped, kind="stable")
-    pos = starts[order]
-    state = np.full(pos.size, _FNV_OFFSET, np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    columns = min(int(clipped.max(initial=0)), _COLUMNS)
-    for first in np.searchsorted(clipped[order], np.arange(columns), "right").tolist():
-        state[first:] ^= data[pos[first:]]
-        state[first:] *= prime
-        pos[first:] += 1
-    mask = (1 << cfg.hash_bits) - 1
-    ids = np.empty(pos.size, np.int64)
-    ids[order] = state & np.uint64(mask)
-    for i in np.flatnonzero(lengths > _COLUMNS).tolist():
-        ids[i] = fnv1a64(data[starts[i] : starts[i] + lengths[i]].tobytes()) & mask
-    # Each document owns a copy of its ids, so that no document keeps the
-    # block's arrays alive (views held predict's peak RSS 1-2 MB higher).
-    ends = np.cumsum(counts).tolist()
-    return [EncodedDoc(ids=ids[end - count : end].copy()) for end, count in zip(ends, counts.tolist())]
+    raw = joined.encode("ascii")
+    starts, lengths = _runs(np.frombuffer(raw.translate(_ASCII_KIND), np.uint8))
+    # Each text's first token.
+    firsts = np.searchsorted(starts, np.cumsum([1] + [len(text) + 1 for text in texts[:-1]]))
+    return np.frombuffer(raw, np.uint8), starts, lengths, np.diff(firsts, append=starts.size)
 
 
-def batch_encode(texts: Sequence[str], cfg: FeatureConfig, table: TokenTable | None = None) -> list[EncodedDoc]:
+def _utf8_block(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_ascii_block`` gives, for any texts: each is normalized and
+    tokenized, and the tokens joined with spaces, the texts with newlines,
+    into one UTF-8 byte array."""
+    tokens = [tokenize(corpus.normalize_text(text)) for text in texts]
+    data = np.frombuffer("\n".join(["", *map(" ".join, tokens), ""]).encode("utf-8"), np.uint8)
+    # No token holds whitespace, and every byte of a multi-byte UTF-8
+    # character is at least 0x80, so a token's bytes are a maximal run of
+    # bytes other than the two separators.
+    starts, lengths = _runs((data != 0x20) & (data != 0x0A))
+    return data, starts, lengths, np.fromiter(map(len, tokens), np.int64, len(tokens))
+
+
+def encode(tokens: Sequence[str], cfg: FeatureConfig) -> EncodedDoc:
+    """Hash tokens (plus adjacent bigrams when ngram=2), truncate to max_tokens.
+
+    Bigram ids follow the unigram ids, so head truncation always keeps the
+    leading unigrams first; only the bigrams that survive truncation are
+    built, and only the tokens that survive it are hashed.
+    """
+    # A document of max_tokens tokens has no bigrams either: cutting changes no id.
+    encoded = [token.encode("utf-8") for token in tokens[: cfg.max_tokens]]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    data = np.frombuffer(b"".join(encoded), np.uint8)
+    return _ids(data, np.cumsum(lengths) - lengths, lengths, np.array([len(encoded)]), cfg)[0]
+
+
+def batch_encode(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
     """The ids of ``encode(tokenize(corpus.normalize_text(text)))`` for each
     text; order preserved. Raw and normalized text give the same ids, since
     normalization is idempotent.
 
-    With unigrams, ASCII texts are tokenized and hashed in numpy, _BLOCK
-    texts at a time, and never touch ``table``; of them, only those that
-    hold ``@``, ``://`` or, in any letter case, ``www.`` are normalized
-    first, the rest are only lowercased (``corpus.only_case_changes``).
-    Every other text (non-ASCII, or any text when ``cfg.ngram == 2``) is
-    normalized and then takes
-    ``encode(tokenize(text))`` one at a time, with one token table for the
-    whole call, or for every call that passes the same ``table`` (a
-    ``TokenTable(cfg.hash_bits)``).
+    Texts are encoded _BLOCK at a time, ASCII and other texts in separate
+    blocks. ASCII texts never reach ``tokenize``, and only those that hold
+    ``@``, ``://`` or, in any letter case, ``www.`` reach ``normalize_text``
+    (``corpus.only_case_changes``).
     """
-    if table is None:
-        table = TokenTable(cfg.hash_bits)
-    docs: list[EncodedDoc | None] = [None] * len(texts)
-    ascii_at = [i for i, text in enumerate(texts) if text.isascii()] if cfg.ngram == 1 else []
-    for lo in range(0, len(ascii_at), _BLOCK):
-        block = ascii_at[lo : lo + _BLOCK]
-        for i, doc in zip(block, _encode_ascii_block([texts[i] for i in block], cfg)):
-            docs[i] = doc
-    return [encode(tokenize(corpus.normalize_text(text)), cfg, table) if doc is None else doc
-            for text, doc in zip(texts, docs)]
+    docs: list[EncodedDoc] = [None] * len(texts)  # type: ignore[list-item]
+    ascii_at = [i for i, text in enumerate(texts) if text.isascii()]
+    other_at = [i for i, text in enumerate(texts) if not text.isascii()]
+    for at, front in ((ascii_at, _ascii_block), (other_at, _utf8_block)):
+        for lo in range(0, len(at), _BLOCK):
+            block = at[lo : lo + _BLOCK]
+            for i, doc in zip(block, _ids(*front([texts[i] for i in block]), cfg)):
+                docs[i] = doc
+    return docs

@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -352,7 +354,41 @@ class TestPredictCommand:
         monkeypatch.setattr(corpus, "normalize_text", recording)
         texts = [text for pair in zip(KERNEL_SAFE_TEXTS, NORMALIZED_TEXTS) for text in pair] + NORMALIZED_TEXTS[5:]
         self.run_predict(trained[0] / "model.hpc" if ngram == 1 else bigram_checkpoint, texts, tmp_path, "in")
-        assert sorted(seen) == sorted(NORMALIZED_TEXTS if ngram == 1 else texts)
+        assert sorted(seen) == sorted(NORMALIZED_TEXTS)
+
+    def test_pool_input_memory_does_not_grow_with_distinct_tokens(self, tmp_path):
+        # Documents of Devanagari tokens that are all distinct, so nothing
+        # kept to hash a token once would stop growing. Reading 4 chunks may
+        # peak higher than reading 1 only by what the 3 more chunks leave:
+        # each id string and its list slot, and each pooled row twice, in
+        # its chunk's array and in the concatenation returned.
+        chunk, tokens = 256, 40
+
+        def word(k):
+            # k's four lowest base-34 digits as Devanagari consonants, then a vowel sign.
+            return "".join(chr(0x915 + k // 34**j % 34) for j in range(4)) + "\u093e"
+
+        feature_cfg = FeatureConfig(hash_bits=10)
+        params = init_params(ModelConfig(vocab_size=feature_cfg.vocab_size, embed_dim=16, hidden_dim=16))
+
+        def pool(chunks):
+            src = tmp_path / f"in{chunks}.jsonl"
+            texts = [" ".join(word(d * tokens + t) for t in range(tokens)) for d in range(chunks * chunk)]
+            src.write_text("".join(json.dumps({"id": f"d{d}", "text": text}, ensure_ascii=False) + "\n"
+                                   for d, text in enumerate(texts)), encoding="utf-8")
+            with mock.patch.object(cli, "_PREDICT_CHUNK", chunk):
+                tracemalloc.start()
+                try:
+                    doc_ids, h0 = cli._pool_input(params, feature_cfg, str(src), "harm")
+                    return tracemalloc.get_traced_memory()[1], doc_ids, h0
+                finally:
+                    tracemalloc.stop()
+
+        one_peak, _, one_h0 = pool(1)
+        four_peak, doc_ids, four_h0 = pool(4)
+        assert len(set(word(k) for k in range(4 * chunk * tokens))) == 4 * chunk * tokens
+        kept = sum(sys.getsizeof(doc_id) + 8 for doc_id in doc_ids[chunk:]) + 2 * (four_h0.nbytes - one_h0.nbytes)
+        assert four_peak - one_peak <= kept
 
     def test_empty_input_writes_an_empty_file(self, trained, tmp_path, capsys):
         src = tmp_path / "empty.jsonl"

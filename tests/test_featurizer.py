@@ -13,11 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from harmkit import corpus, featurizer, synth
-from harmkit.featurizer import FeatureConfig, TokenTable, batch_encode, encode, fnv1a64, tokenize
+from harmkit.featurizer import FeatureConfig, batch_encode, encode, fnv1a64, tokenize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -107,7 +107,7 @@ class TestTokenize:
     @given(pieces=st.lists(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from(ASCII_TRICKY))),
            tail=st.sampled_from(["", " ", "\t\n", "\x1f", " \x1c\x1d\x1e "]))
     def test_matches_reference_on_ascii_text(self, pieces, tail):
-        # ASCII text takes the str.split path.
+        # ASCII text only, rich in the characters where the classes meet.
         text = "".join(pieces) + tail
         assert text.isascii()
         assert tokenize(text) == tokenize_reference(text)
@@ -140,10 +140,6 @@ class TestTokenize:
         assert text.isascii() == alphabet.isascii()
         for mixed in (text, text + "\u0928\u094d", "\u0928\u094d" + text):
             assert tokenize(mixed) == tokenize_reference(mixed)
-
-    def test_word_or_space_bytes_are_the_reference_classes(self):
-        want = bytes(cp for cp in range(128) if char_kind_reference(chr(cp)) in ("word", "space"))
-        assert featurizer._ASCII_WORD_OR_SPACE == want
 
     def test_separator_splits_and_fences_every_ascii_punctuation_character(self):
         sep = featurizer._SEP
@@ -249,28 +245,14 @@ class TestEncode:
     def test_matches_reference(self, ngram, max_tokens):
         rng = np.random.default_rng(19)
         cfg = FeatureConfig(hash_bits=10, max_tokens=max_tokens, ngram=ngram)
-        words = ["a", "b", "!!", "नमस्ते", "\U0001f600", "<url>", "x_1"]
+        # The last two are longer than the kernel's byte columns.
+        words = ["a", "b", "!!", "नमस्ते", "\U0001f600", "<url>", "x_1", "", "अन्तर्राष्ट्रीयकरण", "w" * 40]
         for n in range(12):
             for _ in range(5):
                 tokens = [words[int(i)] for i in rng.integers(0, len(words), size=n)]
                 doc = encode(tokens, cfg)
                 assert doc.ids.dtype == np.int64
                 assert np.array_equal(doc.ids, encode_reference(tokens, cfg))
-
-    def test_table_gains_only_the_kept_unigrams(self):
-        # Tokens cut by max_tokens are never hashed, and bigrams never enter the table.
-        cfg = FeatureConfig(max_tokens=3, ngram=2)
-        table = TokenTable(cfg.hash_bits)
-        encode(["a", "b", "c", "d"], cfg, table)
-        assert sorted(table) == ["a", "b", "c"]
-        cfg = FeatureConfig(max_tokens=4, ngram=2)
-        table = TokenTable(cfg.hash_bits)
-        table["b"] = 7
-        doc = encode(["a", "b", "c"], cfg, table)
-        assert sorted(table) == ["a", "b", "c"]
-        # A table entry is trusted as the token's id.
-        assert doc.ids.tolist()[:3] == [table["a"], 7, table["c"]]
-        assert doc.ids.size == 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -317,8 +299,8 @@ class TestBatchEncode:
     def test_empty_batch(self):
         assert batch_encode([], FeatureConfig()) == []
 
-    def test_only_non_ascii_or_bigram_texts_are_tokenized_one_at_a_time(self, monkeypatch):
-        # ASCII texts take the numpy kernel with unigrams; the table serves the rest.
+    def test_only_non_ascii_texts_reach_tokenize(self, monkeypatch):
+        # ASCII texts are tokenized in numpy with either n-gram order.
         seen = []
 
         def recording(text):
@@ -326,18 +308,19 @@ class TestBatchEncode:
             return tokenize(text)
 
         monkeypatch.setattr(featurizer, "tokenize", recording)
-        texts = ["ab, cd", "caf\xe9 ok", "", "x_1 !!"]
-        table = TokenTable(15)
-        batch_encode(texts, FeatureConfig(), table)
-        assert seen == ["caf\xe9 ok"]
-        assert sorted(table) == ["caf\xe9", "ok"]
-        seen.clear()
-        batch_encode(texts, FeatureConfig(ngram=2))
-        assert seen == texts
+        texts = ["ab, cd", "caf\xe9 ok", "", "x_1 !!", "\u0928 X"]
+        for ngram in (1, 2):
+            seen.clear()
+            batch_encode(texts, FeatureConfig(ngram=ngram))
+            assert seen == ["caf\xe9 ok", "\u0928 x"]
 
     def test_block_peak_memory_at_most_the_per_doc_path(self):
-        # A predict chunk of 1024 long ASCII documents: the numpy blocks must
-        # hold no more at once than the per-doc path's token lists and table.
+        # A predict chunk of 1024 long ASCII documents. Both paths hold the ids
+        # they return; beyond those, the per-doc path holds one document's
+        # tokens at a time, and batch_encode one block's bytes, token bounds
+        # and hash states, which must take less than half as much as the
+        # chunk's ids. A document holding a view of its block, not a copy,
+        # would keep every block alive and break the bound.
         examples = synth.generate_corpus(classes=4, docs_per_class=256, overlap=0.5, shared_pool=20000,
                                          doc_len=(100, 400), seed=3)
         texts = [corpus.normalize_text(ex.text) for ex in examples]
@@ -352,13 +335,26 @@ class TestBatchEncode:
             finally:
                 tracemalloc.stop()
 
-        table = TokenTable(cfg.hash_bits)
-        per_doc_peak, want = peak(lambda: [encode(tokenize(text), cfg, table) for text in texts])
+        per_doc_peak, want = peak(lambda: [encode(tokenize(text), cfg) for text in texts])
         batch_peak, got = peak(lambda: batch_encode(texts, cfg))
         assert all(np.array_equal(a.ids, b.ids) for a, b in zip(got, want))
-        assert batch_peak <= per_doc_peak
+        assert batch_peak <= per_doc_peak + sum(doc.ids.nbytes for doc in want) // 2
 
 
+# Tokens of their own, so that bigrams pair long tokens with short and long
+# ones: non-ASCII word and punctuation runs of up to 32 characters (up to 96
+# bytes of Devanagari or Bangla and 128 of emoji in UTF-8), and ASCII words
+# up to three times as long as the kernel's byte columns.
+LONG_TOKENS = st.lists(st.one_of(st.text(st.sampled_from("\u0928\u092e\u0938\u094d\u0924\u0947\u0995\u09cd\u09ac"),
+                                         min_size=1, max_size=featurizer._COLUMNS),
+                                 st.text(st.sampled_from("\U0001f600\U0001f64f\u0964"), min_size=1,
+                                         max_size=featurizer._COLUMNS),
+                                 st.text(ASCII_WORD, min_size=1, max_size=3 * featurizer._COLUMNS)),
+                       max_size=6).map(" ".join)
+# Every pair of short tokens and tokens longer than the byte columns
+# (33 ASCII bytes, an 18-letter Devanagari word of 54 bytes, 9 emoji of 36).
+SHORT_AND_LONG = ("ab", "W" * 33, "अन्तर्राष्ट्रीयकरण", "\U0001f600" * 9, "न", "!")
+LONG_PAIRS = [f"{a} {b}" for a in SHORT_AND_LONG for b in SHORT_AND_LONG]
 # Every ASCII character, the classes' meeting points, tokens longer than the
 # kernel's byte columns, and non-ASCII characters for mixed batches.
 ASCII_DOCS = st.lists(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from(ASCII_TRICKY)),
@@ -373,21 +369,25 @@ KERNEL_DOCS = st.one_of(
     # A lone surrogate has no UTF-8 encoding to hash.
     st.text(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from([ch for ch in TRICKY if ch != "\ud800"])),
             max_size=20),
+    LONG_TOKENS,
 )
 
 
 class TestAsciiKernel:
     def test_kinds_are_the_reference_kinds(self):
         kinds = {"space": 0, "word": 1, "punct": 2}
-        assert featurizer._ASCII_KIND.tolist() == [kinds[char_kind_reference(chr(cp))] for cp in range(128)]
+        assert list(featurizer._ASCII_KIND[:128]) == [kinds[char_kind_reference(chr(cp))] for cp in range(128)]
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(texts=st.lists(KERNEL_DOCS, max_size=24), block=st.sampled_from([1, 3, 64]),
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(texts=st.lists(KERNEL_DOCS, max_size=24), block=st.sampled_from([1, 3, 64]), ngram=st.sampled_from([1, 2]),
            max_tokens=st.sampled_from([1, 2, 7, 512]), hash_bits=st.sampled_from([8, 15, 22]))
-    def test_equals_per_doc_path_and_reference(self, texts, block, max_tokens, hash_bits):
+    # LONG_PAIRS in one text and in texts of their own.
+    @example(texts=[" ".join(LONG_PAIRS)], block=64, ngram=2, max_tokens=512, hash_bits=22)
+    @example(texts=LONG_PAIRS, block=64, ngram=2, max_tokens=4, hash_bits=22)
+    def test_equals_per_doc_path_and_reference(self, texts, block, ngram, max_tokens, hash_bits):
         # Numpy warns when a uint64 scalar (not an array) overflows, so any
         # scalar slipping into the hash loop fails here.
-        cfg = FeatureConfig(max_tokens=max_tokens, hash_bits=hash_bits)
+        cfg = FeatureConfig(max_tokens=max_tokens, hash_bits=hash_bits, ngram=ngram)
         with warnings.catch_warnings(), mock.patch.object(featurizer, "_BLOCK", block):
             warnings.simplefilter("error")
             docs = batch_encode(texts, cfg)
@@ -455,10 +455,8 @@ class TestBatchEncodeNormalizes:
         unsafe = ["hi @bob", "@", "see HTTP://x.y", "ftp://z", "WwW.", "caf\xe9", "\u212a"]
         texts = [text for pair in zip(safe + unsafe, unsafe + safe) for text in pair]
         for block in (1, 3, 64):
-            seen.clear()
-            with mock.patch.object(featurizer, "_BLOCK", block):
-                batch_encode(texts, FeatureConfig())
-            assert sorted(seen) == sorted(text for text in texts if text in unsafe)
-        seen.clear()
-        batch_encode(texts, FeatureConfig(ngram=2))
-        assert seen == texts
+            for ngram in (1, 2):
+                seen.clear()
+                with mock.patch.object(featurizer, "_BLOCK", block):
+                    batch_encode(texts, FeatureConfig(ngram=ngram))
+                assert sorted(seen) == sorted(text for text in texts if text in unsafe)

@@ -9,6 +9,7 @@ and every ensemble and evaluate output must not move unless a change
 re-baselines them on purpose and says so.
 The best validation score in each report must also be reproducible from the
 float32 checkpoint it names, and from the prediction file through ``evaluate``.
+The ids ``batch_encode`` gives code-mixed posts are pinned too.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import pytest
 
 from harmkit import cli
 from harmkit.corpus import load_jsonl, save_jsonl
-from harmkit.featurizer import batch_encode
+from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.model import load_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import _extract_labels, evaluate_params
@@ -242,3 +243,54 @@ def test_ensemble_and_evaluate_digests(ensemble_run):
     name, root = ensemble_run
     written = sorted(p.name for p in root.iterdir() if p.name.startswith(("vote", "avg", "w-avg", "sigmas.eval")))
     assert {file: sha256(root / file) for file in written} == ENSEMBLE_GOLDEN[name]
+
+
+# Code-mixed posts: Devanagari and Bangla words with virama and nukta, the
+# nukta letters both precomposed (U+095E, U+09DF, U+09DD, which NFC
+# decomposes) and decomposed, the danda and double danda, emoji with a
+# variation selector and a skin tone, a zero-width joiner, mentions
+# (one in Bangla), URLs, a no-break space, U+3000, decomposed Latin accents,
+# tokens longer than the hash kernel's 32 byte columns, and empty and
+# whitespace-only posts. Every character has the same Unicode category in
+# Unicode 13.0, 14.0 and 15.0.
+CODE_MIXED_POSTS = [
+    "यह \u095eिल्म बहुत अच्छी है।  @ravi_k ने कहा \U0001f600",
+    "আমি তোমাকে ভালোবাসি \u2764\ufe0f http://example.com/x?y=1 দেখো",
+    "kya   bakwaas hai yaar!!! @Amit123 https://t.co/AbC",
+    "স্বাধীনতা দিবসের শুভেচ্ছা। \U0001f64f\U0001f3fd",
+    "नमस्ते\xa0दुनिया\u3000HELLO world",
+    "cafe\u0301 और cha\u0304y",
+    "\u0915\u093cर्ज\u093cा मा\u095eी???",
+    "\u09dfে \u09a1\u09bcাক \u09dd",
+    "अन्तर्राष्ट्रीयकरण संघर्ष",
+    "प्रतिस्पर्धात्मकता bahut zaroori hai, www.Site.IN पर देखो",
+    "superlongasciitokenthatexceedsthirtytwobytes!!!! वाह",
+    "Tum log kuch nahi kar sakte, sab bekaar hai @pm_office #shame",
+    "Hello WORLD, kaise ho?",
+    "",
+    "\xa0 \u3000",
+    "@",
+    "।।",
+    "\U0001f600\U0001f600\U0001f600 \U0001f923",
+    "Bhai\u200dजी ka jawab \U0001f44d",
+    "HTTP://X.Y/Z दिल्ली। मुंबई॥",
+    "আমরা @রহিম কে চিনি না। ক্ষমা করো।",
+    "भारत\u2014पाक मैच!!!\U0001f3cf\U0001f3cf 10/10",
+]
+
+# sha256 of the JSON list of each post's ids, by (ngram, max_tokens), with
+# hash_bits 15. max_tokens 7 cuts the long posts and leaves room for some
+# bigrams in the short ones.
+CODE_MIXED_GOLDEN = {
+    (1, 7): "8f5adb9beedf5939b9e12f6a6f9adcabf1e164e4a260fc623b7c39707bdec801",
+    (1, 512): "12200c3bece953987c2c37db7f30cbffea6466435b889945daca768edded7d1a",
+    (2, 7): "9c62b8d3ba5960940158f77db6b7218dcf999e85cff6467ce196af240b573bab",
+    (2, 512): "95a060f6cb71bc528a42d08273d36019eeb5f6ec7077754d054c7dd0d3055318",
+}
+
+
+@pytest.mark.parametrize("ngram, max_tokens", sorted(CODE_MIXED_GOLDEN))
+def test_code_mixed_ids_digest(ngram, max_tokens):
+    docs = batch_encode(CODE_MIXED_POSTS, FeatureConfig(max_tokens=max_tokens, ngram=ngram))
+    ids = json.dumps([doc.ids.tolist() for doc in docs]).encode("utf-8")
+    assert hashlib.sha256(ids).hexdigest() == CODE_MIXED_GOLDEN[ngram, max_tokens]
