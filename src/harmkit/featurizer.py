@@ -70,6 +70,8 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.max_tokens >= 2**32:  # the checkpoint header stores it as a u32
+            raise ValueError(f"max_tokens must be < 2**32, got {self.max_tokens}")
         if not 8 <= self.hash_bits <= 22:
             raise ValueError(f"hash_bits must be in 8..22, got {self.hash_bits}")
         if self.ngram not in (1, 2):

@@ -14,10 +14,11 @@ into scores and decisions. Training, validation and the tests call
 runs ``forward_pooled`` once over every row. Training hands them a compact
 table of the rows its documents reach, with the ids remapped to it.
 
-Parameters are float64 in memory, with one exception: ``load_params`` keeps
-the embedding table as the float32 array the checkpoint stores. Pooling
-widens the rows it reads to float64, which is exact, so a float32 table and
-its float64 copy give bit-identical activations.
+Parameters are float64 in memory, except the full embedding table that
+``load_params`` and ``train`` hold: that is the float32 array the checkpoint
+stores, half the bytes of a float64 copy. Pooling widens the rows it reads
+to float64, which is exact, so a float32 table and its float64 copy give
+bit-identical activations.
 
 Checkpoint layout (little-endian throughout):
   magic ``HPC1`` | version u8 (=1) | header_len u32 | header | parameter
@@ -59,9 +60,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # The checkpoint header stores each of them as a u32.
         for name in ("vocab_size", "embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if getattr(self, name) >= 2**32:
+                raise ValueError(f"{name} must be < 2**32, got {getattr(self, name)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -69,7 +73,8 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     """All trainable arrays, float32 in checkpoints. In memory they are
-    float64, except that ``load_params`` keeps ``embed`` as float32."""
+    float64, except that ``load_params`` and ``train`` keep ``embed`` as
+    float32."""
 
     embed: np.ndarray  # (vocab_size, embed_dim)
     w1: np.ndarray     # (embed_dim, hidden_dim)
@@ -98,26 +103,28 @@ class BatchActivations:
     target_logits: np.ndarray  # (B, num_targets)
 
 
-def init_params(cfg: ModelConfig) -> ModelParams:
+def init_params(cfg: ModelConfig, embed_dtype=np.float64) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic for a fixed seed.
 
     Values are passed through float32 once so that freshly initialized
     parameters survive the float32 checkpoint format bit-for-bit. Rows are
-    drawn in chunks straight into the float64 result, which gives the same
-    values as one whole draw without holding the table in three dtypes.
+    drawn in chunks straight into a result of the given dtype, which gives
+    the same values as one whole draw without holding the table in three
+    dtypes. ``embed`` is of ``embed_dtype``; ``train`` asks for the float32
+    table it saves.
     """
     rng = np.random.default_rng(cfg.seed)
 
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
+    def glorot(fan_in: int, fan_out: int, dtype=np.float64) -> np.ndarray:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        out = np.empty((fan_in, fan_out))
+        out = np.empty((fan_in, fan_out), dtype)
         for start in range(0, fan_in, _CHUNK_ROWS):
             rows = out[start : start + _CHUNK_ROWS]
             rows[...] = rng.uniform(-bound, bound, size=rows.shape).astype(np.float32)
         return out
 
     return ModelParams(
-        embed=glorot(cfg.vocab_size, cfg.embed_dim),
+        embed=glorot(cfg.vocab_size, cfg.embed_dim, embed_dtype),
         w1=glorot(cfg.embed_dim, cfg.hidden_dim),
         b1=np.zeros(cfg.hidden_dim),
         wc=glorot(cfg.hidden_dim, NUM_CLASSES),
@@ -254,12 +261,13 @@ def save_params(
 
 
 def _checkpoint_chunks(header: bytes, params: ModelParams):
-    """The checkpoint bytes that precede the crc, each array converted to
-    float32 at most ``_CHUNK_ROWS`` rows at a time."""
+    """The buffers of the checkpoint bytes that precede the crc, each array
+    at most ``_CHUNK_ROWS`` rows at a time: a float32 array's row blocks are
+    views of its own buffer, any other array's are converted block by block."""
     yield _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header
     for _, arr in params.arrays():
         for start in range(0, arr.shape[0], _CHUNK_ROWS):
-            yield arr[start : start + _CHUNK_ROWS].astype("<f4").tobytes(order="C")
+            yield np.ascontiguousarray(arr[start : start + _CHUNK_ROWS], dtype="<f4")
 
 
 def _read_aligned(path: str | Path) -> memoryview:

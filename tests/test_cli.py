@@ -188,6 +188,20 @@ class TestConfigParsing:
         assert f"{config}:{line_no}: not valid UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["max_tokens", "embed_dim", "hidden_dim"])
+    def test_u32_header_key_of_2_to_the_32_rejected(self, tmp_path, split_files, capsys, key):
+        # The checkpoint header stores these as u32. max_tokens = 2**32 once
+        # trained to the end and then failed to pack the header; the dims
+        # failed to allocate the table. Both ended in a traceback and exit 1.
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "u32.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc", **{key: 2**32})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {key} must be < 2**32, got {2**32}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.hpc").exists()
+
     def test_config_file_not_found(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "none.cfg")]) == 2
 

@@ -3,11 +3,13 @@
 import contextlib
 import io
 import json
+import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmkit import cli, losses
@@ -229,11 +231,91 @@ class TestFullTableOracle:
         assert report.val_f1 == f1_series
         assert report.best_val_f1 == max(f1_series) and report.best_epoch == f1_series.index(max(f1_series))
         assert 0 < report.best_epoch < tcfg.epochs - 1  # the snapshot is restored
+        # train returns the float32 table its checkpoint stores.
         for name, arr in params.arrays():
-            assert arr.shape == getattr(best, name).shape, name
-            assert arr.tobytes() == getattr(best, name).tobytes(), name
+            want = getattr(best, name).astype(np.float32 if name == "embed" else np.float64)
+            assert arr.dtype == want.dtype and arr.shape == want.shape, name
+            assert arr.tobytes() == want.tobytes(), name
         save_params(best, mcfg, fcfg, tmp_path / "want.hpc")
         assert (tmp_path / "got.hpc").read_bytes() == (tmp_path / "want.hpc").read_bytes()
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def f32_tie(bits):
+    """The float64 midpoint between the finite float32 of ``bits`` and the
+    next float32 up: a tie, which rounds to the one with an even mantissa."""
+    low = np.array([bits], np.uint32).view(np.float32)[0]
+    return (float(low) + float(np.nextafter(low, np.float32(np.inf)))) / 2
+
+
+# Every kind of float64 a written-back row may hold: any finite value, ties
+# between float32s, float32 subnormals and the values below them, and
+# magnitudes beyond float32's maximum, of either sign.
+WRITE_BACK_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.integers(0, 0x7F7FFFFE).map(f32_tie),
+    st.floats(-(2.0**-125), 2.0**-125, width=64),
+    st.floats(F32_MAX, 1e308),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def f32_bits_reference(x):
+    """IEEE round-to-nearest-even to float32 through struct; an overflow
+    becomes an infinity of the value's sign."""
+    try:
+        return struct.pack("<f", x)
+    except OverflowError:
+        return struct.pack("<f", math.copysign(math.inf, x))
+
+
+@st.composite
+def written_back_rows(draw):
+    """Sorted distinct row indices into a 10-row table, and float64 rows of
+    WRITE_BACK_VALUES for them."""
+    n_rows, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = sorted(draw(st.sets(st.integers(0, 9), min_size=n_rows, max_size=n_rows)))
+    values = draw(st.lists(st.lists(WRITE_BACK_VALUES, min_size=dim, max_size=dim), min_size=n_rows, max_size=n_rows))
+    return np.array(rows), np.array(values, dtype=np.float64)
+
+
+# Half an ulp above float32's maximum is a tie that rounds to inf, and just
+# below it rounds to the maximum; the smallest subnormal, half of it (a tie
+# that rounds to 0) and just above that half (which rounds up).
+_HALF_ULP_ABOVE_MAX, _TINY = F32_MAX + 2.0**103, 2.0**-149
+F32_BOUNDARIES = (np.array([2]), np.array([[_HALF_ULP_ABOVE_MAX, np.nextafter(_HALF_ULP_ABOVE_MAX, 0.0),
+                                            -_HALF_ULP_ABOVE_MAX, _TINY, _TINY / 2, np.nextafter(_TINY / 2, 1.0)]]))
+
+
+class TestWriteBackRounding:
+    """train writes its float64 best rows into the float32 table by
+    assignment; its checkpoint stays the one a float64 table saved through
+    ``astype("<f4")`` only if both round alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=written_back_rows())
+    @example(case=F32_BOUNDARIES)
+    def test_assignment_rounds_as_astype(self, case):
+        rows, values = case
+        table = np.zeros((10, values.shape[1]), np.float32)
+        with np.errstate(over="ignore"):
+            table[rows] = values
+            want = values.astype("<f4")
+        assert table[rows].tobytes() == want.tobytes()
+        assert table[rows].tobytes() == b"".join(f32_bits_reference(x) for x in values.ravel().tolist())
+        assert not np.delete(table, rows, axis=0).any()
+
+    def test_a_row_beyond_float32_max_becomes_inf_and_its_checkpoint_is_refused(self, tmp_path):
+        fcfg = FeatureConfig(hash_bits=8)
+        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4)
+        params = init_params(mcfg, embed_dtype=np.float32)
+        with np.errstate(over="ignore"):
+            params.embed[[3, 7]] = np.array([[1e39, -1e39, 1.0, 0.0], [0.5, 2.0, 3e300, -3.0]])
+        assert np.isinf(params.embed).sum() == 3
+        save_params(params, mcfg, fcfg, tmp_path / "m.hpc")
+        with pytest.raises(ValueError, match="non-finite values in embed"):
+            load_params(tmp_path / "m.hpc")
 
 
 def keyword_corpus(n_per_class=40, classes=2, seed=0):
@@ -431,21 +513,34 @@ class TestTrain:
         assert 0 < report.best_epoch < tcfg.epochs - 1
         expected = reference_train(split.train, split.val, mcfg, fcfg, tcfg, tmp_path / "want.hpc")
         for name, arr in params.arrays():
-            assert np.array_equal(arr, getattr(expected, name)), name
+            want = getattr(expected, name).astype(np.float32 if name == "embed" else np.float64)
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
         assert (tmp_path / "got.hpc").read_bytes() == (tmp_path / "want.hpc").read_bytes()
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-    def test_peak_memory_at_default_shape_below_1_75_tables(self, tmp_path, optimizer):
+    def test_returns_the_table_its_checkpoint_stores(self, easy_split, tmp_path, optimizer):
+        fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
+        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=6)
+        tcfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, optimizer=optimizer, seed=6)
+        params, _ = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
+        stored = load_params(tmp_path / "m.hpc")[0].embed
+        assert params.embed.dtype == stored.dtype == np.float32
+        assert params.embed.tobytes() == stored.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_peak_memory_at_default_shape_below_1_25_float32_tables(self, tmp_path, optimizer):
+        # The table train holds is float32: one table plus the compact rows,
+        # their moments and one checkpoint block. A float64 table alone is two.
         split = split_train_val(generate_corpus(classes=4, docs_per_class=10, overlap=0.1, seed=3), seed=1)
         mcfg = ModelConfig(vocab_size=2**15)
         tcfg = TrainConfig(epochs=2, optimizer=optimizer)
         tracemalloc.start()
         try:
-            params, _ = train(split.train, split.val, mcfg, FeatureConfig(), tcfg, checkpoint_path=tmp_path / "m.hpc")
+            train(split.train, split.val, mcfg, FeatureConfig(), tcfg, checkpoint_path=tmp_path / "m.hpc")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * params.embed.nbytes
+        assert peak < 1.25 * mcfg.vocab_size * mcfg.embed_dim * 4
 
     def test_predict_peak_memory_grows_by_pooled_rows_not_by_text(self, tmp_path):
         # Predict holds one chunk of texts and ids at a time, so from 1000 to
