@@ -171,15 +171,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
     def progress(epoch: int, loss: float, val_f1: float) -> None:
         print(f"epoch {epoch + 1}/{cfg.train.epochs} loss={loss:.6f} val_f1={val_f1:.4f}", file=sys.stderr)
 
-    _, report = train(
-        train_set,
-        val_set,
-        cfg.model,
-        cfg.feature,
-        cfg.train,
-        checkpoint_path=cfg.checkpoint,
-        progress=progress,
-    )
+    try:
+        _, report = train(
+            train_set,
+            val_set,
+            cfg.model,
+            cfg.feature,
+            cfg.train,
+            checkpoint_path=cfg.checkpoint,
+            progress=progress,
+        )
+    except MemoryError as exc:
+        # Dims that fit the u32 header can still ask for more than any machine holds.
+        raise ConfigError(f"{args.config}: the model does not fit in memory ({exc})") from exc
     report_json = report.to_json()
     if cfg.report is not None:
         cfg.report.write_text(report_json + "\n", encoding="utf-8")

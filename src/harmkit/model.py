@@ -14,16 +14,22 @@ into scores and decisions. Training, validation and the tests call
 runs ``forward_pooled`` once over every row. Training hands them a compact
 table of the rows its documents reach, with the ids remapped to it.
 
-Parameters are float64 in memory, except the full embedding table that
-``load_params`` and ``train`` hold: that is the float32 array the checkpoint
-stores, half the bytes of a float64 copy. Pooling widens the rows it reads
-to float64, which is exact, so a float32 table and its float64 copy give
-bit-identical activations.
+``ModelParams.rows`` names the table rows that ``embed`` holds: ``None``
+for the whole table, or the sorted ids of a compact table, as ``train``
+draws and returns it. Parameters are float64 in memory, except the float32
+``embed`` that ``load_params`` and ``train`` return. Pooling widens the rows
+it reads to float64, which is exact, so a float32 table and its float64 copy
+give bit-identical activations.
+
+The initial embedding table is never stored: ``_draw_initial`` replays any
+of its rows from the seed, 1024-row block by block, and ``init_params``,
+``save_params`` and ``load_params`` all draw it that way.
 
 Checkpoint layout (little-endian throughout):
-  magic ``HPC1`` | version u8 (=1) | header_len u32 | header | parameter
-  matrices in declaration order as row-major float32 | crc32 u32 of all
-  preceding bytes.
+  magic ``HPC1`` | version u8 (=2) | header_len u32 | header | row count
+  u32 | the sorted u32 ids of the embedding rows whose float32 bits differ
+  from the seed's initial table | those rows as row-major float32 | w1, b1,
+  wc, bc, wt, bt as row-major float32 | crc32 u32 of all preceding bytes.
 Header: u32 fields max_tokens, hash_bits, ngram, vocab_size, embed_dim,
 hidden_dim, num_classes (=4), num_targets (=5), then the model seed as u64.
 """
@@ -44,12 +50,11 @@ from .featurizer import EncodedDoc, FeatureConfig
 from .metrics import check_eta
 
 _MAGIC = b"HPC1"
-_VERSION = 1
+_VERSION = 2
 _HEADER_FMT = "<8IQ"  # 8 u32 config ints + u64 seed
 _HEADER_LEN = struct.calcsize(_HEADER_FMT)
 _PAYLOAD_OFFSET = 9 + _HEADER_LEN  # magic, version, header_len, header
-_ALIGN = 16  # byte boundary of the parameter payload in a loaded file
-_CHUNK_ROWS = 1024  # rows per block when drawing or writing a parameter array
+_CHUNK_ROWS = 1024  # rows per block when drawing, reading or writing embedding rows
 
 
 @dataclass(frozen=True)
@@ -73,16 +78,18 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     """All trainable arrays, float32 in checkpoints. In memory they are
-    float64, except that ``load_params`` and ``train`` keep ``embed`` as
-    float32."""
+    float64, except that ``load_params`` and ``train`` return ``embed`` as
+    float32. ``rows`` is not trained: it names the table rows ``embed``
+    holds (see the module docstring)."""
 
-    embed: np.ndarray  # (vocab_size, embed_dim)
+    embed: np.ndarray  # (vocab_size, embed_dim), or (len(rows), embed_dim)
     w1: np.ndarray     # (embed_dim, hidden_dim)
     b1: np.ndarray     # (hidden_dim,)
     wc: np.ndarray     # (hidden_dim, num_classes)
     bc: np.ndarray     # (num_classes,)
     wt: np.ndarray     # (hidden_dim, num_targets)
     bt: np.ndarray     # (num_targets,)
+    rows: np.ndarray | None = None  # sorted distinct table ids, or None for the whole table
 
     FIELDS = ("embed", "w1", "b1", "wc", "bc", "wt", "bt")
 
@@ -90,7 +97,7 @@ class ModelParams:
         return [(name, getattr(self, name)) for name in self.FIELDS]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.arrays()})
+        return ModelParams(**{name: arr.copy() for name, arr in self.arrays()}, rows=self.rows)
 
 
 @dataclass
@@ -103,35 +110,69 @@ class BatchActivations:
     target_logits: np.ndarray  # (B, num_targets)
 
 
-def init_params(cfg: ModelConfig, embed_dtype=np.float64) -> ModelParams:
+def init_params(cfg: ModelConfig, rows: np.ndarray | None = None) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic for a fixed seed.
 
     Values are passed through float32 once so that freshly initialized
-    parameters survive the float32 checkpoint format bit-for-bit. Rows are
-    drawn in chunks straight into a result of the given dtype, which gives
-    the same values as one whole draw without holding the table in three
-    dtypes. ``embed`` is of ``embed_dtype``; ``train`` asks for the float32
-    table it saves.
+    parameters survive the float32 checkpoint format bit-for-bit; the arrays
+    are float64. With ``rows``, sorted distinct table ids, ``embed`` holds
+    only those rows of the initial table, and the other rows are never drawn.
     """
+    if rows is not None:
+        _check_rows(rows, cfg.vocab_size, "rows")
     rng = np.random.default_rng(cfg.seed)
+    embed = np.empty((cfg.vocab_size if rows is None else rows.size, cfg.embed_dim))
+    _draw_initial(cfg, rng, embed, rows)
 
-    def glorot(fan_in: int, fan_out: int, dtype=np.float64) -> np.ndarray:
+    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        out = np.empty((fan_in, fan_out), dtype)
-        for start in range(0, fan_in, _CHUNK_ROWS):
-            rows = out[start : start + _CHUNK_ROWS]
-            rows[...] = rng.uniform(-bound, bound, size=rows.shape).astype(np.float32)
-        return out
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32).astype(np.float64)
 
     return ModelParams(
-        embed=glorot(cfg.vocab_size, cfg.embed_dim, embed_dtype),
+        embed=embed,
         w1=glorot(cfg.embed_dim, cfg.hidden_dim),
         b1=np.zeros(cfg.hidden_dim),
         wc=glorot(cfg.hidden_dim, NUM_CLASSES),
         bc=np.zeros(NUM_CLASSES),
         wt=glorot(cfg.hidden_dim, NUM_TARGETS),
         bt=np.zeros(NUM_TARGETS),
+        rows=rows,
     )
+
+
+def _draw_initial(cfg: ModelConfig, rng: np.random.Generator, out: np.ndarray,
+                  rows: np.ndarray | None = None) -> None:
+    """Write the seed's initial float32 embedding values of the table
+    ``rows`` (sorted distinct ids; every row when None) into the rows of
+    ``out``, and leave ``rng`` just past the table.
+
+    ``rng`` is ``default_rng(cfg.seed)`` as created. ``uniform`` turns each
+    PCG64 output into one value, so table row ``r`` starts at output
+    ``r * embed_dim``: only the ``_CHUNK_ROWS``-row blocks that hold one of
+    ``rows`` are drawn, and ``advance`` skips the others.
+    """
+    bound = np.sqrt(6.0 / (cfg.vocab_size + cfg.embed_dim))
+    starts = range(0, cfg.vocab_size, _CHUNK_ROWS) if rows is None else np.unique(rows // _CHUNK_ROWS) * _CHUNK_ROWS
+    drawn = 0  # table rows the generator has passed
+    for start in map(int, starts):
+        stop = min(start + _CHUNK_ROWS, cfg.vocab_size)
+        rng.bit_generator.advance((start - drawn) * cfg.embed_dim)
+        if rows is None:
+            lo, hi, at = start, stop, slice(None)
+        else:
+            lo, hi = np.searchsorted(rows, (start, stop))
+            at = rows[lo:hi] - start
+        # Unnamed, so that no block is alive while the next one is drawn.
+        out[lo:hi] = rng.uniform(-bound, bound, size=(stop - start, cfg.embed_dim)).astype(np.float32)[at]
+        drawn = stop
+    rng.bit_generator.advance((cfg.vocab_size - drawn) * cfg.embed_dim)
+
+
+def _check_rows(rows: np.ndarray, vocab_size: int, noun: str) -> None:
+    """Refuse ``rows`` unless its ids are sorted, distinct and in [0, vocab_size)."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= vocab_size or np.any(rows[1:] <= rows[:-1]))):
+        raise ValueError(f"{noun} must be sorted distinct ids below vocab_size {vocab_size}")
 
 
 def forward_batch(params: ModelParams, docs: list[EncodedDoc]) -> BatchActivations:
@@ -214,8 +255,8 @@ def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.nda
 
 
 def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:
+    """The shapes of w1, b1, wc, bc, wt and bt, the arrays stored whole."""
     return [
-        (model_cfg.vocab_size, model_cfg.embed_dim),
         (model_cfg.embed_dim, model_cfg.hidden_dim),
         (model_cfg.hidden_dim,),
         (model_cfg.hidden_dim, NUM_CLASSES),
@@ -231,15 +272,22 @@ def save_params(
     feature_cfg: FeatureConfig,
     path: str | Path,
 ) -> None:
-    """Write a self-describing versioned checkpoint (see module docstring)."""
+    """Write a self-describing versioned checkpoint (see module docstring):
+    the rows of ``params.embed`` whose float32 bits differ from the seed's
+    initial table, and every other array whole."""
     if model_cfg.vocab_size != feature_cfg.vocab_size:
         raise ValueError(
             f"model vocab_size {model_cfg.vocab_size} != 2**hash_bits {feature_cfg.vocab_size}"
         )
-    for (name, arr), shape in zip(params.arrays(), _shapes(model_cfg)):
+    rows = params.rows
+    if rows is not None:
+        _check_rows(rows, model_cfg.vocab_size, "params.rows")
+    embed_shape = (model_cfg.vocab_size if rows is None else rows.size, model_cfg.embed_dim)
+    for (name, arr), shape in zip(params.arrays(), [embed_shape, *_shapes(model_cfg)]):
         if arr.shape != shape:
             raise ValueError(f"parameter {name} has shape {arr.shape}, config implies {shape}")
 
+    changed = _changed_rows(params.embed, model_cfg, rows)
     header = struct.pack(
         _HEADER_FMT,
         feature_cfg.max_tokens,
@@ -252,94 +300,121 @@ def save_params(
         NUM_TARGETS,
         model_cfg.seed,
     )
+    ids = changed if rows is None else rows[changed]
     crc = 0
     with open(path, "wb") as f:
-        for chunk in _checkpoint_chunks(header, params):
+        for chunk in _checkpoint_chunks(header, ids, params, changed):
             f.write(chunk)
             crc = zlib.crc32(chunk, crc)
         f.write(struct.pack("<I", crc))
 
 
-def _checkpoint_chunks(header: bytes, params: ModelParams):
+def _changed_rows(embed: np.ndarray, cfg: ModelConfig, rows: np.ndarray | None) -> np.ndarray:
+    """The indices of the rows of ``embed`` (table ``rows``, or the whole
+    table) whose float32 bits differ from the seed's initial values."""
+    initial = np.empty(embed.shape, np.float32)
+    _draw_initial(cfg, np.random.default_rng(cfg.seed), initial, rows)
+    stored = np.ascontiguousarray(embed, dtype=np.float32)
+    return np.flatnonzero(np.any(stored.view(np.uint32) != initial.view(np.uint32), axis=1))
+
+
+def _checkpoint_chunks(header: bytes, ids: np.ndarray, params: ModelParams, changed: np.ndarray):
     """The buffers of the checkpoint bytes that precede the crc, each array
-    at most ``_CHUNK_ROWS`` rows at a time: a float32 array's row blocks are
-    views of its own buffer, any other array's are converted block by block."""
-    yield _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header
-    for _, arr in params.arrays():
+    at most ``_CHUNK_ROWS`` rows at a time."""
+    yield _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header + struct.pack("<I", ids.size)
+    yield ids.astype("<u4")
+    for start in range(0, changed.size, _CHUNK_ROWS):
+        yield np.ascontiguousarray(params.embed[changed[start : start + _CHUNK_ROWS]], dtype="<f4")
+    for name, arr in params.arrays()[1:]:
         for start in range(0, arr.shape[0], _CHUNK_ROWS):
             yield np.ascontiguousarray(arr[start : start + _CHUNK_ROWS], dtype="<f4")
-
-
-def _read_aligned(path: str | Path) -> memoryview:
-    """The bytes of the file at ``path``, placed so that its byte
-    ``_PAYLOAD_OFFSET`` lies on an ``_ALIGN``-byte boundary.
-
-    The embedding table is then an aligned float32 view of the buffer, with
-    no copy; ``take`` on an unaligned view is several times slower.
-    """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        buf = np.empty(size + _ALIGN, dtype=np.uint8)
-        start = -(buf.ctypes.data + _PAYLOAD_OFFSET) % _ALIGN
-        blob = memoryview(buf)[start : start + size]
-        n = f.readinto(blob)
-    return blob[:n]
 
 
 def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConfig]:
     """Inverse of save_params; fails closed on any corruption.
 
-    ``embed`` is a writable float32 view of the file's bytes; the other
-    arrays are float64 copies.
+    ``embed`` is a float32 table: the seed's initial table, replayed block
+    by block, with the stored rows read into it block by block, so the file
+    and the table are never both whole in memory. The other arrays are
+    float64. The CRC is accumulated while reading and checked before
+    anything is returned.
     """
-    blob = _read_aligned(path)
-    if len(blob) < 9:
-        raise ValueError(f"{path}: truncated at offset {len(blob)} (no header)")
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {bytes(blob[:4])!r}, expected {_MAGIC!r}")
-    version = blob[4]
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_PAYLOAD_OFFSET + 4)
+        model_cfg, feature_cfg, count = _parse_head(head, path)
+        small = sum(math.prod(shape) for shape in _shapes(model_cfg))
+        # math.prod and Python ints: header dims up to 2**32 - 1 overflow int64.
+        expected = len(head) + 4 * count * (1 + model_cfg.embed_dim) + 4 * small + 4
+        if size != expected:
+            raise ValueError(f"{path}: file is {size} bytes, expected {expected} (truncated or padded)")
+        crc = zlib.crc32(head)
+
+        def read(shape: tuple[int, ...], dtype: str = "<f4") -> np.ndarray:
+            nonlocal crc
+            arr = np.empty(shape, dtype)
+            if f.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: truncated at offset {f.tell()}")
+            crc = zlib.crc32(arr, crc)
+            return arr
+
+        ids = read((count,), "<u4")
+        _check_rows(ids, model_cfg.vocab_size, f"{path}: stored row ids")
+        # A few bytes of header can name a table of terabytes.
+        try:
+            embed = np.empty((model_cfg.vocab_size, model_cfg.embed_dim), np.float32)
+            _draw_initial(model_cfg, np.random.default_rng(model_cfg.seed), embed)
+        except MemoryError as exc:
+            raise ValueError(f"{path}: the embedding table does not fit in memory ({exc})") from exc
+        # The CRC guards the bytes, not the values: a NaN saved is a NaN loaded.
+        non_finite = []
+        for start in range(0, count, _CHUNK_ROWS):
+            rows = read((min(_CHUNK_ROWS, count - start), model_cfg.embed_dim))
+            if not np.all(np.isfinite(rows)) and not non_finite:
+                non_finite.append("embed")
+            embed[ids[start : start + _CHUNK_ROWS]] = rows
+        arrays = [embed]
+        for name, shape in zip(ModelParams.FIELDS[1:], _shapes(model_cfg)):
+            arr = read(shape)
+            if not np.all(np.isfinite(arr)):
+                non_finite.append(name)
+            arrays.append(arr.astype(np.float64))
+        (stored_crc,) = struct.unpack("<I", f.read(4))
+    if stored_crc != crc:
+        raise ValueError(f"{path}: CRC mismatch at offset {size - 4} (stored {stored_crc:#x}, computed {crc:#x})")
+    if non_finite:
+        raise ValueError(f"{path}: non-finite values in {non_finite[0]}")
+    return ModelParams(*arrays), model_cfg, feature_cfg
+
+
+def _parse_head(head: bytes, path: str | Path) -> tuple[ModelConfig, FeatureConfig, int]:
+    """The configs and the stored row count that a checkpoint's first bytes
+    give, checked against each other."""
+    if len(head) < 9:
+        raise ValueError(f"{path}: truncated at offset {len(head)} (no header)")
+    if head[:4] != _MAGIC:
+        raise ValueError(f"{path}: bad magic {head[:4]!r}, expected {_MAGIC!r}")
+    version = head[4]
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}, expected {_VERSION}")
-    (header_len,) = struct.unpack_from("<I", blob, 5)
+    (header_len,) = struct.unpack_from("<I", head, 5)
     if header_len != _HEADER_LEN:
         raise ValueError(f"{path}: header length {header_len}, expected {_HEADER_LEN}")
-    if len(blob) < _PAYLOAD_OFFSET:
-        raise ValueError(f"{path}: truncated at offset {len(blob)} (header incomplete)")
-    fields = struct.unpack_from(_HEADER_FMT, blob, 9)
+    if len(head) < _PAYLOAD_OFFSET:
+        raise ValueError(f"{path}: truncated at offset {len(head)} (header incomplete)")
+    fields = struct.unpack_from(_HEADER_FMT, head, 9)
     if fields[6:8] != (NUM_CLASSES, NUM_TARGETS):
         raise ValueError(f"{path}: {fields[6]} classes, {fields[7]} targets; expected {NUM_CLASSES}, {NUM_TARGETS}")
     try:
         feature_cfg = FeatureConfig(max_tokens=fields[0], hash_bits=fields[1], ngram=fields[2])
-        model_cfg = ModelConfig(
-            vocab_size=fields[3],
-            embed_dim=fields[4],
-            hidden_dim=fields[5],
-            seed=fields[8],
-        )
+        model_cfg = ModelConfig(vocab_size=fields[3], embed_dim=fields[4], hidden_dim=fields[5], seed=fields[8])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if model_cfg.vocab_size != feature_cfg.vocab_size:
         raise ValueError(f"{path}: header vocab_size {model_cfg.vocab_size} inconsistent with hash_bits")
-
-    shapes = _shapes(model_cfg)
-    # math.prod: header dims up to 2**32 - 1 overflow numpy's int64 product.
-    n_payload = sum(math.prod(s) for s in shapes) * 4
-    expected = _PAYLOAD_OFFSET + n_payload + 4
-    if len(blob) != expected:
-        raise ValueError(f"{path}: file is {len(blob)} bytes, expected {expected} (truncated or padded)")
-    (stored_crc,) = struct.unpack_from("<I", blob, expected - 4)
-    actual_crc = zlib.crc32(blob[: expected - 4])
-    if stored_crc != actual_crc:
-        raise ValueError(f"{path}: CRC mismatch at offset {expected - 4} (stored {stored_crc:#x}, computed {actual_crc:#x})")
-
-    offset = _PAYLOAD_OFFSET
-    arrays = []
-    for name, shape in zip(ModelParams.FIELDS, shapes):
-        count = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        # The CRC guards the bytes, not the values: a NaN saved is a NaN loaded.
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: non-finite values in {name}")
-        arrays.append(arr if name == "embed" else arr.astype(np.float64))
-        offset += count * 4
-    return ModelParams(*arrays), model_cfg, feature_cfg
+    if len(head) < _PAYLOAD_OFFSET + 4:
+        raise ValueError(f"{path}: truncated at offset {len(head)} (no row count)")
+    (count,) = struct.unpack_from("<I", head, _PAYLOAD_OFFSET)
+    if count > model_cfg.vocab_size:
+        raise ValueError(f"{path}: {count} stored rows, more than vocab_size {model_cfg.vocab_size}")
+    return model_cfg, feature_cfg, count

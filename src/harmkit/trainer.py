@@ -5,11 +5,13 @@ seed, per-epoch shuffles from (train seed, epoch). Two runs with identical
 configs and data produce identical reports. The checkpoint kept is the one
 from the epoch with the best validation F1 (macro-F1 for the harm task,
 micro-F1 over thresholded decisions for the targets task); ties keep the
-earliest epoch. Training steps a float64 compact copy of the embedding
-table, the rows the train and val documents hash to, with plain dense
-optimizers; the best epoch's rows are then written back into the full table.
-That table is float32, the array the checkpoint stores, and is the ``embed``
-``train`` returns; the other arrays it returns are float64.
+earliest epoch. Training steps a float64 compact table, the rows of the
+embedding table that the train and val documents hash to, with plain dense
+optimizers. ``init_params`` draws only those rows, so the whole table is
+never held. ``train`` returns the best epoch's compact rows as the float32
+values the checkpoint stores, with their table ids in ``rows``; the other
+arrays it returns are float64. The checkpoint stores the rows that training
+changed.
 
 The data around the step are plain arrays built once: each split's labels
 are one array from ``_extract_labels``, and each epoch's batches are index
@@ -243,17 +245,14 @@ def train(
     if train_cfg.task == "targets" and train_cfg.contrastive.lam > 0.0:
         warnings.warn("the contrastive term does not apply to the targets task; ignoring lambda", stacklevel=2)
 
-    # Train on a float64 compact copy of the table, the rows the documents hash
-    # to. A dense step moves a row with zero gradient (every val-only row) by
-    # exactly 0, so the copy follows the full table's trajectory. The table
-    # itself is float32, as the checkpoint stores it; its values are float32
-    # from the start, so the copy starts where a float64 table would.
-    full = init_params(model_cfg, embed_dtype=np.float32)
+    # Train on a float64 compact table, the rows the documents hash to. A
+    # dense step moves a row with zero gradient (every val-only row) by
+    # exactly 0, so the compact table follows the full table's trajectory.
     rows, docs = _compact_ids([*enc_train, *enc_val])
     if rows.size and rows[-1] >= model_cfg.vocab_size:
         raise ValueError(f"token id out of range for vocab size {model_cfg.vocab_size}")
     enc_train, enc_val = docs[: len(enc_train)], docs[len(enc_train) :]
-    params = replace(full, embed=full.embed[rows].astype(np.float64))
+    params = init_params(model_cfg, rows)
     optimizer = _make_optimizer(train_cfg)
 
     loss_series: list[float] = []
@@ -275,11 +274,9 @@ def train(
         if progress is not None:
             progress(epoch, mean_loss, val_f1)
 
-    # F1 is never negative, so epoch 0 always took a snapshot. Assigning the
-    # float64 rows into the float32 table rounds them as ``astype("<f4")``
-    # does, so the checkpoint holds what a float64 table would have saved.
-    full.embed[rows] = best.embed
-    params = replace(best, embed=full.embed)
+    # F1 is never negative, so epoch 0 always took a snapshot. Its rows are
+    # returned as the float32 values the checkpoint stores.
+    params = replace(best, embed=best.embed.astype(np.float32))
     if checkpoint_path is not None:
         save_params(params, model_cfg, feature_cfg, checkpoint_path)
     report = TrainReport(

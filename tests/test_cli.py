@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmkit import cli, corpus
+from harmkit import cli, corpus, trainer
 from harmkit.corpus import load_jsonl, save_jsonl
 from harmkit.ensembles import write_prediction_file
 from harmkit.featurizer import FeatureConfig, batch_encode
@@ -199,6 +199,24 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"{config}: {key} must be < 2**32, got {2**32}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.hpc").exists()
+
+    def test_dims_too_large_to_allocate_exit_2_naming_the_config(self, tmp_path, split_files, capsys, monkeypatch):
+        # embed_dim = 2**32 - 1 fits the u32 header, but its arrays cannot be
+        # allocated; it ended in an _ArrayMemoryError traceback and exit 1.
+        # The MemoryError is injected where train first allocates at that width.
+        def out_of_memory(cfg, rows=None):
+            assert cfg.embed_dim == 2**32 - 1
+            raise MemoryError(f"Unable to allocate 32.0 TiB for an array with shape (1024, {cfg.embed_dim})")
+
+        monkeypatch.setattr(trainer, "init_params", out_of_memory)
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "huge.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc", embed_dim=2**32 - 1)
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: the model does not fit in memory (Unable to allocate")
         assert "Traceback" not in err
         assert not (tmp_path / "m.hpc").exists()
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from harmkit import cli
+from harmkit import cli, model
 from harmkit.featurizer import FeatureConfig
 from harmkit.model import ModelConfig, init_params, save_params
 
@@ -122,13 +122,22 @@ def test_config_parser_raises_config_error_or_returns_finite_floats(lines):
         assert all(math.isfinite(x) for x in floats), floats
 
 
+# The rows model_dir's checkpoint stores, and where its sections start: the
+# row count at 49, the ids at 53, the rows (4 float32 each) at 69 and the
+# small arrays at 133.
+STORED_IDS = (3, 100, 200, 255)
+IDS_AT, ROWS_AT, SMALL_AT = 53, 69, 133
+
+
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
     """A small valid checkpoint and an input file for predict."""
     root = tmp_path_factory.mktemp("fuzz-model")
     fcfg = FeatureConfig(max_tokens=16, hash_bits=8)
     mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=3, seed=1)
-    save_params(init_params(mcfg), mcfg, fcfg, root / "m.hpc")
+    params = init_params(mcfg)
+    params.embed[list(STORED_IDS)] += 0.5  # so that the checkpoint stores rows, and their ids
+    save_params(params, mcfg, fcfg, root / "m.hpc")
     lines = [json.dumps({"id": f"d{i}", "text": f"w{i} w{i % 3} !"}) for i in range(5)] + ['{"id": "e", "text": ""}']
     (root / "in.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return root
@@ -166,6 +175,92 @@ def test_mutated_checkpoint_loads_or_is_named(model_dir, data):
     assert code in (0, 2), (code, err)
     if code == 2:
         assert err.startswith(f"error: {checkpoint}: "), err
+
+
+def predict_with(model_dir, blob, crc=True):
+    """Run predict on a checkpoint of the bytes ``blob``, with the CRC
+    recomputed unless ``crc`` is false; returns the exit code, the error
+    output and the checkpoint's path."""
+    if crc:
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "bad.hpc"
+        checkpoint.write_bytes(bytes(blob))
+        code, err = run(["predict", "--checkpoint", str(checkpoint), "--input", str(model_dir / "in.jsonl"),
+                         "--output", str(Path(tmp) / "out.jsonl")])
+    assert code == 2, (code, err)
+    assert err.startswith(f"error: {checkpoint}: ") and "Traceback" not in err, err
+    return err.removeprefix(f"error: {checkpoint}: ")
+
+
+def test_fixture_checkpoint_layout(model_dir):
+    blob = (model_dir / "m.hpc").read_bytes()
+    assert struct.unpack_from("<I", blob, 49) == (len(STORED_IDS),)
+    assert struct.unpack_from("<4I", blob, IDS_AT) == STORED_IDS
+    assert ROWS_AT == IDS_AT + 4 * len(STORED_IDS) and SMALL_AT == ROWS_AT + 16 * len(STORED_IDS)
+    assert len(blob) == SMALL_AT + 4 * (4 * 3 + 3 + 3 * 4 + 4 + 3 * 5 + 5) + 4
+
+
+@pytest.mark.parametrize("ids", [(100, 3, 200, 255), (3, 100, 100, 255), (3, 100, 200, 256),
+                                 (3, 100, 200, 2**32 - 1), (200, 100, 3, 255)],
+                         ids=["unsorted", "duplicated", "vocab_size", "u32_max", "descending"])
+def test_stored_row_ids_must_be_sorted_distinct_and_below_vocab_size(model_dir, ids):
+    blob = bytearray((model_dir / "m.hpc").read_bytes())
+    struct.pack_into("<4I", blob, IDS_AT, *ids)
+    err = predict_with(model_dir, blob)
+    assert err.startswith("stored row ids must be sorted distinct ids below vocab_size 256"), err
+
+
+@pytest.mark.parametrize("count", [0, 3, 5, 256, 257, 2**32 - 1])
+def test_row_count_the_file_cannot_hold(model_dir, count):
+    blob = bytearray((model_dir / "m.hpc").read_bytes())
+    struct.pack_into("<I", blob, 49, count)
+    err = predict_with(model_dir, blob)
+    if count > 256:
+        assert err.startswith(f"{count} stored rows, more than vocab_size 256"), err
+    else:
+        assert err.startswith(f"file is {len(blob)} bytes, expected {len(blob) + 20 * (count - 4)} "), err
+
+
+@pytest.mark.parametrize("cut", [IDS_AT + 2, ROWS_AT - 1, ROWS_AT + 6, SMALL_AT - 4], ids=["ids", "ids_end", "rows",
+                                                                                       "rows_end"])
+def test_file_truncated_inside_the_ids_or_the_rows(model_dir, cut):
+    blob = bytearray((model_dir / "m.hpc").read_bytes()[:cut])
+    err = predict_with(model_dir, blob, crc=False)
+    assert err.startswith(f"file is {cut} bytes, expected {len((model_dir / 'm.hpc').read_bytes())} "), err
+
+
+@pytest.mark.parametrize("at", [ROWS_AT, ROWS_AT + 37, SMALL_AT, SMALL_AT + 100])
+def test_flipped_payload_byte_fails_the_crc(model_dir, at):
+    blob = bytearray((model_dir / "m.hpc").read_bytes())
+    blob[at] ^= 0x10
+    assert predict_with(model_dir, blob, crc=False).startswith("CRC mismatch"), at
+
+
+def test_table_too_large_for_memory_is_named(model_dir, monkeypatch):
+    # A 4 KB file can name a 16 GB table: 2**22 rows of 1000 values. The
+    # MemoryError is injected where the table is drawn, in case the machine
+    # hands out that much address space.
+    def out_of_memory(cfg, rng, out, rows=None):
+        raise MemoryError(f"Unable to allocate {out.nbytes / 2**30:.1f} GiB")
+
+    monkeypatch.setattr(model, "_draw_initial", out_of_memory)
+    blob = bytearray((model_dir / "m.hpc").read_bytes()[:53])
+    struct.pack_into("<6I", blob, 9, 16, 22, 1, 2**22, 1000, 1)
+    struct.pack_into("<I", blob, 49, 0)
+    blob += bytes(4 * (1000 + 1 + 4 + 4 + 5 + 5) + 4)
+    err = predict_with(model_dir, blob)
+    assert err.startswith("the embedding table does not fit in memory"), err
+
+
+def test_version_1_file_refused(model_dir):
+    # A version 1 file stored the whole table after the header.
+    v2 = (model_dir / "m.hpc").read_bytes()
+    params = init_params(ModelConfig(vocab_size=256, embed_dim=4, hidden_dim=3, seed=1))
+    params.embed[list(STORED_IDS)] += 0.5
+    blob = bytearray(v2[:4] + b"\x01" + v2[5:49] + b"".join(arr.astype("<f4").tobytes() for _, arr in params.arrays()))
+    blob += bytes(4)
+    assert predict_with(model_dir, blob) == "unsupported checkpoint version 1, expected 2\n"
 
 
 @st.composite

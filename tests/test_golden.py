@@ -32,27 +32,27 @@ from harmkit.trainer import _extract_labels, evaluate_params
 GOLDEN = {
     "harm": {
         "report.json": "9c05218b281e246ca3e5ae18586f3cd7202be553e2e4dea73a36b2bd6c39110a",
-        "model.hpc": "b4714182444df078b600305bdbc463d1de5370e57812ac96d9e52ef3ca08420c",
+        "model.hpc": "2b95cff2a5baaded1949ea28821f4ecadc5826b2e7d47e99efc9d9b2d95b3daf",
         "pred.jsonl": "cdfc8ee94f89e763d88ffc1a6204aeec258efc7f2436ef919c9a5148ee844214",
     },
     "targets": {
         "report.json": "90509cee0f53a676d8e2944a4792d932025f5738a74c5cfd1508adaa514da445",
-        "model.hpc": "063fca2a53da08a74e9f9dd57b5bf0db395bbd8774391be5928ffdc2b46539de",
+        "model.hpc": "7428cd7dcc968e8e6f8cbc48bca14ff4def1bdf3654a6a09662e12574c1dbc37",
         "pred.jsonl": "82b0f342fe30b2c810719460f2db37c569c7e68d0a884d0ca3cbd4b836f1c357",
     },
     "sgd": {
         "report.json": "b0c088cf920320c279592bb74f42d7e3100dcb624c3c7fc7f6adf3d49f75db54",
-        "model.hpc": "c428c5aa6075b909c3d52f40edf1282bcced79570d02a179699725c72f3c9e04",
+        "model.hpc": "ae87b03a58556670efff8525c8d6e9d163bc85704df19093fab3dd1890ed3225",
         "pred.jsonl": "c595b6bbaa28ac1167837171ec66a030ca363afd1a2da340007a6b6f24d5af05",
     },
     "hash15": {
         "report.json": "6b1f71e13e0bb0b69072de1fbf9122fa4325babb7d9e11ebe9ace4cec264cb25",
-        "model.hpc": "824d870a2665ed36b7abbe61b182fb316da1ee80fa9f050ba47239fb12ee5b8a",
+        "model.hpc": "3a7fffb95bc4ec98d3db4ef7da10a94e25d079ac101cdfbd864e5395ee0d7134",
         "pred.jsonl": "c459b086c775ad0dd4988e60b14710e07469ebac421fd92bee7b892d2d256c3b",
     },
     "ngram2": {
         "report.json": "d844ddbfcaeb2c2eb26140db9bc504926e53e904cb8f20a6aef0d39f0568fb05",
-        "model.hpc": "3d40b0199712dc48bb004238d90ae397ceb041b7644b51f84285dbdef0aed4cf",
+        "model.hpc": "b3ae149afdbf88ff89e1aa1f0f6e4f9e11e9a6de7a90dac39d4a72c0dc91fa54",
         "pred.jsonl": "3b134b6a450f34b334441280210399f1566b8f88551d48069c98c16f89b0579c",
     },
 }

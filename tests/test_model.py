@@ -64,6 +64,52 @@ def forward_reference(params, doc):
     return z, z_hat, class_logits, target_logits
 
 
+def init_params_reference(cfg):
+    """Oracle for init_params: each array drawn from the seed in one piece,
+    cast to float32 and back."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def glorot(fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32).astype(np.float64)
+
+    return ModelParams(
+        embed=glorot(cfg.vocab_size, cfg.embed_dim), w1=glorot(cfg.embed_dim, cfg.hidden_dim),
+        b1=np.zeros(cfg.hidden_dim), wc=glorot(cfg.hidden_dim, NUM_CLASSES), bc=np.zeros(NUM_CLASSES),
+        wt=glorot(cfg.hidden_dim, NUM_TARGETS), bt=np.zeros(NUM_TARGETS),
+    )
+
+
+ROW_SETS = ["empty", "single", "ends", "boundary", "every", "some"]
+
+
+@st.composite
+def replay_cases(draw):
+    """(seed, vocab_size, embed_dim, kind of row set); vocab sizes are mostly
+    not multiples of 1024, and span up to five blocks."""
+    seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    vocab_size = draw(st.sampled_from([1, 1023, 1025, 2047, 2049, 4100]) | st.integers(1, 4200))
+    return seed, vocab_size, draw(st.integers(1, 3)), draw(st.sampled_from(ROW_SETS))
+
+
+def replay_rows(case):
+    """The case with its kind replaced by a sorted distinct row array: no row,
+    one row, the first and last rows, rows on both sides of a block boundary,
+    every row, or every third row from a seeded offset."""
+    seed, vocab_size, embed_dim, kind = case
+    rng = np.random.default_rng([seed, vocab_size])
+    boundary = 1024 * int(rng.integers(1, vocab_size // 1024 + 1)) if vocab_size > 1024 else vocab_size // 2
+    rows = {
+        "empty": [],
+        "single": [int(rng.integers(0, vocab_size))],
+        "ends": sorted({0, vocab_size - 1}),
+        "boundary": list(range(max(boundary - 2, 0), min(boundary + 2, vocab_size))),
+        "every": range(vocab_size),
+        "some": range(int(rng.integers(0, 3)), vocab_size, 3),
+    }[kind]
+    return seed, vocab_size, embed_dim, np.array(rows, dtype=np.int64)
+
+
 class TestInit:
     def test_deterministic_bitwise(self):
         a = init_params(small_cfg(seed=42))
@@ -96,19 +142,44 @@ class TestInit:
 
     @pytest.mark.parametrize("vocab_size", [1, 1023, 1024, 3000])
     def test_matches_one_whole_draw_bitwise(self, vocab_size):
-        # Oracle: each array drawn in one piece, cast to float32 and back.
         cfg = ModelConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=6, seed=5)
-        rng = np.random.default_rng(cfg.seed)
-
-        def glorot(fan_in, fan_out):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32).astype(np.float64)
-
-        expected = [glorot(vocab_size, 8), glorot(8, 6), glorot(6, NUM_CLASSES), glorot(6, NUM_TARGETS)]
-        params = init_params(cfg)
-        for got, want in zip((params.embed, params.w1, params.wc, params.wt), expected):
+        params, expected = init_params(cfg), init_params_reference(cfg)
+        assert params.rows is None
+        for (name, got), (_, want) in zip(params.arrays(), expected.arrays()):
             assert got.dtype == np.float64
-            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes(), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=replay_cases())
+    @example(case=(0, 3000, 3, "empty"))
+    @example(case=(2**64 - 1, 3000, 3, "empty"))
+    @example(case=(0, 1, 2, "every"))
+    @example(case=(0, 2049, 2, "single"))
+    @example(case=(2**64 - 1, 1025, 3, "single"))
+    @example(case=(0, 4100, 2, "ends"))
+    @example(case=(2**64 - 1, 4100, 1, "ends"))
+    @example(case=(0, 3000, 3, "boundary"))
+    @example(case=(2**64 - 1, 2050, 2, "boundary"))
+    @example(case=(0, 3001, 2, "every"))
+    @example(case=(2**64 - 1, 2047, 3, "every"))
+    def test_row_replay_matches_one_whole_draw_bitwise(self, case):
+        # init_params(cfg, rows) draws only the 1024-row blocks that hold one
+        # of rows; it must give their rows and the small arrays of one draw of
+        # everything.
+        seed, vocab_size, embed_dim, rows = replay_rows(case)
+        cfg = ModelConfig(vocab_size=vocab_size, embed_dim=embed_dim, hidden_dim=3, seed=seed)
+        expected = init_params_reference(cfg)
+        params = init_params(cfg, rows)
+        assert params.rows is rows
+        assert params.embed.dtype == np.float64 and params.embed.shape == (rows.size, embed_dim)
+        assert params.embed.tobytes() == expected.embed[rows].tobytes()
+        for (name, got), (_, want) in list(zip(params.arrays(), expected.arrays()))[1:]:
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_rows_must_be_sorted_distinct_ids_in_the_table(self):
+        for rows in ([3, 2], [2, 2], [-1, 4], [0, 256]):
+            with pytest.raises(ValueError, match="rows must be sorted distinct ids below vocab_size 256"):
+                init_params(small_cfg(), np.array(rows))
 
     def test_peak_memory_is_one_table(self):
         tracemalloc.start()
@@ -405,13 +476,14 @@ class TestCheckpoint:
     def test_unsupported_version(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
         cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
-        path = tmp_path / "v2.hpc"
+        path = tmp_path / "other.hpc"
         save_params(init_params(cfg), cfg, fcfg, path)
         blob = bytearray(path.read_bytes())
-        blob[4] = 2
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version 2"):
-            load_params(path)
+        for version in (1, 3):
+            blob[4] = version
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ValueError, match=f"{path}: unsupported checkpoint version {version}, expected 2"):
+                load_params(path)
 
     @pytest.mark.parametrize("field, value, counts", [(6, 6, "6 classes, 5 targets"), (7, 4, "4 classes, 4 targets")])
     def test_header_shape_counts_fixed(self, tmp_path, field, value, counts):
@@ -456,24 +528,45 @@ class TestCheckpoint:
         dim = 2**32 - 1
         struct.pack_into("<2I", blob, 9 + 4 * 4, dim, dim)
         path.write_bytes(bytes(blob))
-        floats = 256 * dim + dim * dim + dim + dim * 4 + 4 + dim * 5 + 5
-        expected = 49 + 4 * floats + 4
+        # The saved initial table stores no rows: the file is the header, a
+        # row count of 0, the small arrays and the CRC.
+        floats = dim * dim + dim + dim * 4 + 4 + dim * 5 + 5
+        expected = 49 + 4 + 4 * floats + 4
         with pytest.raises(ValueError, match=re.escape(f"{path}: file is {len(blob)} bytes, expected {expected} ")):
             load_params(path)
 
-    def test_embed_loads_as_an_aligned_writable_float32_view(self, tmp_path):
+    def test_embed_loads_as_a_writable_c_contiguous_float32_array(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
         cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=3)
         params = init_params(cfg)
+        params.embed[[5, 200]] += 0.25
         path = tmp_path / "m.hpc"
         save_params(params, cfg, fcfg, path)
-        for _ in range(4):  # each load places a new buffer
+        loaded, _, _ = load_params(path)
+        assert loaded.embed.dtype == np.float32 and loaded.rows is None
+        assert loaded.embed.flags.writeable and loaded.embed.flags.c_contiguous
+        assert all(arr.dtype == np.float64 for name, arr in loaded.arrays() if name != "embed")
+        assert np.array_equal(loaded.embed, params.embed.astype(np.float32))
+
+    def test_load_peak_memory_is_one_table_and_a_block(self, tmp_path):
+        # Every row differs from the initial table, so the file holds the
+        # whole table too; a load that held the file beside the table would
+        # peak at two tables.
+        fcfg = FeatureConfig()
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size)
+        params = init_params(cfg)
+        params.embed += 0.5
+        path = tmp_path / "m.hpc"
+        save_params(params, cfg, fcfg, path)
+        assert path.stat().st_size > cfg.vocab_size * cfg.embed_dim * 4
+        del params
+        tracemalloc.start()
+        try:
             loaded, _, _ = load_params(path)
-            assert loaded.embed.dtype == np.float32
-            assert loaded.embed.ctypes.data % 16 == 0
-            assert loaded.embed.flags.writeable and loaded.embed.flags.c_contiguous
-            assert all(arr.dtype == np.float64 for name, arr in loaded.arrays() if name != "embed")
-            assert np.array_equal(loaded.embed, params.embed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < loaded.embed.nbytes + 2**20
 
     def test_truncated_file(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
@@ -521,15 +614,30 @@ class TestCheckpoint:
             assert loaded.w1.shape == (embed, hidden)
 
     def test_format_layout_documented(self, tmp_path):
-        # Spot-check the byte layout: magic, version, header length, CRC tail.
-        fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=77)
+        # The byte layout of the module docstring: magic, version, header
+        # length, header, row count, the changed rows' ids and values, the
+        # small arrays, the CRC of everything before it.
+        fcfg = FeatureConfig(hash_bits=8, max_tokens=20)
+        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=3, seed=77)
+        params = init_params(cfg)
+        params.embed[[200, 7]] += 0.5
+        params.embed[9] = params.embed[9]  # the same bits: not a changed row
         path = tmp_path / "layout.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
+        save_params(params, cfg, fcfg, path)
         blob = path.read_bytes()
         assert blob[:4] == b"HPC1"
-        assert blob[4] == 1
+        assert blob[4] == 2
         (header_len,) = struct.unpack_from("<I", blob, 5)
         assert header_len == 40
+        assert struct.unpack_from("<8IQ", blob, 9) == (20, 8, 1, 256, 4, 3, 4, 5, 77)
+        (count,) = struct.unpack_from("<I", blob, 49)
+        assert count == 2
+        assert np.frombuffer(blob, "<u4", 2, 53).tolist() == [7, 200]
+        offset = 61
+        want = [params.embed[[7, 200]], params.w1, params.b1, params.wc, params.bc, params.wt, params.bt]
+        for arr in want:
+            assert blob[offset : offset + arr.size * 4] == arr.astype("<f4").tobytes()
+            offset += arr.size * 4
+        assert offset == len(blob) - 4
         (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
         assert stored_crc == zlib.crc32(blob[:-4])
