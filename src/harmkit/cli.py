@@ -272,7 +272,10 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         doc_ids, probs, labels = ensembles.average_ensemble(aligned)
     else:
         if args.weights is not None:
-            weights = [float(x) for x in args.weights.split(",")]
+            try:
+                weights = [float(x) for x in args.weights.split(",")]
+            except ValueError:
+                raise ConfigError(f"--weights must be comma-separated numbers, got {args.weights!r}") from None
         elif gold is not None:
             weights = ensembles.derive_weights([metrics.classification_report(metrics.confusion(gold, member)).macro_f1
                                                 for member in aligned.labels()])

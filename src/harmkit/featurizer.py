@@ -6,10 +6,10 @@ runs of punctuation, dropping whitespace. A character is whitespace when
 in Unicode category L, N or M (letters, digits, combining marks), and
 punctuation when it is anything else. Combining marks count as word
 characters so that scripts written with them (Devanagari, Bangla, ...) keep
-whole words together. ``tokenize`` classifies only the distinct characters
-of a text, by the running interpreter's Unicode database, fences each
-punctuation character with a separator that ``str.split`` splits on, drops
-the separators between two punctuation characters, and splits.
+whole words together. One front finds the tokens of ``tokenize`` and
+``batch_encode`` alike: it gives each code point of a text its kind, ASCII
+ones through a table and each distinct other one once by the running
+interpreter's Unicode database, and a token is a maximal run of one kind.
 
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
@@ -19,10 +19,10 @@ byte column at a time over their UTF-8 bytes; a bigram continues its first
 token's hash over U+001F and then over the second token's bytes.
 
 ``batch_encode`` returns the ids of ``corpus.normalize_text(text)``, so it
-takes raw and normalized text alike, and encodes a block of texts at a time.
-ASCII texts are tokenized in numpy, and only those that hold ``@``, ``://``
-or ``www.`` are normalized (``corpus.only_case_changes``); other texts are
-normalized and tokenized one at a time. Nothing is cached between calls.
+takes raw and normalized text alike, and encodes a block of texts at a time
+in numpy, whatever their script. Only the texts that are not ASCII or hold
+``@``, ``://`` or ``www.`` are normalized (``corpus.only_case_changes``);
+the rest are only lowercased. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -43,20 +43,27 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Hashed between the two tokens of a bigram; U+001F never survives
 # tokenization, so bigrams cannot collide with single tokens.
 _NGRAM_SEP = 0x1F
-
-# The kind of each byte of ASCII text, as a ``bytes.translate`` table:
-# 0 whitespace, 1 word (``_`` or alphanumeric), 2 punctuation.
-_ASCII_KIND = bytes(0 if chr(cp).isspace() else 1 if chr(cp) == "_" or chr(cp).isalnum() else 2 for cp in range(256))
-# A character that ``str.split`` splits on and no ASCII text holds.
-_SEP = "\x85"
-# Up to this many distinct punctuation characters, tokenize fences each with
-# its own ``str.replace`` pass; above it, with one ``str.translate`` pass,
-# which keeps the work linear in the text and costs about 80 replace passes.
-_MAX_REPLACES = 48
 # Texts per numpy block in batch_encode, and the longest token hashed by
 # byte columns (below 255: token lengths are sorted as uint8, clipped to it + 1).
 _BLOCK = 64
 _COLUMNS = 32
+
+
+def _kind(ch: str) -> int:
+    """0 for whitespace, 1 for a word character, 2 for punctuation."""
+    if ch.isspace():
+        return 0
+    # Shortcuts: isalnum accepts only categories L and N, and no ASCII
+    # character is in M, so the ASCII table never maps in the Unicode
+    # database (about 120 KB, which predict on ASCII text never reads).
+    if ch == "_" or ch.isalnum():
+        return 1
+    return 2 if ch.isascii() or unicodedata.category(ch)[0] not in "LNM" else 1
+
+
+# The kind of each byte of ASCII text, as a ``bytes.translate`` table, of
+# which only the ASCII half is read.
+_ASCII_KIND = bytes(map(_kind, map(chr, range(128)))) + bytes(128)
 
 
 @dataclass(frozen=True)
@@ -94,30 +101,6 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
-
-
-def tokenize(text: str) -> list[str]:
-    """Split on whitespace/punctuation boundaries; punctuation runs are single tokens."""
-    # The tokens are the maximal runs of word and of punctuation characters.
-    # Fencing every punctuation character with separators and then dropping
-    # the pairs between two of them leaves one separator at each
-    # word/punctuation boundary, and ``str.split`` splits on exactly the
-    # characters ``str.isspace`` accepts.
-    if _SEP in text:
-        # Collapsing whitespace changes no token, and leaves no separator
-        # but those of the fences.
-        text = " ".join(text.split())
-    # isalnum is a shortcut: letters and digits are categories L and N.
-    punct = {ch for ch in set(text) if not (ch.isalnum() or ch.isspace() or ch == "_")
-             and unicodedata.category(ch)[0] not in "LNM"}
-    if not punct:
-        return text.split()
-    if len(punct) > _MAX_REPLACES:
-        text = text.translate({ord(ch): _SEP + ch + _SEP for ch in punct})
-    else:
-        for ch in punct:
-            text = text.replace(ch, _SEP + ch + _SEP)
-    return text.replace(_SEP + _SEP, "").split()
 
 
 def _fnv(data: np.ndarray, pos: np.ndarray, lengths: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -185,36 +168,55 @@ def _runs(kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, lengths
 
 
-def _ascii_block(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bytes, token starts, token lengths and tokens per text of
-    ``tokenize(corpus.normalize_text(text))`` for ASCII texts, tokenized in
-    numpy over the texts joined into one lowercased byte array."""
+def _kinds(text: str, raw: bytes) -> np.ndarray:
+    """The kind (``_kind``) of each code point of ``text``, as uint8, given
+    ``raw``, its UTF-8 encoding."""
+    if len(raw) == len(text):  # ASCII
+        return np.frombuffer(raw.translate(_ASCII_KIND), np.uint8)
+    # Lone surrogates have a UTF-32 code unit of their own, and are punctuation.
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    kinds = np.frombuffer(_ASCII_KIND, np.uint8)[np.minimum(points, 0x7F)]
+    other = np.flatnonzero(points > 0x7F)
+    distinct, inverse = np.unique(points[other], return_inverse=True)
+    kinds[other] = np.fromiter(map(_kind, map(chr, distinct.tolist())), np.uint8, distinct.size)[inverse]
+    return kinds
+
+
+def tokenize(text: str) -> list[str]:
+    """Split on whitespace/punctuation boundaries; punctuation runs are single tokens."""
+    text = f" {text} "
+    starts, lengths = _runs(_kinds(text, text.encode("utf-8", "surrogatepass")))
+    return [text[start:end] for start, end in zip(starts.tolist(), (starts + lengths).tolist())]
+
+
+def _block(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes, token starts, token lengths (in bytes) and tokens per
+    text of ``tokenize(corpus.normalize_text(text))`` for each text, found
+    over the texts joined into one string."""
     # One space before, between and after the texts: no token crosses a text
-    # boundary, and the first and last bytes are whitespace. No marker holds
-    # a space, so none crosses a text boundary either.
-    joined = " ".join(["", *texts, ""]).lower()
-    if corpus.holds_marker(joined):
-        # Normalizing an ASCII text leaves it ASCII.
-        texts = [text if corpus.only_case_changes(text) else corpus.normalize_text(text) for text in texts]
-        joined = " ".join(["", *texts, ""]).lower()
-    raw = joined.encode("ascii")
-    starts, lengths = _runs(np.frombuffer(raw.translate(_ASCII_KIND), np.uint8))
+    # boundary, and the first and last code points are whitespace. No marker
+    # holds a space, so none crosses a text boundary either.
+    joined = " ".join(["", *texts, ""])
+    # Lowercasing can turn other text into ASCII (the Kelvin sign becomes
+    # "k"), so only raw ASCII skips normalization.
+    if joined.isascii():
+        joined = joined.lower()
+    if not joined.isascii() or corpus.holds_marker(joined):
+        texts = [text.lower() if corpus.only_case_changes(text) else corpus.normalize_text(text) for text in texts]
+        joined = " ".join(["", *texts, ""])
+    raw = joined.encode("utf-8")
+    starts, lengths = _runs(_kinds(joined, raw))
     # Each text's first token.
     firsts = np.searchsorted(starts, np.cumsum([1] + [len(text) + 1 for text in texts[:-1]]))
-    return np.frombuffer(raw, np.uint8), starts, lengths, np.diff(firsts, append=starts.size)
-
-
-def _utf8_block(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What ``_ascii_block`` gives, for any texts: each is normalized and
-    tokenized, and the tokens joined with spaces, the texts with newlines,
-    into one UTF-8 byte array."""
-    tokens = [tokenize(corpus.normalize_text(text)) for text in texts]
-    data = np.frombuffer("\n".join(["", *map(" ".join, tokens), ""]).encode("utf-8"), np.uint8)
-    # No token holds whitespace, and every byte of a multi-byte UTF-8
-    # character is at least 0x80, so a token's bytes are a maximal run of
-    # bytes other than the two separators.
-    starts, lengths = _runs((data != 0x20) & (data != 0x0A))
-    return data, starts, lengths, np.fromiter(map(len, tokens), np.int64, len(tokens))
+    data = np.frombuffer(raw, np.uint8)
+    if data.size != len(joined):
+        # Code point i starts at the i-th byte that is not a UTF-8
+        # continuation byte (0b10xxxxxx). A token ends before a code point,
+        # since the last one is a space.
+        at = np.flatnonzero((data & 0xC0) != 0x80)
+        lengths = at[starts + lengths] - at[starts]
+        starts = at[starts]
+    return data, starts, lengths, np.diff(firsts, append=starts.size)
 
 
 def encode(tokens: Sequence[str], cfg: FeatureConfig) -> EncodedDoc:
@@ -236,17 +238,9 @@ def batch_encode(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
     text; order preserved. Raw and normalized text give the same ids, since
     normalization is idempotent.
 
-    Texts are encoded _BLOCK at a time, ASCII and other texts in separate
-    blocks. ASCII texts never reach ``tokenize``, and only those that hold
+    Texts are encoded _BLOCK at a time, in one front for every script, which
+    never calls ``tokenize``. Only the texts that are not ASCII or hold
     ``@``, ``://`` or, in any letter case, ``www.`` reach ``normalize_text``
     (``corpus.only_case_changes``).
     """
-    docs: list[EncodedDoc] = [None] * len(texts)  # type: ignore[list-item]
-    ascii_at = [i for i, text in enumerate(texts) if text.isascii()]
-    other_at = [i for i, text in enumerate(texts) if not text.isascii()]
-    for at, front in ((ascii_at, _ascii_block), (other_at, _utf8_block)):
-        for lo in range(0, len(at), _BLOCK):
-            block = at[lo : lo + _BLOCK]
-            for i, doc in zip(block, _ids(*front([texts[i] for i in block]), cfg)):
-                docs[i] = doc
-    return docs
+    return [doc for lo in range(0, len(texts), _BLOCK) for doc in _ids(*_block(texts[lo : lo + _BLOCK]), cfg)]

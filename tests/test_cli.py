@@ -671,6 +671,15 @@ class TestEnsembleCommand:
         assert "weights must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", ["0.5,x", "0.5,", ""])
+    def test_wavg_non_numeric_weights_named(self, tmp_path, capsys, weights):
+        out = tmp_path / "o.jsonl"
+        code = cli.main(["ensemble", "--members", *self.member_args()[:2], "--strategy", "w-avg",
+                         "--weights", weights, "--output", str(out)])
+        assert code == 2
+        assert f"--weights must be comma-separated numbers, got {weights!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy, weights", [("vote", "x"), ("vote", "0.5,0.5,0"), ("avg", "0.9,0.1")])
     def test_weights_rejected_outside_wavg(self, tmp_path, capsys, strategy, weights):
         out = tmp_path / "o.jsonl"

@@ -50,8 +50,8 @@ def encode_reference(tokens, cfg):
 # Characters where a tokenizer is easy to get wrong: combining marks of all
 # three M categories (BMP and astral), astral letters, digits and emoji,
 # the information separators U+001C..U+001F (whitespace to str.isspace),
-# no-break spaces, NEL (the tokenizer's own separator) and the line
-# separator, a lone surrogate, the underscore and ASCII punctuation.
+# no-break spaces, NEL and the line separator (whitespace outside ASCII),
+# a lone surrogate, the underscore and ASCII punctuation.
 TRICKY = [
     "\u0301", "\u093f", "\u094d", "\u20dd", "\U0001d167", "\U000e0100",
     "\U00010400", "\U0001d7ce", "\U0001f600", "\U0001f3fd",
@@ -127,37 +127,33 @@ class TestTokenize:
                      every_ascii, every_ascii[::-1], "<user> hi!! <url>", *(f"ab {ch}c{ch}{ch}" for ch in ASCII_PUNCT)]:
             assert tokenize(text) == tokenize_reference(text)
 
-    @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("alphabet", ["".join(ASCII_PUNCT), "\u0964\u0965" + "".join(map(chr, range(0x1F600, 0x1F650)))],
                              ids=["ascii", "non-ascii"])
-    def test_replace_and_translate_fences_match_the_reference(self, alphabet, extra):
-        # Exactly the most distinct punctuation characters that are fenced one
-        # replace at a time, and one more, which takes the translate pass, in
+    def test_many_punctuation_characters_match_the_reference(self, alphabet):
+        # Every ASCII punctuation character, or the danda, the double danda
+        # and 80 emoji, each next to words, doubled and in one long run, in
         # ASCII text (for the ASCII alphabet) and in text with Devanagari.
-        punct = alphabet[: featurizer._MAX_REPLACES + extra]
-        assert len(set(punct)) == featurizer._MAX_REPLACES + extra
-        text = " ".join(f"{ch}w{i}{ch}{ch}x_{ch}" for i, ch in enumerate(punct)) + punct + punct[::-1]
+        assert len(set(alphabet)) == len(alphabet) >= 49
+        text = " ".join(f"{ch}w{i}{ch}{ch}x_{ch}" for i, ch in enumerate(alphabet)) + alphabet + alphabet[::-1]
         assert text.isascii() == alphabet.isascii()
         for mixed in (text, text + "\u0928\u094d", "\u0928\u094d" + text):
             assert tokenize(mixed) == tokenize_reference(mixed)
 
-    def test_separator_splits_and_fences_every_ascii_punctuation_character(self):
-        sep = featurizer._SEP
-        assert not sep.isascii() and f"a{sep}b{sep}".split() == ["a", "b"]
-        for ch in ASCII_PUNCT:
-            assert f"a{sep}{ch}{sep}b".split() == ["a", ch, "b"]
-
     def test_every_code_point_has_the_reference_kind(self):
         # "a" + ch is one token when ch is a word character, two when it is
-        # punctuation, and just "a" when it is whitespace.
-        shape = {"word": 1, "punct": 2, "space": 0}
+        # punctuation, and just "a" when it is whitespace; a space ends each
+        # piece. The 128 ASCII code points go in one ASCII text, every other
+        # code point (lone surrogates included) in texts of up to 4096 pieces.
+        def want(ch):
+            kind = char_kind_reference(ch)
+            return ["a" + ch] if kind == "word" else ["a", ch] if kind == "punct" else ["a"]
+
         wrong = []
-        for cp in range(sys.maxunicode + 1):
-            ch = chr(cp)
-            got = tokenize("a" + ch)
-            want = shape[char_kind_reference(ch)]
-            if got != (["a" + ch] if want == 1 else ["a", ch] if want == 2 else ["a"]):
-                wrong.append(f"U+{cp:04X}")
+        bounds = [0, 128, *range(4096, sys.maxunicode + 1, 4096), sys.maxunicode + 1]
+        for lo, hi in zip(bounds, bounds[1:]):
+            chars = list(map(chr, range(lo, hi)))
+            if tokenize("".join(f"a{ch} " for ch in chars)) != [token for ch in chars for token in want(ch)]:
+                wrong.extend(f"U+{ord(ch):04X}" for ch in chars if tokenize(f"a{ch} ") != want(ch))
         assert wrong == []
 
     def test_trailing_whitespace_is_linear(self):
@@ -299,8 +295,9 @@ class TestBatchEncode:
     def test_empty_batch(self):
         assert batch_encode([], FeatureConfig()) == []
 
-    def test_only_non_ascii_texts_reach_tokenize(self, monkeypatch):
-        # ASCII texts are tokenized in numpy with either n-gram order.
+    def test_no_text_reaches_tokenize(self, monkeypatch):
+        # Texts of every script are tokenized by the block front, with either
+        # n-gram order.
         seen = []
 
         def recording(text):
@@ -308,11 +305,41 @@ class TestBatchEncode:
             return tokenize(text)
 
         monkeypatch.setattr(featurizer, "tokenize", recording)
-        texts = ["ab, cd", "caf\xe9 ok", "", "x_1 !!", "\u0928 X"]
+        texts = ["ab, cd", "caf\xe9 ok", "", "x_1 !!", "\u0928 X", "hi @Bob", "\u212a\U0001f600!!"]
         for ngram in (1, 2):
-            seen.clear()
-            batch_encode(texts, FeatureConfig(ngram=ngram))
-            assert seen == ["caf\xe9 ok", "\u0928 x"]
+            cfg = FeatureConfig(ngram=ngram)
+            docs = batch_encode(texts, cfg)
+            assert seen == []
+            for text, doc in zip(map(corpus.normalize_text, texts), docs):
+                assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+
+    def test_long_runs_are_linear(self):
+        # The inputs of test_trailing_whitespace_is_linear in one block, in a
+        # child process that the timeout can kill: whitespace runs of 200k
+        # characters, a 200k-character punctuation token (hashed past the
+        # byte columns) and 3.9M characters that hold each supplementary
+        # private-use code point, whose tokens are mapped to UTF-8 bytes.
+        script = (
+            "import numpy as np\n"
+            "from harmkit.corpus import normalize_text\n"
+            "from harmkit.featurizer import FeatureConfig, batch_encode, encode, tokenize\n"
+            "texts = []\n"
+            "for space in (' ', '\\u3000'):\n"
+            "    run = space * 200_000\n"
+            "    texts += [run, 'a' + run, run + 'a' + run, 'a.' + run, run + 'a.' + run,\n"
+            "              run + '.!' * 100_000 + run, run + '\\u0928' + run]\n"
+            "words = ['\\u0928\\u092e\\u0938\\u094d\\u0924\\u0947', 'abcdefghijklmnopqrstu']\n"
+            "private = [chr(cp) for plane in (15, 16) for cp in range(plane << 16, (plane << 16) + 0xfffe)]\n"
+            "texts.append(''.join(ch + ' '.join(words) + ' ' for ch in private))\n"
+            "for ngram in (1, 2):\n"
+            "    cfg = FeatureConfig(max_tokens=2**31, ngram=ngram)\n"
+            "    docs = batch_encode(texts, cfg)\n"
+            "    assert docs[-1].ids.size == 3 * len(private) * ngram - ngram + 1\n"
+            "    for text, doc in zip(texts, docs):\n"
+            "        assert np.array_equal(doc.ids, encode(tokenize(normalize_text(text)), cfg).ids)\n"
+        )
+        subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+                       timeout=60, check=True)
 
     def test_block_peak_memory_at_most_the_per_doc_path(self):
         # A predict chunk of 1024 long ASCII documents. Both paths hold the ids
