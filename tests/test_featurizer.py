@@ -72,6 +72,9 @@ ASCII_WORD = string.ascii_letters + string.digits + "_"
 ASCII_SPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 ASCII_PUNCT = [chr(cp) for cp in range(128) if chr(cp) not in ASCII_WORD + ASCII_SPACE]
 
+# Every ASCII punctuation character; the danda, the double danda and 80 emoji.
+PUNCT_ALPHABETS = ["".join(ASCII_PUNCT), "\u0964\u0965" + "".join(map(chr, range(0x1F600, 0x1F650)))]
+
 
 def fnv1a64_reference(data: bytes) -> int:
     """Independent FNV-1a oracle, written from the published constants."""
@@ -127,17 +130,30 @@ class TestTokenize:
                      every_ascii, every_ascii[::-1], "<user> hi!! <url>", *(f"ab {ch}c{ch}{ch}" for ch in ASCII_PUNCT)]:
             assert tokenize(text) == tokenize_reference(text)
 
-    @pytest.mark.parametrize("alphabet", ["".join(ASCII_PUNCT), "\u0964\u0965" + "".join(map(chr, range(0x1F600, 0x1F650)))],
-                             ids=["ascii", "non-ascii"])
-    def test_many_punctuation_characters_match_the_reference(self, alphabet):
-        # Every ASCII punctuation character, or the danda, the double danda
-        # and 80 emoji, each next to words, doubled and in one long run, in
-        # ASCII text (for the ASCII alphabet) and in text with Devanagari.
-        assert len(set(alphabet)) == len(alphabet) >= 49
-        text = " ".join(f"{ch}w{i}{ch}{ch}x_{ch}" for i, ch in enumerate(alphabet)) + alphabet + alphabet[::-1]
-        assert text.isascii() == alphabet.isascii()
+    @staticmethod
+    def check_punctuation_texts(punct):
+        # Each character next to words, doubled and in one long run, in ASCII
+        # text (for an ASCII alphabet) and in text with Devanagari.
+        assert len(set(punct)) == len(punct)
+        text = " ".join(f"{ch}w{i}{ch}{ch}x_{ch}" for i, ch in enumerate(punct)) + punct + punct[::-1]
+        assert text.isascii() == punct.isascii()
         for mixed in (text, text + "\u0928\u094d", "\u0928\u094d" + text):
             assert tokenize(mixed) == tokenize_reference(mixed)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("alphabet", PUNCT_ALPHABETS, ids=["ascii", "non-ascii"])
+    def test_replace_and_translate_fences_match_the_reference(self, alphabet, extra):
+        # 48 and 49 distinct punctuation characters: the texts on either side
+        # of the switch from replace to translate fencing in the tokenizer
+        # that the code-point front replaced, kept as reference cases.
+        self.check_punctuation_texts(alphabet[: 48 + extra])
+
+    @pytest.mark.parametrize("alphabet", PUNCT_ALPHABETS, ids=["ascii", "non-ascii"])
+    def test_many_punctuation_characters_match_the_reference(self, alphabet):
+        # Every ASCII punctuation character, or the danda, the double danda
+        # and 80 emoji.
+        assert len(alphabet) >= 55
+        self.check_punctuation_texts(alphabet)
 
     def test_every_code_point_has_the_reference_kind(self):
         # "a" + ch is one token when ch is a word character, two when it is
