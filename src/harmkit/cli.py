@@ -163,10 +163,17 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _nonempty(records: list, path: str | Path) -> list:
+    """``records``, read from ``path``, unless there are none."""
+    if not records:
+        raise ConfigError(f"{path}: no records found")
+    return records
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = parse_run_config(args.config)
-    train_set = corpus.load_jsonl(cfg.train_file, task=cfg.train.task)
-    val_set = corpus.load_jsonl(cfg.val_file, task=cfg.train.task)
+    train_set = _nonempty(corpus.load_jsonl(cfg.train_file, task=cfg.train.task), cfg.train_file)
+    val_set = _nonempty(corpus.load_jsonl(cfg.val_file, task=cfg.train.task), cfg.val_file)
 
     def progress(epoch: int, loss: float, val_f1: float) -> None:
         print(f"epoch {epoch + 1}/{cfg.train.epochs} loss={loss:.6f} val_f1={val_f1:.4f}", file=sys.stderr)
@@ -245,6 +252,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for line_no, rec in corpus.read_records(pred_path):
             doc_ids.append(rec["id"])
             labels.append(corpus.parse_label(rec.get("label"), line_no, pred_path))
+        _nonempty(doc_ids, pred_path)
         report = metrics.classification_report(metrics.confusion(_gold_for(doc_ids, args.gold, "harm"), labels))
     else:
         doc_ids, sigmas = corpus.read_rows(pred_path, "sigmas", corpus.NUM_TARGETS, low=0.0, high=1.0)
@@ -260,6 +268,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     if args.weights is not None and args.strategy != "w-avg":
         raise ConfigError(f"--weights applies only to --strategy w-avg, not {args.strategy}")
+    if args.report and not args.gold:
+        raise ConfigError("--report needs --gold: the report scores the ensemble against it")
     aligned = ensembles.align_members([ensembles.load_member_file(path) for path in args.members])
     gold = _gold_for(aligned.doc_ids, args.gold, "harm") if args.gold else None
 

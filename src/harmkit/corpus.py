@@ -8,7 +8,10 @@ Input format: UTF-8 JSONL, one record per line with fields
 
 Normalization (``normalize_text``): Unicode NFC, URLs and @-mentions
 replaced by the placeholder tokens ``<url>`` / ``<user>``, lowercasing, NFC
-again for non-ASCII text, whitespace collapsed to single spaces.
+again for non-ASCII text, whitespace collapsed to single spaces. A mention
+is ``@`` and the maximal nonempty run of word characters after it, by the
+rule the tokenizer splits words with (``is_word_char``), so a mention in a
+script written with combining marks is replaced whole.
 ``featurizer.batch_encode`` applies it as it encodes, and is the only caller
 that does: ``load_jsonl`` keeps each text as the file holds it, so ``train``
 and ``predict`` both hand ``batch_encode`` raw text, which skips the work
@@ -17,6 +20,7 @@ where only lowercasing could change a token (``only_case_changes``).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -32,9 +36,26 @@ NUM_CLASSES = 4
 NUM_TARGETS = 5
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-_MENTION_RE = re.compile(r"@\w+")
+# A candidate mention: "@" and the characters up to the next whitespace or "@".
+_MENTION_RE = re.compile(r"@[^\s@]+")
 # The scanner json.loads calls: _SCAN(text, index) -> (value, end index).
 _SCAN = json.JSONDecoder().scan_once
+
+
+def is_word_char(ch: str) -> bool:
+    """Whether ``ch`` is a word character: ``_`` or in Unicode category L, N
+    or M (letters, digits, combining marks)."""
+    # Shortcuts: isalnum accepts only categories L and N, and no ASCII
+    # character is in M, so ASCII text never reads the Unicode database
+    # (about 120 KB, which predict on ASCII text never maps in).
+    return ch == "_" or ch.isalnum() or (not ch.isascii() and unicodedata.category(ch)[0] in "LNM")
+
+
+def _mention(match: re.Match) -> str:
+    """A candidate mention with ``@`` and the word characters after it
+    replaced by ``<user>``; as it is when no word character follows."""
+    word = "".join(itertools.takewhile(is_word_char, match[0][1:]))
+    return "<user>" + match[0][1 + len(word):] if word else match[0]
 
 
 def holds_marker(lowered: str) -> bool:
@@ -61,7 +82,7 @@ def normalize_text(text: str) -> str:
     text = unicodedata.normalize("NFC", text)
     lowered = text.lower()
     if holds_marker(lowered):
-        lowered = _MENTION_RE.sub("<user>", _URL_RE.sub("<url>", text)).lower()
+        lowered = _MENTION_RE.sub(_mention, _URL_RE.sub("<url>", text)).lower()
     if not lowered.isascii():
         # Lowercasing can leave a base letter and a mark that compose, where
         # the capital had no precomposed form: "J\u030c" lowercases to

@@ -6,17 +6,20 @@ runs of punctuation, dropping whitespace. A character is whitespace when
 in Unicode category L, N or M (letters, digits, combining marks), and
 punctuation when it is anything else. Combining marks count as word
 characters so that scripts written with them (Devanagari, Bangla, ...) keep
-whole words together. One front finds the tokens of ``tokenize`` and
-``batch_encode`` alike: it gives each code point of a text its kind, ASCII
-ones through a table and each distinct other one once by the running
-interpreter's Unicode database, and a token is a maximal run of one kind.
+whole words together. The rule is ``corpus.is_word_char``, which also ends
+the mentions that normalization replaces. One front finds the tokens of
+``tokenize`` and ``batch_encode`` alike: it gives each code point of a text
+its kind, ASCII ones through a table and each distinct other one once by the
+running interpreter's Unicode database, and a token is a maximal run of one
+kind.
 
 Tokens are hashed with FNV-1a (64-bit) and reduced modulo 2**hash_bits, so
 encoding needs no fitted vocabulary, works for any script, and is identical
-across runs and platforms. Sequences are head-truncated to max_tokens. One
-numpy kernel hashes the tokens of ``encode`` and ``batch_encode`` alike, one
-byte column at a time over their UTF-8 bytes; a bigram continues its first
-token's hash over U+001F and then over the second token's bytes.
+across runs and platforms. An encoded document is one int64 array of ids,
+head-truncated to max_tokens. One numpy kernel hashes the tokens of
+``encode`` and ``batch_encode`` alike, one byte column at a time over their
+UTF-8 bytes; a bigram continues its first token's hash over U+001F and then
+over the second token's bytes.
 
 ``batch_encode`` returns the ids of ``corpus.normalize_text(text)``, so it
 takes raw and normalized text alike, and encodes a block of texts at a time
@@ -27,7 +30,6 @@ the rest are only lowercased. Nothing is cached between calls.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,15 +52,9 @@ _COLUMNS = 32
 
 
 def _kind(ch: str) -> int:
-    """0 for whitespace, 1 for a word character, 2 for punctuation."""
-    if ch.isspace():
-        return 0
-    # Shortcuts: isalnum accepts only categories L and N, and no ASCII
-    # character is in M, so the ASCII table never maps in the Unicode
-    # database (about 120 KB, which predict on ASCII text never reads).
-    if ch == "_" or ch.isalnum():
-        return 1
-    return 2 if ch.isascii() or unicodedata.category(ch)[0] not in "LNM" else 1
+    """0 for whitespace, 1 for a word character (``corpus.is_word_char``), 2
+    for punctuation."""
+    return 0 if ch.isspace() else 1 if corpus.is_word_char(ch) else 2
 
 
 # The kind of each byte of ASCII text, as a ``bytes.translate`` table, of
@@ -87,13 +83,6 @@ class FeatureConfig:
     @property
     def vocab_size(self) -> int:
         return 1 << self.hash_bits
-
-
-@dataclass
-class EncodedDoc:
-    """Token ids for one document, at most max_tokens of them."""
-
-    ids: np.ndarray
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -125,7 +114,7 @@ def _fnv(data: np.ndarray, pos: np.ndarray, lengths: np.ndarray, state: np.ndarr
 
 
 def _ids(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, counts: np.ndarray,
-         cfg: FeatureConfig) -> list[EncodedDoc]:
+         cfg: FeatureConfig) -> list[np.ndarray]:
     """The ids of documents whose tokens are, in order, the ``lengths`` bytes
     of ``data`` at ``starts``, ``counts`` tokens each: a document's first
     max_tokens unigram ids, then as many of its leading bigram ids as fit."""
@@ -153,7 +142,7 @@ def _ids(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, counts: np.n
     state &= np.uint64((1 << cfg.hash_bits) - 1)
     ids = state.view(np.int64)
     ends = np.cumsum(counts).tolist()
-    return [EncodedDoc(ids=ids[end - count : end].copy()) for end, count in zip(ends, counts.tolist())]
+    return [ids[end - count : end].copy() for end, count in zip(ends, counts.tolist())]
 
 
 def _runs(kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +208,7 @@ def _block(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return data, starts, lengths, np.diff(firsts, append=starts.size)
 
 
-def encode(tokens: Sequence[str], cfg: FeatureConfig) -> EncodedDoc:
+def encode(tokens: Sequence[str], cfg: FeatureConfig) -> np.ndarray:
     """Hash tokens (plus adjacent bigrams when ngram=2), truncate to max_tokens.
 
     Bigram ids follow the unigram ids, so head truncation always keeps the
@@ -233,7 +222,7 @@ def encode(tokens: Sequence[str], cfg: FeatureConfig) -> EncodedDoc:
     return _ids(data, np.cumsum(lengths) - lengths, lengths, np.array([len(encoded)]), cfg)[0]
 
 
-def batch_encode(texts: Sequence[str], cfg: FeatureConfig) -> list[EncodedDoc]:
+def batch_encode(texts: Sequence[str], cfg: FeatureConfig) -> list[np.ndarray]:
     """The ids of ``encode(tokenize(corpus.normalize_text(text)))`` for each
     text; order preserved. Raw and normalized text give the same ids, since
     normalization is idempotent.

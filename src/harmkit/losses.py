@@ -8,7 +8,7 @@ combined objective ce + lambda * nce. Each term has one implementation:
 ``info_nce``), so the closed-form fixtures on those functions test the loss
 that training minimizes. The backward pass is hand-derived;
 `harmkit.trainer.grad_check` verifies every partial against central finite
-differences.
+differences. Documents are int64 id arrays, and gradients ``ModelParams``.
 
 InfoNCE convention: for anchor i the positives are the other batch members
 sharing its class label; the denominator runs over all j != i; anchors
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurizer import EncodedDoc
 from .model import BatchActivations, ModelParams, forward_batch, sigmoid, softmax
 
 _LOG_CLAMP = 1e-12
@@ -51,13 +50,6 @@ class ContrastiveConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
-
-
-@dataclass
-class GradientSet(ModelParams):
-    """Partial derivatives of the batch loss, one array per ModelParams field,
-    each shaped like its parameter; ``embed`` is dense over the table handed
-    to ``gradients``, with zero rows where no token of the batch hashes."""
 
 
 def cross_entropy(probs: np.ndarray, classes: np.ndarray | int) -> float:
@@ -117,12 +109,16 @@ def _check_finite(value: float, term: str) -> None:
 
 def gradients(
     params: ModelParams,
-    docs: list[EncodedDoc],
+    docs: list[np.ndarray],
     labels: np.ndarray,
     cfg: ContrastiveConfig,
     task: str = "harm",
-) -> tuple[float, GradientSet]:
+) -> tuple[float, ModelParams]:
     """Batch-mean combined loss and its exact gradient for every parameter.
+
+    The gradient is a ``ModelParams`` of partial derivatives, each shaped
+    like its parameter; ``embed`` is dense over the table handed in, with
+    zero rows where no token of the batch hashes, and ``rows`` is None.
 
     For task='harm', labels is a (B,) array of class indices and the loss is
     mean cross-entropy plus lam * InfoNCE over the normalized hidden vectors.
@@ -154,10 +150,10 @@ def gradients(
     grads["w1"] += acts.h0.T @ g_a
     grads["b1"] += g_a.sum(axis=0)
     embed = _pool_backward(docs, g_a @ params.w1.T, params.embed.shape[0])
-    return loss, GradientSet(embed=embed, **grads)
+    return loss, ModelParams(embed=embed, **grads)
 
 
-def _pool_backward(docs: list[EncodedDoc], g_h0: np.ndarray, rows: int) -> np.ndarray:
+def _pool_backward(docs: list[np.ndarray], g_h0: np.ndarray, rows: int) -> np.ndarray:
     """Mean pooling's backward: the (rows, embed_dim) table whose row t sums
     g_h0[i] / length_i over the occurrences of id t in each document i.
 
@@ -165,8 +161,8 @@ def _pool_backward(docs: list[EncodedDoc], g_h0: np.ndarray, rows: int) -> np.nd
     table in document then token order, so each sum is the sequential one.
     """
     dim = g_h0.shape[1]
-    lengths = np.array([doc.ids.size for doc in docs], dtype=np.int64)
-    ids = np.concatenate([doc.ids for doc in docs if doc.ids.size] or [np.zeros(0, np.int64)])
+    lengths = np.array([doc.size for doc in docs], dtype=np.int64)
+    ids = np.concatenate(docs)
     # An empty document's row is divided by 1 and then repeated 0 times.
     vals = np.repeat(g_h0 / np.maximum(lengths, 1)[:, None], lengths, axis=0)
     bins = (ids[:, None] * dim + np.arange(dim)).ravel()

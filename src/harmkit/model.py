@@ -9,10 +9,11 @@ so the forward pass, shared with inference, never computes them.
 The forward pass is ``mean_pool`` (documents to pooled rows) followed by
 ``forward_pooled`` (pooled rows to activations); ``forward_batch`` runs the
 two on one batch, and ``predict`` is the only rule that turns activations
-into scores and decisions. Training, validation and the tests call
-``forward_batch``; the CLI's ``predict`` pools its input chunk by chunk and
-runs ``forward_pooled`` once over every row. Training hands them a compact
-table of the rows its documents reach, with the ids remapped to it.
+into scores and decisions. A document is the int64 array of its token ids.
+Training, validation and the tests call ``forward_batch``; the CLI's
+``predict`` pools its input chunk by chunk and runs ``forward_pooled`` once
+over every row. Training hands them a compact table of the rows its
+documents reach, with the ids remapped to it.
 
 ``ModelParams.rows`` names the table rows that ``embed`` holds: ``None``
 for the whole table, or the sorted ids of a compact table, as ``train``
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import NUM_CLASSES, NUM_TARGETS
-from .featurizer import EncodedDoc, FeatureConfig
+from .featurizer import FeatureConfig
 from .metrics import check_eta
 
 _MAGIC = b"HPC1"
@@ -175,13 +176,13 @@ def _check_rows(rows: np.ndarray, vocab_size: int, noun: str) -> None:
         raise ValueError(f"{noun} must be sorted distinct ids below vocab_size {vocab_size}")
 
 
-def forward_batch(params: ModelParams, docs: list[EncodedDoc]) -> BatchActivations:
-    """The full forward pass of a batch of encoded documents: ``mean_pool``,
+def forward_batch(params: ModelParams, docs: list[np.ndarray]) -> BatchActivations:
+    """The full forward pass of a batch of documents' id arrays: ``mean_pool``,
     then ``forward_pooled`` over its rows."""
     return forward_pooled(params, mean_pool(params, docs))
 
 
-def mean_pool(params: ModelParams, docs: list[EncodedDoc]) -> np.ndarray:
+def mean_pool(params: ModelParams, docs: list[np.ndarray]) -> np.ndarray:
     """The (len(docs), embed_dim) float64 mean of each document's embedding
     rows; an empty document pools to zeros.
 
@@ -190,16 +191,15 @@ def mean_pool(params: ModelParams, docs: list[EncodedDoc]) -> np.ndarray:
     copy.
     """
     vocab_size, embed_dim = params.embed.shape
-    ids = [doc.ids for doc in docs if doc.ids.size]
     # As unsigned, a negative id is larger than any valid one.
-    if ids and np.asarray(np.concatenate(ids), np.int64).view(np.uint64).max() >= vocab_size:
+    if docs and np.asarray(np.concatenate(docs), np.int64).view(np.uint64).max(initial=0) >= vocab_size:
         raise ValueError(f"token id out of range for vocab size {vocab_size}")
     h0 = np.zeros((len(docs), embed_dim))
-    lengths = np.array([doc.ids.size for doc in docs], dtype=np.int64)[:, None]
+    lengths = np.array([doc.size for doc in docs], dtype=np.int64)[:, None]
     for i, doc in enumerate(docs):
-        if doc.ids.size:
+        if doc.size:
             # The same float64 row sum as ``mean(axis=0)``, bit for bit.
-            np.add.reduce(params.embed.take(doc.ids, axis=0), axis=0, dtype=np.float64, out=h0[i])
+            np.add.reduce(params.embed.take(doc, axis=0), axis=0, dtype=np.float64, out=h0[i])
     # And the same division.
     return np.divide(h0, lengths, out=h0, where=lengths > 0)
 
@@ -254,6 +254,12 @@ def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.nda
     return sigmas, (sigmas >= eta).astype(np.int64)
 
 
+def check_vocab(model_cfg: ModelConfig, feature_cfg: FeatureConfig) -> None:
+    """Refuse a model whose vocab_size is not 2**hash_bits: no checkpoint holds it."""
+    if model_cfg.vocab_size != feature_cfg.vocab_size:
+        raise ValueError(f"model vocab_size {model_cfg.vocab_size} != 2**hash_bits {feature_cfg.vocab_size}")
+
+
 def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:
     """The shapes of w1, b1, wc, bc, wt and bt, the arrays stored whole."""
     return [
@@ -275,10 +281,7 @@ def save_params(
     """Write a self-describing versioned checkpoint (see module docstring):
     the rows of ``params.embed`` whose float32 bits differ from the seed's
     initial table, and every other array whole."""
-    if model_cfg.vocab_size != feature_cfg.vocab_size:
-        raise ValueError(
-            f"model vocab_size {model_cfg.vocab_size} != 2**hash_bits {feature_cfg.vocab_size}"
-        )
+    check_vocab(model_cfg, feature_cfg)
     rows = params.rows
     if rows is not None:
         _check_rows(rows, model_cfg.vocab_size, "params.rows")

@@ -13,9 +13,11 @@ values the checkpoint stores, with their table ids in ``rows``; the other
 arrays it returns are float64. The checkpoint stores the rows that training
 changed.
 
-The data around the step are plain arrays built once: each split's labels
-are one array from ``_extract_labels``, and each epoch's batches are index
-arrays from ``make_batches`` into the encoded documents and that array.
+The data around the step are plain arrays built once: each document is the
+int64 array of its ids, each split's labels are one array from
+``_extract_labels``, and each epoch's batches are index arrays from
+``make_batches`` into the documents and that array. A model whose vocab_size
+is not 2**hash_bits is refused before anything is encoded.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LabeledExample, NUM_CLASSES
-from .featurizer import EncodedDoc, FeatureConfig, batch_encode
-from .losses import ContrastiveConfig, GradientSet, gradients
+from .featurizer import FeatureConfig, batch_encode
+from .losses import ContrastiveConfig, gradients
 from .metrics import confusion, classification_report, multilabel_report
-from .model import ModelConfig, ModelParams, forward_batch, init_params, predict, save_params
+from .model import ModelConfig, ModelParams, check_vocab, forward_batch, init_params, predict, save_params
 
 _GRAD_TOL = 1e-4
 # Floor for the relative-error denominator: partials smaller than this are
@@ -89,7 +91,7 @@ class SgdOptimizer:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, params: ModelParams, grads: GradientSet) -> None:
+    def step(self, params: ModelParams, grads: ModelParams) -> None:
         for name, arr in params.arrays():
             arr -= self.learning_rate * getattr(grads, name)
 
@@ -111,7 +113,7 @@ class AdamOptimizer:
         self._v: dict[str, np.ndarray] = {}
         self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, params: ModelParams, grads: GradientSet) -> None:
+    def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
         for name, arr in params.arrays():
             if name not in self._m:
@@ -170,7 +172,7 @@ def make_batches(
 
 def train_epoch(
     params: ModelParams,
-    docs: list[EncodedDoc],
+    docs: list[np.ndarray],
     labels: np.ndarray,
     batches: list[np.ndarray],
     cfg: TrainConfig,
@@ -198,7 +200,7 @@ def _extract_labels(examples: Sequence[LabeledExample], task: str) -> np.ndarray
     return np.array(labels, dtype=np.int64 if task == "harm" else np.float64)
 
 
-def evaluate_params(params: ModelParams, docs: list[EncodedDoc], labels: np.ndarray, task: str) -> float:
+def evaluate_params(params: ModelParams, docs: list[np.ndarray], labels: np.ndarray, task: str) -> float:
     """Validation score over one ``forward_batch`` of every document: macro-F1
     over the ``predict`` decisions (harm), or micro-F1 over the sigmoids
     thresholded at 0.5 (targets)."""
@@ -208,12 +210,12 @@ def evaluate_params(params: ModelParams, docs: list[EncodedDoc], labels: np.ndar
     return multilabel_report(labels, scores).micro_f1
 
 
-def _compact_ids(docs: list[EncodedDoc]) -> tuple[np.ndarray, list[EncodedDoc]]:
+def _compact_ids(docs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """The sorted distinct ids of ``docs``, and the documents with each id
     replaced by its index in that array."""
-    rows, inverse = np.unique(np.concatenate([doc.ids for doc in docs]), return_inverse=True)
-    ends = np.cumsum([doc.ids.size for doc in docs]).tolist()
-    return rows, [EncodedDoc(ids=inverse[end - doc.ids.size : end]) for doc, end in zip(docs, ends)]
+    rows, inverse = np.unique(np.concatenate(docs), return_inverse=True)
+    ends = np.cumsum([doc.size for doc in docs]).tolist()
+    return rows, [inverse[end - doc.size : end] for doc, end in zip(docs, ends)]
 
 
 def train(
@@ -228,6 +230,7 @@ def train(
     """Fine-tune from scratch, keeping the epoch with the best validation F1."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
+    check_vocab(model_cfg, feature_cfg)
 
     enc_train = batch_encode([ex.text for ex in train_set], feature_cfg)
     enc_val = batch_encode([ex.text for ex in val_set], feature_cfg)
@@ -249,8 +252,6 @@ def train(
     # dense step moves a row with zero gradient (every val-only row) by
     # exactly 0, so the compact table follows the full table's trajectory.
     rows, docs = _compact_ids([*enc_train, *enc_val])
-    if rows.size and rows[-1] >= model_cfg.vocab_size:
-        raise ValueError(f"token id out of range for vocab size {model_cfg.vocab_size}")
     enc_train, enc_val = docs[: len(enc_train)], docs[len(enc_train) :]
     params = init_params(model_cfg, rows)
     optimizer = _make_optimizer(train_cfg)
@@ -348,7 +349,7 @@ def grad_check(trials: int = 30, seed: int = 0, step: float = 1e-4) -> GradCheck
             wt=rng.normal(0.0, 0.5, (hidden_dim, 5)),
             bt=rng.normal(0.0, 0.5, 5),
         )
-        docs = [EncodedDoc(ids=rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))) for _ in range(6)]
+        docs = [rng.integers(0, vocab_size, size=int(rng.integers(1, 9))) for _ in range(6)]
         if task == "harm":
             # 6 draws from 3 classes guarantee at least one positive pair.
             labels = rng.integers(0, 3, size=6)

@@ -16,7 +16,7 @@ import pytest
 
 from harmkit import cli, ensembles
 from harmkit.corpus import LabeledExample, split_train_val
-from harmkit.featurizer import EncodedDoc, FeatureConfig, batch_encode
+from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.losses import ContrastiveConfig, binary_cross_entropy, cross_entropy, info_nce, normalize_rows
 from harmkit.metrics import classification_report, confusion, multilabel_report
 from harmkit.model import ModelConfig, forward_batch, init_params, softmax
@@ -178,7 +178,7 @@ def test_criterion_6_ensemble_gain():
                                     contrastive=ContrastiveConfig(tau=0.1, lam=0.5), task="harm")
             params, report = train(split.train, split.val, model_cfg, feature_cfg, train_cfg)
             # train returns the rows its documents reach; index them compactly.
-            compact_val = [EncodedDoc(ids=np.searchsorted(params.rows, doc.ids)) for doc in enc_val]
+            compact_val = [np.searchsorted(params.rows, doc) for doc in enc_val]
             probs = softmax(forward_batch(params, compact_val).class_logits)
             members.append(ensembles.MemberPrediction(member_id=str(seed), doc_ids=doc_ids, probs=probs))
             member_f1.append(report.best_val_f1)

@@ -245,6 +245,16 @@ class TestTrainCommand:
         assert len(report["train_loss"]) == 6
         assert report["checkpoint"].endswith("model.hpc")
 
+    @pytest.mark.parametrize("key", ["train_file", "val_file"])
+    def test_empty_input_file_named(self, tmp_path, capsys, split_files, key):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        files = dict(zip(("train_file", "val_file"), split_files)) | {key: empty}
+        config = write_config(tmp_path / "run.cfg", checkpoint=tmp_path / "m.hpc", **files)
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert f"{empty}: no records found" in capsys.readouterr().err
+        assert not (tmp_path / "m.hpc").exists()
+
     def test_byte_identical_reports_across_runs(self, trained):
         root, config = trained
         first = (root / "report.json").read_bytes()
@@ -690,6 +700,16 @@ class TestEnsembleCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("strategy, flags", [("vote", []), ("avg", []), ("w-avg", ["--weights", "1,1,1"])])
+    def test_report_requires_gold(self, tmp_path, capsys, strategy, flags):
+        out, report = tmp_path / "o.jsonl", tmp_path / "r.json"
+        code = cli.main(["ensemble", "--members", *self.member_args(), "--strategy", strategy, *flags,
+                         "--output", str(out), "--report", str(report)])
+        assert code == 2
+        assert "--report needs --gold" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
+
 class TestEvaluateCommand:
     def test_known_report(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
@@ -717,6 +737,15 @@ class TestEvaluateCommand:
         pred = tmp_path / "pred.jsonl"
         pred.write_text('{"id": "zz", "label": 0}\n', encoding="utf-8")
         assert cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 2
+
+    @pytest.mark.parametrize("task", ["harm", "targets"])
+    def test_empty_prediction_file_named(self, tmp_path, capsys, task):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"id": "a", "text": "t", "label": 0, "targets": [0, 0, 0, 0, 0]}\n', encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("\n", encoding="utf-8")
+        assert cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--task", task]) == 2
+        assert f"{pred}: no records found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eta", ["5", "0", "1", "-3", "nan"])
     def test_harm_eta_outside_unit_interval_rejected(self, tmp_path, capsys, eta):

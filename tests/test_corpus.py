@@ -52,6 +52,16 @@ class TestNormalize:
         # e + combining acute composes to a single code point
         assert normalize_text("é") == "é"
 
+    @pytest.mark.parametrize("text, want", [
+        ("@\u09b0\u09b9\u09bf\u09ae \u0995\u09c7", "<user> \u0995\u09c7"),
+        ("@\u0928\u092e\u0938\u094d\u0924\u0947", "<user>"), ("@\u0930\u093e\u092e \u0928\u0947", "<user> \u0928\u0947"),
+        ("@a,@b", "<user>,<user>"), ("@@x", "@<user>"), ("@", "@"), ("a@b.c", "a<user>.c"),
+        ("@\u030c", "<user>"), ("@_x1", "<user>"), ("@.x", "@.x"),
+    ])
+    def test_mention_is_at_and_the_word_characters_after_it(self, text, want):
+        # A mention ends where a token's word run does, combining marks included.
+        assert normalize_text(text) == normalize_reference(text) == want
+
     def test_caseless_scripts_untouched(self):
         assert normalize_text("नमस्ते दुनिया") == "नमस्ते दुनिया"
 
@@ -78,11 +88,20 @@ class TestNormalize:
 
 
 def normalize_reference(text):
-    """The pipeline with the URL regex run on every text."""
+    """The pipeline with the URL regex run on every text, and each mention,
+    "@" and the word characters (``_`` or Unicode category L, N or M) after
+    it, found one character at a time."""
     text = unicodedata.normalize("NFC", text)
     text = re.sub(r"(?:https?://|www\.)\S+", "<url>", text, flags=re.IGNORECASE)
-    text = re.sub(r"@\w+", "<user>", text)
-    return " ".join(unicodedata.normalize("NFC", text.lower()).split())
+    out, i = [], 0
+    while i < len(text):
+        end = i + 1
+        if text[i] == "@":
+            while end < len(text) and (text[end] == "_" or unicodedata.category(text[end])[0] in "LNM"):
+                end += 1
+        out.append("<user>" if end > i + 1 else text[i])
+        i = end
+    return " ".join(unicodedata.normalize("NFC", "".join(out).lower()).split())
 
 
 # Characters that case-fold onto the URL prefixes (the long s folds to "s",

@@ -218,22 +218,22 @@ class TestEncode:
     def test_truncation_to_max_tokens(self):
         cfg = FeatureConfig(max_tokens=512)
         doc = encode([f"t{i}" for i in range(600)], cfg)
-        assert len(doc.ids) == 512
+        assert len(doc) == 512
 
     def test_empty(self):
         doc = encode([], FeatureConfig())
-        assert doc.ids.size == 0
+        assert doc.size == 0
 
     def test_hash_determinism_same_token(self):
         doc = encode(["same", "same"], FeatureConfig())
-        assert doc.ids[0] == doc.ids[1]
+        assert doc[0] == doc[1]
 
     def test_truncation_prefix_property(self):
         rng = np.random.default_rng(11)
         tokens = [f"w{int(x)}" for x in rng.integers(0, 50, size=300)]
         full = encode(tokens, FeatureConfig(max_tokens=1000))
         cut = encode(tokens, FeatureConfig(max_tokens=40))
-        assert np.array_equal(cut.ids, full.ids[:40])
+        assert np.array_equal(cut, full[:40])
 
     def test_id_range(self):
         rng = np.random.default_rng(13)
@@ -241,16 +241,16 @@ class TestEncode:
         for _ in range(50):
             tokens = [f"w{int(x)}" for x in rng.integers(0, 10**6, size=int(rng.integers(0, 30)))]
             doc = encode(tokens, cfg)
-            assert np.all(doc.ids >= 0)
-            assert np.all(doc.ids < 2**9)
+            assert np.all(doc >= 0)
+            assert np.all(doc < 2**9)
 
     def test_bigrams_follow_unigrams(self):
         cfg1 = FeatureConfig(ngram=1)
         cfg2 = FeatureConfig(ngram=2)
         uni = encode(["a", "b", "c"], cfg1)
         both = encode(["a", "b", "c"], cfg2)
-        assert both.ids.size == 5  # 3 unigrams + 2 bigrams
-        assert np.array_equal(both.ids[:3], uni.ids)
+        assert both.size == 5  # 3 unigrams + 2 bigrams
+        assert np.array_equal(both[:3], uni)
 
     @pytest.mark.parametrize("ngram", [1, 2])
     @pytest.mark.parametrize("max_tokens", [1, 2, 5, 9, 512])
@@ -263,8 +263,8 @@ class TestEncode:
             for _ in range(5):
                 tokens = [words[int(i)] for i in rng.integers(0, len(words), size=n)]
                 doc = encode(tokens, cfg)
-                assert doc.ids.dtype == np.int64
-                assert np.array_equal(doc.ids, encode_reference(tokens, cfg))
+                assert doc.dtype == np.int64
+                assert np.array_equal(doc, encode_reference(tokens, cfg))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -292,7 +292,7 @@ class TestBatchEncode:
         assert len(batched) == len(texts)
         for text, doc in zip(texts, batched):
             single = encode(tokenize(text), cfg)
-            assert np.array_equal(doc.ids, single.ids)
+            assert np.array_equal(doc, single)
 
     @pytest.mark.parametrize("ngram", [1, 2])
     @pytest.mark.parametrize("max_tokens", [1, 4, 512])
@@ -305,8 +305,8 @@ class TestBatchEncode:
         batched = batch_encode(texts, cfg)
         assert len(batched) == len(texts)
         for text, doc in zip(map(corpus.normalize_text, texts), batched):
-            assert np.array_equal(doc.ids, encode(tokenize(text), cfg).ids)
-            assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+            assert np.array_equal(doc, encode(tokenize(text), cfg))
+            assert np.array_equal(doc, encode_reference(tokenize_reference(text), cfg))
 
     def test_empty_batch(self):
         assert batch_encode([], FeatureConfig()) == []
@@ -327,7 +327,7 @@ class TestBatchEncode:
             docs = batch_encode(texts, cfg)
             assert seen == []
             for text, doc in zip(map(corpus.normalize_text, texts), docs):
-                assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+                assert np.array_equal(doc, encode_reference(tokenize_reference(text), cfg))
 
     def test_long_runs_are_linear(self):
         # The inputs of test_trailing_whitespace_is_linear in one block, in a
@@ -350,9 +350,9 @@ class TestBatchEncode:
             "for ngram in (1, 2):\n"
             "    cfg = FeatureConfig(max_tokens=2**31, ngram=ngram)\n"
             "    docs = batch_encode(texts, cfg)\n"
-            "    assert docs[-1].ids.size == 3 * len(private) * ngram - ngram + 1\n"
+            "    assert docs[-1].size == 3 * len(private) * ngram - ngram + 1\n"
             "    for text, doc in zip(texts, docs):\n"
-            "        assert np.array_equal(doc.ids, encode(tokenize(normalize_text(text)), cfg).ids)\n"
+            "        assert np.array_equal(doc, encode(tokenize(normalize_text(text)), cfg))\n"
         )
         subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
                        timeout=60, check=True)
@@ -380,8 +380,8 @@ class TestBatchEncode:
 
         per_doc_peak, want = peak(lambda: [encode(tokenize(text), cfg) for text in texts])
         batch_peak, got = peak(lambda: batch_encode(texts, cfg))
-        assert all(np.array_equal(a.ids, b.ids) for a, b in zip(got, want))
-        assert batch_peak <= per_doc_peak + sum(doc.ids.nbytes for doc in want) // 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert batch_peak <= per_doc_peak + sum(doc.nbytes for doc in want) // 2
 
 
 # Tokens of their own, so that bigrams pair long tokens with short and long
@@ -436,9 +436,9 @@ class TestAsciiKernel:
             docs = batch_encode(texts, cfg)
         assert len(docs) == len(texts)
         for text, doc in zip(map(corpus.normalize_text, texts), docs):
-            assert doc.ids.dtype == np.int64
-            assert np.array_equal(doc.ids, encode(tokenize(text), cfg).ids)
-            assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+            assert doc.dtype == np.int64
+            assert np.array_equal(doc, encode(tokenize(text), cfg))
+            assert np.array_equal(doc, encode_reference(tokenize_reference(text), cfg))
 
     def test_every_ascii_code_across_blocks(self):
         # Batches larger than the real block, each text a rotation of all 128
@@ -454,7 +454,7 @@ class TestAsciiKernel:
                     warnings.simplefilter("error")
                     docs = batch_encode(texts, cfg)
                 for text, doc in zip(map(corpus.normalize_text, texts), docs):
-                    assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
+                    assert np.array_equal(doc, encode_reference(tokenize_reference(text), cfg))
 
 
 # Raw text where normalization and the ASCII kernel meet: uppercase, mentions,
@@ -483,8 +483,8 @@ class TestBatchEncodeNormalizes:
             again = batch_encode(normalized, cfg)
         assert len(docs) == len(texts)
         for text, doc, doc_again in zip(normalized, docs, again):
-            assert np.array_equal(doc.ids, encode_reference(tokenize_reference(text), cfg))
-            assert np.array_equal(doc_again.ids, doc.ids)
+            assert np.array_equal(doc, encode_reference(tokenize_reference(text), cfg))
+            assert np.array_equal(doc_again, doc)
 
     def test_kernel_safe_texts_are_never_normalized(self, monkeypatch):
         seen, normalize_text = [], corpus.normalize_text

@@ -282,15 +282,15 @@ CODE_MIXED_POSTS = [
 # hash_bits 15. max_tokens 7 cuts the long posts and leaves room for some
 # bigrams in the short ones.
 CODE_MIXED_GOLDEN = {
-    (1, 7): "8f5adb9beedf5939b9e12f6a6f9adcabf1e164e4a260fc623b7c39707bdec801",
-    (1, 512): "12200c3bece953987c2c37db7f30cbffea6466435b889945daca768edded7d1a",
-    (2, 7): "9c62b8d3ba5960940158f77db6b7218dcf999e85cff6467ce196af240b573bab",
-    (2, 512): "95a060f6cb71bc528a42d08273d36019eeb5f6ec7077754d054c7dd0d3055318",
+    (1, 7): "8cfa7661a7f74def9e55e9893054641e561fbeaf8d7bedfdb15b80339a19808f",
+    (1, 512): "ae1ca215916c1d12e8dd1325dff3d9d5bb03958a1776f061f28115d89b515672",
+    (2, 7): "e8b979e9ed87463ad246cbdf343d7971bd32c88e6301c0ea8283a3d1468c8d6e",
+    (2, 512): "532e173862a2639eaa4935fad3aab8a9f279d907f2c61635e0e0ebc4a7ef71e8",
 }
 
 
 @pytest.mark.parametrize("ngram, max_tokens", sorted(CODE_MIXED_GOLDEN))
 def test_code_mixed_ids_digest(ngram, max_tokens):
     docs = batch_encode(CODE_MIXED_POSTS, FeatureConfig(max_tokens=max_tokens, ngram=ngram))
-    ids = json.dumps([doc.ids.tolist() for doc in docs]).encode("utf-8")
+    ids = json.dumps([doc.tolist() for doc in docs]).encode("utf-8")
     assert hashlib.sha256(ids).hexdigest() == CODE_MIXED_GOLDEN[ngram, max_tokens]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmkit.featurizer import EncodedDoc
 from harmkit.losses import (
     ContrastiveConfig,
     NonFiniteLossError,
@@ -28,10 +27,7 @@ def random_model(rng, vocab_size=64, embed_dim=8, hidden_dim=8):
 
 
 def random_batch(rng, vocab_size=64, batch=6):
-    docs = []
-    for _ in range(batch):
-        ids = rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))
-        docs.append(EncodedDoc(ids=ids))
+    docs = [rng.integers(0, vocab_size, size=int(rng.integers(1, 9))) for _ in range(batch)]
     labels = rng.integers(0, 3, size=batch)
     return docs, labels
 
@@ -230,10 +226,10 @@ def ce_only_gradients_reference(params, docs, classes):
     total = 0.0
     for doc, y in zip(docs, classes):
         h0 = np.zeros(embed_dim)
-        if doc.ids.size:
-            for t in doc.ids:
+        if doc.size:
+            for t in doc:
                 h0 += params.embed[int(t)]
-            h0 /= doc.ids.size
+            h0 /= doc.size
         a = h0 @ params.w1 + params.b1
         z = np.tanh(a)
         logits = z @ params.wc + params.bc
@@ -249,9 +245,9 @@ def ce_only_gradients_reference(params, docs, classes):
         grads["w1"] += np.outer(h0, g_a)
         grads["b1"] += g_a
         g_h0 = params.w1 @ g_a
-        if doc.ids.size:
-            for t in doc.ids:
-                grads["embed"][int(t)] += g_h0 / doc.ids.size
+        if doc.size:
+            for t in doc:
+                grads["embed"][int(t)] += g_h0 / doc.size
     return total / batch, grads
 
 
@@ -259,9 +255,9 @@ def add_at_pool_backward_table(docs, g_h0, rows):
     """Mean pooling's backward as one np.add.at over the batch's sorted unique
     ids, scattered into a zeroed (rows, embed_dim) table: the oracle for the
     bincount in ``_pool_backward``."""
-    full = [i for i, doc in enumerate(docs) if doc.ids.size]
-    lengths = np.array([docs[i].ids.size for i in full], dtype=np.int64)
-    flat_ids = np.concatenate([docs[i].ids for i in full]) if full else np.zeros(0, dtype=np.int64)
+    full = [i for i, doc in enumerate(docs) if doc.size]
+    lengths = np.array([docs[i].size for i in full], dtype=np.int64)
+    flat_ids = np.concatenate([docs[i] for i in full]) if full else np.zeros(0, dtype=np.int64)
     ids, inverse = np.unique(flat_ids, return_inverse=True)
     compact = np.zeros((ids.size, g_h0.shape[1]))
     np.add.at(compact, inverse, np.repeat(g_h0[full] / lengths[:, None], lengths, axis=0))
@@ -277,7 +273,7 @@ def pool_backward_cases(draw):
     rows = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 4))
     docs = [
-        EncodedDoc(ids=np.array(ids, dtype=np.int64))
+        np.array(ids, dtype=np.int64)
         for ids in draw(st.lists(st.lists(st.integers(0, rows - 1), max_size=10), min_size=1, max_size=8))
     ]
     value = st.floats(-1e6, 1e6, allow_nan=False, width=64)
@@ -337,7 +333,7 @@ class TestGradients:
         docs, labels = random_batch(rng)
         used = set()
         for doc in docs:
-            used.update(int(t) for t in doc.ids)
+            used.update(int(t) for t in doc)
         _, grads = gradients(params, docs, labels, ContrastiveConfig(tau=0.1, lam=1.0), task="harm")
         unused = sorted(set(range(params.embed.shape[0])) - used)
         assert unused, "fixture needs untouched rows"
@@ -354,12 +350,12 @@ class TestGradients:
             docs = []
             for _ in range(int(rng.integers(1, 12))):
                 n = int(rng.integers(0, 10))
-                docs.append(EncodedDoc(ids=rng.integers(0, 24, size=n)))
+                docs.append(rng.integers(0, 24, size=n))
             g_h0 = rng.normal(0.0, 1.0, (len(docs), 5))
             dense = np.zeros((24, 5))
             for i, doc in enumerate(docs):
-                if doc.ids.size:
-                    np.add.at(dense, doc.ids, g_h0[i] / doc.ids.size)
+                if doc.size:
+                    np.add.at(dense, doc, g_h0[i] / doc.size)
             assert _pool_backward(docs, g_h0, 24).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("tau", [0.05, 0.1, 1.0])
@@ -432,7 +428,7 @@ class TestGradients:
         params = random_model(rng)
         params.b1[:] = 0.0  # forces z = 0 exactly for the empty doc
         docs, labels = random_batch(rng, batch=5)
-        docs.append(EncodedDoc(ids=np.array([], dtype=np.int64)))
+        docs.append(np.array([], dtype=np.int64))
         labels = np.concatenate([labels, [0]])
         loss, grads = gradients(params, docs, labels, ContrastiveConfig(tau=0.1, lam=0.5), task="harm")
         assert np.isfinite(loss)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmkit.corpus import NUM_CLASSES, NUM_TARGETS
-from harmkit.featurizer import EncodedDoc, FeatureConfig
+from harmkit.featurizer import FeatureConfig
 from harmkit.losses import normalize_rows
 from harmkit.model import (
     ModelConfig,
@@ -28,7 +28,7 @@ from harmkit.model import (
     softmax,
 )
 
-EMPTY = EncodedDoc(ids=np.array([], dtype=np.int64))
+EMPTY = np.array([], dtype=np.int64)
 
 
 def small_cfg(seed=0):
@@ -36,18 +36,17 @@ def small_cfg(seed=0):
 
 
 def random_doc(rng, vocab_size, min_len=1, max_len=12):
-    ids = rng.integers(0, vocab_size, size=int(rng.integers(min_len, max_len + 1)))
-    return EncodedDoc(ids=ids)
+    return rng.integers(0, vocab_size, size=int(rng.integers(min_len, max_len + 1)))
 
 
 def forward_reference(params, doc):
     """Straight-line single-document reimplementation used as an oracle."""
     embed_dim = params.embed.shape[1]
     h0 = np.zeros(embed_dim)
-    if doc.ids.size:
-        for t in doc.ids:
+    if doc.size:
+        for t in doc:
             h0 += params.embed[int(t)]
-        h0 /= doc.ids.size
+        h0 /= doc.size
     hidden_dim = params.w1.shape[1]
     a = np.zeros(hidden_dim)
     for j in range(hidden_dim):
@@ -200,7 +199,7 @@ class TestForward:
 
     def test_repeated_token_mean_pooling(self):
         params = init_params(small_cfg(seed=3))
-        docs = [EncodedDoc(ids=np.array([17] * k)) for k in (1, 2, 5)]
+        docs = [np.array([17] * k) for k in (1, 2, 5)]
         class_logits = forward_batch(params, docs).class_logits
         assert np.allclose(class_logits[0], class_logits[1], atol=0)
         assert np.allclose(class_logits[0], class_logits[2], atol=0)
@@ -226,10 +225,10 @@ class TestForward:
         params = init_params(small_cfg())
         vocab_size = params.embed.shape[0]
         for ids in ([9999], [vocab_size], [-1], [3, -2, 5], [np.iinfo(np.int64).min]):
-            doc = EncodedDoc(ids=np.array(ids, dtype=np.int64))
+            doc = np.array(ids, dtype=np.int64)
             with pytest.raises(ValueError, match="out of range"):
                 forward_batch(params, [doc])
-        forward_batch(params, [EncodedDoc(ids=np.array([0, vocab_size - 1]))])
+        forward_batch(params, [np.array([0, vocab_size - 1])])
 
     def test_z_hat_unit_norm_property(self):
         rng = np.random.default_rng(23)
@@ -253,7 +252,7 @@ class TestForward:
         as64 = ModelParams(**{name: arr.astype(np.float64) for name, arr in loaded.arrays()})
         rng = np.random.default_rng(8)
         lengths = [*range(fcfg.max_tokens + 1), 50_000]
-        docs = [EncodedDoc(ids=rng.integers(0, cfg.vocab_size, n)) for n in lengths]
+        docs = [rng.integers(0, cfg.vocab_size, n) for n in lengths]
         assert loaded.embed.dtype == np.float32
         assert np.array_equal(mean_pool(loaded, docs), mean_pool(as64, docs))
         got, want = forward_batch(loaded, docs[-40:]), forward_batch(as64, docs[-40:])
@@ -274,8 +273,8 @@ class TestForward:
         params = init_params(ModelConfig(vocab_size=512, embed_dim=24, hidden_dim=4))
         for scale in (1e-3, 1.0, 1e3):
             params.embed = rng.normal(0, scale, params.embed.shape).astype(dtype)
-            docs = [EncodedDoc(ids=rng.integers(0, 512, n)) for n in (0, 1, 2, 3, 17, 250, 513)]
-            want = [params.embed.take(doc.ids, axis=0).astype(np.float64).mean(axis=0) if doc.ids.size
+            docs = [rng.integers(0, 512, n) for n in (0, 1, 2, 3, 17, 250, 513)]
+            want = [params.embed.take(doc, axis=0).astype(np.float64).mean(axis=0) if doc.size
                     else np.zeros(24) for doc in docs]
             assert np.array_equal(mean_pool(params, docs), np.array(want))
 
@@ -379,7 +378,7 @@ class TestPredict:
 
     def test_shift_invariance(self):
         params = init_params(small_cfg(seed=4))
-        doc = EncodedDoc(ids=np.array([3, 4, 5]))
+        doc = np.array([3, 4, 5])
         before = harm_label(params, doc)
         params.bc += 123.0
         assert harm_label(params, doc) == before

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmkit import cli, losses
+from harmkit import cli, losses, trainer
 from harmkit.corpus import LabeledExample, split_train_val
 from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.losses import ContrastiveConfig
@@ -221,8 +221,8 @@ class TestFullTableOracle:
         lam = 0.5 if task == "harm" else 0.0
         tcfg = TrainConfig(epochs=5, batch_size=8, learning_rate=learning_rate, optimizer=optimizer,
                            seed=11, contrastive=ContrastiveConfig(lam=lam), task=task)
-        train_ids = {int(t) for doc in batch_encode([ex.text for ex in train_set], fcfg) for t in doc.ids}
-        val_ids = {int(t) for doc in batch_encode([ex.text for ex in val_set], fcfg) for t in doc.ids}
+        train_ids = {int(t) for doc in batch_encode([ex.text for ex in train_set], fcfg) for t in doc}
+        val_ids = {int(t) for doc in batch_encode([ex.text for ex in val_set], fcfg) for t in doc}
         assert val_ids - train_ids, "fixture needs val-only rows"
 
         params, report = train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
@@ -234,7 +234,7 @@ class TestFullTableOracle:
         # train returns the rows its documents reach, as the float32 values
         # its checkpoint stores.
         docs = batch_encode([ex.text for ex in [*train_set, *val_set]], fcfg)
-        assert np.array_equal(params.rows, np.unique(np.concatenate([doc.ids for doc in docs])))
+        assert np.array_equal(params.rows, np.unique(np.concatenate(docs)))
         for name, arr in params.arrays():
             want = getattr(best, name)
             want = want[params.rows].astype(np.float32) if name == "embed" else want.astype(np.float64)
@@ -463,11 +463,19 @@ class TestTrain:
         with pytest.warns(UserWarning, match="does not apply"):
             train(split.train, split.val, mcfg, fcfg, tcfg)
 
-    def test_ids_beyond_the_model_vocab_rejected(self, easy_split):
+    def test_ids_beyond_the_model_vocab_rejected(self, easy_split, tmp_path, monkeypatch):
+        # No checkpoint holds a model whose vocab_size is not 2**hash_bits,
+        # smaller or larger: train refuses it before it encodes a document
+        # or reports an epoch, and writes nothing.
+        calls = []
+        monkeypatch.setattr(trainer, "batch_encode", lambda *args: calls.append("encode"))
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size // 2, embed_dim=8, hidden_dim=8, seed=0)
-        with pytest.raises(ValueError, match="out of range for vocab size 512"):
-            train(easy_split.train, easy_split.val, mcfg, fcfg, TrainConfig(epochs=1))
+        for vocab_size, path in ((512, None), (2048, tmp_path / "m.hpc")):
+            mcfg = ModelConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=8, seed=0)
+            with pytest.raises(ValueError, match=rf"model vocab_size {vocab_size} != 2\*\*hash_bits 1024"):
+                train(easy_split.train, easy_split.val, mcfg, fcfg, TrainConfig(epochs=1), checkpoint_path=path,
+                      progress=lambda *args: calls.append("progress"))
+        assert calls == [] and not (tmp_path / "m.hpc").exists()
 
     def test_empty_sets_rejected(self):
         fcfg = FeatureConfig(hash_bits=9)
@@ -482,7 +490,7 @@ class TestTrain:
         tcfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.05, optimizer=optimizer, seed=5)
         train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
         table = load_params(tmp_path / "m.hpc")[0].embed
-        used = sorted({int(t) for doc in batch_encode([ex.text for ex in easy_split.train], fcfg) for t in doc.ids})
+        used = sorted({int(t) for doc in batch_encode([ex.text for ex in easy_split.train], fcfg) for t in doc})
         unused = np.setdiff1d(np.arange(fcfg.vocab_size), used)
         init = init_params(mcfg).embed
         assert unused.size and np.array_equal(table[unused], init[unused])
