@@ -14,7 +14,8 @@ comments). Unknown keys are rejected. Keys:
   tau, lambda                        contrastive loss
 
 The single ``seed`` drives both parameter initialization and batch
-shuffling; the model vocabulary size is always 2**hash_bits.
+shuffling. The featurizer keys make the ``FeatureConfig`` that the
+``ModelConfig`` carries, whose vocabulary size is always 2**hash_bits.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ _REQUIRED_KEYS = ("train_file", "val_file", "checkpoint")
 
 @dataclass
 class RunConfig:
-    feature: FeatureConfig
     model: ModelConfig
     train: TrainConfig
     train_file: Path
@@ -116,8 +116,8 @@ def parse_run_config(path: str | Path) -> RunConfig:
         return {"lam" if key == "lambda" else key: values[key] for key in keys if key in values}
 
     try:
-        feature = FeatureConfig(**given("max_tokens", "hash_bits", "ngram"))
-        model_cfg = ModelConfig(vocab_size=feature.vocab_size, **given("embed_dim", "hidden_dim", "seed"))
+        features = FeatureConfig(**given("max_tokens", "hash_bits", "ngram"))
+        model_cfg = ModelConfig(features, **given("embed_dim", "hidden_dim", "seed"))
         train_cfg = TrainConfig(
             contrastive=ContrastiveConfig(**given("tau", "lambda")),
             **given("epochs", "batch_size", "learning_rate", "optimizer", "seed", "task"),
@@ -131,7 +131,6 @@ def parse_run_config(path: str | Path) -> RunConfig:
         if not file_path.exists():
             raise ConfigError(f"{p}: {key} does not exist: {file_path}")
     return RunConfig(
-        feature=feature,
         model=model_cfg,
         train=train_cfg,
         train_file=train_file,
@@ -183,7 +182,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             train_set,
             val_set,
             cfg.model,
-            cfg.feature,
             cfg.train,
             checkpoint_path=cfg.checkpoint,
             progress=progress,
@@ -205,15 +203,15 @@ _PREDICT_CHUNK = 1024
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     metrics.check_eta(args.eta)
-    params, _, feature_cfg = load_params(args.checkpoint)
-    doc_ids, h0 = _pool_input(params, feature_cfg, args.input, args.task)
+    params, model_cfg = load_params(args.checkpoint)
+    doc_ids, h0 = _pool_input(params, model_cfg.features, args.input, args.task)
     scores, decisions = predict(forward_pooled(params, h0), args.task, args.eta)
     ensembles.write_prediction_file(args.output, doc_ids, scores, decisions, args.task)
     print(json.dumps({"predictions": args.output, "n": len(doc_ids)}, sort_keys=True))
     return EXIT_OK
 
 
-def _pool_input(params: ModelParams, feature_cfg: FeatureConfig, path: str,
+def _pool_input(params: ModelParams, features: FeatureConfig, path: str,
                 task: str) -> tuple[list[str], np.ndarray]:
     """The ids and mean-pooled rows of an input file's documents, in file
     order. Each chunk is read and checked by ``corpus.iter_jsonl``, one
@@ -227,7 +225,7 @@ def _pool_input(params: ModelParams, feature_cfg: FeatureConfig, path: str,
     pooled = [mean_pool(params, [])]  # (0, embed_dim): the shape of an empty input
     while chunk := list(itertools.islice(documents, _PREDICT_CHUNK)):
         doc_ids += [ex.id for ex in chunk]
-        pooled.append(mean_pool(params, batch_encode([ex.text for ex in chunk], feature_cfg)))
+        pooled.append(mean_pool(params, batch_encode([ex.text for ex in chunk], features)))
     return doc_ids, np.concatenate(pooled)
 
 

@@ -33,6 +33,9 @@ Checkpoint layout (little-endian throughout):
   wc, bc, wt, bt as row-major float32 | crc32 u32 of all preceding bytes.
 Header: u32 fields max_tokens, hash_bits, ngram, vocab_size, embed_dim,
 hidden_dim, num_classes (=4), num_targets (=5), then the model seed as u64.
+``ModelConfig`` carries its ``FeatureConfig``, and its ``vocab_size`` is
+always 2**hash_bits; the header still stores it, and ``load_params``
+refuses a header whose ``vocab_size`` is anything else.
 """
 
 from __future__ import annotations
@@ -60,14 +63,18 @@ _CHUNK_ROWS = 1024  # rows per block when drawing, reading or writing embedding 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab_size: int
+    features: FeatureConfig = FeatureConfig()
     embed_dim: int = 64
     hidden_dim: int = 64
     seed: int = 0
 
+    @property
+    def vocab_size(self) -> int:
+        return self.features.vocab_size
+
     def __post_init__(self) -> None:
         # The checkpoint header stores each of them as a u32.
-        for name in ("vocab_size", "embed_dim", "hidden_dim"):
+        for name in ("embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
             if getattr(self, name) >= 2**32:
@@ -254,12 +261,6 @@ def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.nda
     return sigmas, (sigmas >= eta).astype(np.int64)
 
 
-def check_vocab(model_cfg: ModelConfig, feature_cfg: FeatureConfig) -> None:
-    """Refuse a model whose vocab_size is not 2**hash_bits: no checkpoint holds it."""
-    if model_cfg.vocab_size != feature_cfg.vocab_size:
-        raise ValueError(f"model vocab_size {model_cfg.vocab_size} != 2**hash_bits {feature_cfg.vocab_size}")
-
-
 def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:
     """The shapes of w1, b1, wc, bc, wt and bt, the arrays stored whole."""
     return [
@@ -272,16 +273,10 @@ def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:
     ]
 
 
-def save_params(
-    params: ModelParams,
-    model_cfg: ModelConfig,
-    feature_cfg: FeatureConfig,
-    path: str | Path,
-) -> None:
+def save_params(params: ModelParams, model_cfg: ModelConfig, path: str | Path) -> None:
     """Write a self-describing versioned checkpoint (see module docstring):
     the rows of ``params.embed`` whose float32 bits differ from the seed's
     initial table, and every other array whole."""
-    check_vocab(model_cfg, feature_cfg)
     rows = params.rows
     if rows is not None:
         _check_rows(rows, model_cfg.vocab_size, "params.rows")
@@ -293,9 +288,9 @@ def save_params(
     changed = _changed_rows(params.embed, model_cfg, rows)
     header = struct.pack(
         _HEADER_FMT,
-        feature_cfg.max_tokens,
-        feature_cfg.hash_bits,
-        feature_cfg.ngram,
+        model_cfg.features.max_tokens,
+        model_cfg.features.hash_bits,
+        model_cfg.features.ngram,
         model_cfg.vocab_size,
         model_cfg.embed_dim,
         model_cfg.hidden_dim,
@@ -333,7 +328,7 @@ def _checkpoint_chunks(header: bytes, ids: np.ndarray, params: ModelParams, chan
             yield np.ascontiguousarray(arr[start : start + _CHUNK_ROWS], dtype="<f4")
 
 
-def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConfig]:
+def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig]:
     """Inverse of save_params; fails closed on any corruption.
 
     ``embed`` is a float32 table: the seed's initial table, replayed block
@@ -345,7 +340,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConf
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(_PAYLOAD_OFFSET + 4)
-        model_cfg, feature_cfg, count = _parse_head(head, path)
+        model_cfg, count = _parse_head(head, path)
         small = sum(math.prod(shape) for shape in _shapes(model_cfg))
         # math.prod and Python ints: header dims up to 2**32 - 1 overflow int64.
         expected = len(head) + 4 * count * (1 + model_cfg.embed_dim) + 4 * small + 4
@@ -381,17 +376,18 @@ def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig, FeatureConf
             arr = read(shape)
             if not np.all(np.isfinite(arr)):
                 non_finite.append(name)
-            arrays.append(arr.astype(np.float64))
+            # Nothing is returned once a value is non-finite, and widening a NaN can warn.
+            arrays.append(arr if non_finite else arr.astype(np.float64))
         (stored_crc,) = struct.unpack("<I", f.read(4))
     if stored_crc != crc:
         raise ValueError(f"{path}: CRC mismatch at offset {size - 4} (stored {stored_crc:#x}, computed {crc:#x})")
     if non_finite:
         raise ValueError(f"{path}: non-finite values in {non_finite[0]}")
-    return ModelParams(*arrays), model_cfg, feature_cfg
+    return ModelParams(*arrays), model_cfg
 
 
-def _parse_head(head: bytes, path: str | Path) -> tuple[ModelConfig, FeatureConfig, int]:
-    """The configs and the stored row count that a checkpoint's first bytes
+def _parse_head(head: bytes, path: str | Path) -> tuple[ModelConfig, int]:
+    """The config and the stored row count that a checkpoint's first bytes
     give, checked against each other."""
     if len(head) < 9:
         raise ValueError(f"{path}: truncated at offset {len(head)} (no header)")
@@ -409,15 +405,15 @@ def _parse_head(head: bytes, path: str | Path) -> tuple[ModelConfig, FeatureConf
     if fields[6:8] != (NUM_CLASSES, NUM_TARGETS):
         raise ValueError(f"{path}: {fields[6]} classes, {fields[7]} targets; expected {NUM_CLASSES}, {NUM_TARGETS}")
     try:
-        feature_cfg = FeatureConfig(max_tokens=fields[0], hash_bits=fields[1], ngram=fields[2])
-        model_cfg = ModelConfig(vocab_size=fields[3], embed_dim=fields[4], hidden_dim=fields[5], seed=fields[8])
+        features = FeatureConfig(max_tokens=fields[0], hash_bits=fields[1], ngram=fields[2])
+        model_cfg = ModelConfig(features, embed_dim=fields[4], hidden_dim=fields[5], seed=fields[8])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if model_cfg.vocab_size != feature_cfg.vocab_size:
-        raise ValueError(f"{path}: header vocab_size {model_cfg.vocab_size} inconsistent with hash_bits")
+    if fields[3] != model_cfg.vocab_size:
+        raise ValueError(f"{path}: header vocab_size {fields[3]} inconsistent with hash_bits")
     if len(head) < _PAYLOAD_OFFSET + 4:
         raise ValueError(f"{path}: truncated at offset {len(head)} (no row count)")
     (count,) = struct.unpack_from("<I", head, _PAYLOAD_OFFSET)
     if count > model_cfg.vocab_size:
         raise ValueError(f"{path}: {count} stored rows, more than vocab_size {model_cfg.vocab_size}")
-    return model_cfg, feature_cfg, count
+    return model_cfg, count

@@ -16,8 +16,8 @@ changed.
 The data around the step are plain arrays built once: each document is the
 int64 array of its ids, each split's labels are one array from
 ``_extract_labels``, and each epoch's batches are index arrays from
-``make_batches`` into the documents and that array. A model whose vocab_size
-is not 2**hash_bits is refused before anything is encoded.
+``make_batches`` into the documents and that array. Documents are encoded
+by ``model_cfg.features``, whose hash space is the model's vocabulary.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LabeledExample, NUM_CLASSES
-from .featurizer import FeatureConfig, batch_encode
+from .featurizer import batch_encode
 from .losses import ContrastiveConfig, gradients
 from .metrics import confusion, classification_report, multilabel_report
-from .model import ModelConfig, ModelParams, check_vocab, forward_batch, init_params, predict, save_params
+from .model import ModelConfig, ModelParams, forward_batch, init_params, predict, save_params
 
 _GRAD_TOL = 1e-4
 # Floor for the relative-error denominator: partials smaller than this are
@@ -222,7 +222,6 @@ def train(
     train_set: Sequence[LabeledExample],
     val_set: Sequence[LabeledExample],
     model_cfg: ModelConfig,
-    feature_cfg: FeatureConfig,
     train_cfg: TrainConfig,
     checkpoint_path: str | Path | None = None,
     progress=None,
@@ -230,10 +229,9 @@ def train(
     """Fine-tune from scratch, keeping the epoch with the best validation F1."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
-    check_vocab(model_cfg, feature_cfg)
 
-    enc_train = batch_encode([ex.text for ex in train_set], feature_cfg)
-    enc_val = batch_encode([ex.text for ex in val_set], feature_cfg)
+    enc_train = batch_encode([ex.text for ex in train_set], model_cfg.features)
+    enc_val = batch_encode([ex.text for ex in val_set], model_cfg.features)
     train_labels = _extract_labels(train_set, train_cfg.task)
     val_labels = _extract_labels(val_set, train_cfg.task)
 
@@ -279,7 +277,8 @@ def train(
     # returned as the float32 values the checkpoint stores.
     params = replace(best, embed=best.embed.astype(np.float32))
     if checkpoint_path is not None:
-        save_params(params, model_cfg, feature_cfg, checkpoint_path)
+        # ``path`` by keyword: bench/spans.py reads it from the keywords.
+        save_params(params, model_cfg, path=checkpoint_path)
     report = TrainReport(
         task=train_cfg.task,
         train_loss=loss_series,

@@ -119,7 +119,7 @@ def test_criterion_4_contrastive_direction():
         # models so the geometry reflects the objective actually optimized.
         results = {}
         for lam in (0.0, 0.5):
-            model_cfg = ModelConfig(vocab_size=feature_cfg.vocab_size, embed_dim=64, hidden_dim=64, seed=5)
+            model_cfg = ModelConfig(feature_cfg, embed_dim=64, hidden_dim=64, seed=5)
             train_cfg = TrainConfig(
                 epochs=10, batch_size=32, learning_rate=0.2, optimizer="sgd", seed=5,
                 contrastive=ContrastiveConfig(tau=0.1, lam=lam), task="harm",
@@ -173,10 +173,10 @@ def test_criterion_6_ensemble_gain():
         members = []
         member_f1 = []
         for seed in (101, 202, 303):
-            model_cfg = ModelConfig(vocab_size=feature_cfg.vocab_size, embed_dim=32, hidden_dim=32, seed=seed)
+            model_cfg = ModelConfig(feature_cfg, embed_dim=32, hidden_dim=32, seed=seed)
             train_cfg = TrainConfig(epochs=12, batch_size=32, learning_rate=0.05, seed=seed,
                                     contrastive=ContrastiveConfig(tau=0.1, lam=0.5), task="harm")
-            params, report = train(split.train, split.val, model_cfg, feature_cfg, train_cfg)
+            params, report = train(split.train, split.val, model_cfg, train_cfg)
             # train returns the rows its documents reach; index them compactly.
             compact_val = [np.searchsorted(params.rows, doc) for doc in enc_val]
             probs = softmax(forward_batch(params, compact_val).class_logits)

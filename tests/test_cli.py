@@ -171,8 +171,7 @@ class TestConfigParsing:
         config.write_text(f"train_file = {train_path}\nval_file = {val_path}\ncheckpoint = m.hpc\n",
                           encoding="utf-8")
         cfg = cli.parse_run_config(config)
-        assert cfg.feature == FeatureConfig()
-        assert cfg.model == ModelConfig(vocab_size=FeatureConfig().vocab_size)
+        assert cfg.model == ModelConfig()
         assert cfg.train == TrainConfig()
         assert cfg.report is None
 
@@ -296,10 +295,10 @@ class TestTrainCommand:
 def predict_reference(checkpoint, input_path, task, output):
     """The whole-file predict path: every record loaded, encoded and run
     through one ``forward_batch``, with every loaded array as float64."""
-    params, _, feature_cfg = load_params(checkpoint)
+    params, model_cfg = load_params(checkpoint)
     params = ModelParams(**{name: arr.astype(np.float64) for name, arr in params.arrays()})
     data = load_jsonl(input_path, task=task, require_labels=False)
-    docs = batch_encode([ex.text for ex in data], feature_cfg)
+    docs = batch_encode([ex.text for ex in data], model_cfg.features)
     scores, decisions = predict(forward_batch(params, docs), task)
     write_prediction_file(output, [ex.id for ex in data], scores, decisions, task)
 
@@ -312,8 +311,8 @@ def bigram_checkpoint(tmp_path_factory):
     """An untrained checkpoint whose featurizer hashes token pairs too."""
     path = tmp_path_factory.mktemp("bigram") / "model.hpc"
     feature_cfg = FeatureConfig(hash_bits=10, max_tokens=32, ngram=2)
-    model_cfg = ModelConfig(vocab_size=feature_cfg.vocab_size, embed_dim=16, hidden_dim=16, seed=5)
-    save_params(init_params(model_cfg), model_cfg, feature_cfg, path)
+    model_cfg = ModelConfig(feature_cfg, embed_dim=16, hidden_dim=16, seed=5)
+    save_params(init_params(model_cfg), model_cfg, path)
     return path
 
 
@@ -411,7 +410,7 @@ class TestPredictCommand:
             return "".join(chr(0x915 + k // 34**j % 34) for j in range(4)) + "\u093e"
 
         feature_cfg = FeatureConfig(hash_bits=10)
-        params = init_params(ModelConfig(vocab_size=feature_cfg.vocab_size, embed_dim=16, hidden_dim=16))
+        params = init_params(ModelConfig(feature_cfg, embed_dim=16, hidden_dim=16))
 
         def pool(chunks):
             src = tmp_path / f"in{chunks}.jsonl"
@@ -527,10 +526,10 @@ class TestPredictCommand:
     def test_non_finite_checkpoint_rejected(self, trained, split_files, tmp_path, capsys):
         root, _ = trained
         _, val_path = split_files
-        params, model_cfg, feature_cfg = load_params(root / "model.hpc")
+        params, model_cfg = load_params(root / "model.hpc")
         params.embed[:] = np.nan
         bad = tmp_path / "nan.hpc"
-        save_params(params, model_cfg, feature_cfg, bad)
+        save_params(params, model_cfg, bad)
         out = tmp_path / "preds.jsonl"
         assert cli.main(["predict", "--checkpoint", str(bad), "--input", str(val_path), "--output", str(out)]) == 2
         assert f"{bad}: non-finite values in embed" in capsys.readouterr().err

@@ -8,7 +8,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 import zlib
@@ -134,10 +136,10 @@ def model_dir(tmp_path_factory):
     """A small valid checkpoint and an input file for predict."""
     root = tmp_path_factory.mktemp("fuzz-model")
     fcfg = FeatureConfig(max_tokens=16, hash_bits=8)
-    mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=3, seed=1)
+    mcfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=3, seed=1)
     params = init_params(mcfg)
     params.embed[list(STORED_IDS)] += 0.5  # so that the checkpoint stores rows, and their ids
-    save_params(params, mcfg, fcfg, root / "m.hpc")
+    save_params(params, mcfg, root / "m.hpc")
     lines = [json.dumps({"id": f"d{i}", "text": f"w{i} w{i % 3} !"}) for i in range(5)] + ['{"id": "e", "text": ""}']
     (root / "in.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return root
@@ -237,6 +239,23 @@ def test_flipped_payload_byte_fails_the_crc(model_dir, at):
     assert predict_with(model_dir, blob, crc=False).startswith("CRC mismatch"), at
 
 
+def test_signalling_nan_exits_2_without_a_traceback_under_warning_errors(model_dir, tmp_path):
+    # A float32 signalling NaN warns "invalid value encountered in cast" when
+    # widened to float64. Under -W error::RuntimeWarning that warning escaped
+    # as a traceback with exit 1, so only finite arrays may be widened.
+    blob = bytearray((model_dir / "m.hpc").read_bytes())
+    struct.pack_into("<I", blob, SMALL_AT, 0x7F800001)  # w1[0, 0]
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+    checkpoint = tmp_path / "snan.hpc"
+    checkpoint.write_bytes(bytes(blob))
+    argv = ["predict", "--checkpoint", str(checkpoint), "--input", str(model_dir / "in.jsonl"),
+            "--output", str(tmp_path / "out.jsonl")]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "harmkit", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {checkpoint}: non-finite values in w1\n")
+
+
 def test_table_too_large_for_memory_is_named(model_dir, monkeypatch):
     # A 4 KB file can name a 16 GB table: 2**22 rows of 1000 values. The
     # MemoryError is injected where the table is drawn, in case the machine
@@ -256,7 +275,7 @@ def test_table_too_large_for_memory_is_named(model_dir, monkeypatch):
 def test_version_1_file_refused(model_dir):
     # A version 1 file stored the whole table after the header.
     v2 = (model_dir / "m.hpc").read_bytes()
-    params = init_params(ModelConfig(vocab_size=256, embed_dim=4, hidden_dim=3, seed=1))
+    params = init_params(ModelConfig(FeatureConfig(hash_bits=8), embed_dim=4, hidden_dim=3, seed=1))
     params.embed[list(STORED_IDS)] += 0.5
     blob = bytearray(v2[:4] + b"\x01" + v2[5:49] + b"".join(arr.astype("<f4").tobytes() for _, arr in params.arrays()))
     blob += bytes(4)

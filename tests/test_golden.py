@@ -132,9 +132,9 @@ def test_readme_gen_synth_digest(tmp_path):
 def test_best_val_f1_reproducible_from_checkpoint(run):
     _, task, root = run
     report = json.loads((root / "report.json").read_text(encoding="utf-8"))
-    params, _, feature_cfg = load_params(root / report["checkpoint"])
+    params, model_cfg = load_params(root / report["checkpoint"])
     val = load_jsonl(root / "corpus.val.jsonl", task=task)
-    docs = batch_encode([ex.text for ex in val], feature_cfg)
+    docs = batch_encode([ex.text for ex in val], model_cfg.features)
     assert evaluate_params(params, docs, _extract_labels(val, task), task) == report["best_val_f1"]
 
 

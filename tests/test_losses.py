@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmkit.featurizer import FeatureConfig
 from harmkit.losses import (
     ContrastiveConfig,
     NonFiniteLossError,
@@ -19,8 +20,9 @@ from harmkit.losses import (
 from harmkit.model import ModelConfig, forward_batch, init_params, sigmoid, softmax
 
 
-def random_model(rng, vocab_size=64, embed_dim=8, hidden_dim=8):
-    params = init_params(ModelConfig(vocab_size=vocab_size, embed_dim=embed_dim, hidden_dim=hidden_dim, seed=0))
+def random_model(rng, embed_dim=8, hidden_dim=8):
+    """A perturbed model over the smallest table, 2**8 rows."""
+    params = init_params(ModelConfig(FeatureConfig(hash_bits=8), embed_dim=embed_dim, hidden_dim=hidden_dim, seed=0))
     for _, arr in params.arrays():
         arr += rng.normal(0, 0.5, arr.shape)
     return params
@@ -364,7 +366,7 @@ class TestGradients:
         # Central finite differences at step 1e-4 on a small random model; one
         # (tau, lam) cell per parametrization, every parameter checked.
         rng = np.random.default_rng(int(tau * 1000) + int(lam * 10))
-        params = random_model(rng, vocab_size=16, embed_dim=4, hidden_dim=4)
+        params = random_model(rng, embed_dim=4, hidden_dim=4)
         docs, labels = random_batch(rng, vocab_size=16, batch=5)
         cfg = ContrastiveConfig(tau=tau, lam=lam)
         _, grads = gradients(params, docs, labels, cfg, task="harm")
@@ -387,7 +389,7 @@ class TestGradients:
 
     def test_targets_task_finite_difference(self):
         rng = np.random.default_rng(17)
-        params = random_model(rng, vocab_size=16, embed_dim=4, hidden_dim=4)
+        params = random_model(rng, embed_dim=4, hidden_dim=4)
         docs, _ = random_batch(rng, vocab_size=16, batch=5)
         target_rows = rng.integers(0, 2, size=(5, 5)).astype(np.float64)
         cfg = ContrastiveConfig()

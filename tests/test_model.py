@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -32,7 +33,7 @@ EMPTY = np.array([], dtype=np.int64)
 
 
 def small_cfg(seed=0):
-    return ModelConfig(vocab_size=256, embed_dim=8, hidden_dim=6, seed=seed)
+    return ModelConfig(FeatureConfig(hash_bits=8), embed_dim=8, hidden_dim=6, seed=seed)
 
 
 def random_doc(rng, vocab_size, min_len=1, max_len=12):
@@ -84,18 +85,19 @@ ROW_SETS = ["empty", "single", "ends", "boundary", "every", "some"]
 
 @st.composite
 def replay_cases(draw):
-    """(seed, vocab_size, embed_dim, kind of row set); vocab sizes are mostly
-    not multiples of 1024, and span up to five blocks."""
+    """(seed, hash_bits, embed_dim, kind of row set); the tables of 256 and
+    512 rows are one partial 1024-row block, and those of 2048 and 4096 rows
+    span several blocks."""
     seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
-    vocab_size = draw(st.sampled_from([1, 1023, 1025, 2047, 2049, 4100]) | st.integers(1, 4200))
-    return seed, vocab_size, draw(st.integers(1, 3)), draw(st.sampled_from(ROW_SETS))
+    return seed, draw(st.integers(8, 12)), draw(st.integers(1, 3)), draw(st.sampled_from(ROW_SETS))
 
 
 def replay_rows(case):
     """The case with its kind replaced by a sorted distinct row array: no row,
     one row, the first and last rows, rows on both sides of a block boundary,
     every row, or every third row from a seeded offset."""
-    seed, vocab_size, embed_dim, kind = case
+    seed, hash_bits, embed_dim, kind = case
+    vocab_size = 2**hash_bits
     rng = np.random.default_rng([seed, vocab_size])
     boundary = 1024 * int(rng.integers(1, vocab_size // 1024 + 1)) if vocab_size > 1024 else vocab_size // 2
     rows = {
@@ -106,7 +108,7 @@ def replay_rows(case):
         "every": range(vocab_size),
         "some": range(int(rng.integers(0, 3)), vocab_size, 3),
     }[kind]
-    return seed, vocab_size, embed_dim, np.array(rows, dtype=np.int64)
+    return seed, hash_bits, embed_dim, np.array(rows, dtype=np.int64)
 
 
 class TestInit:
@@ -139,9 +141,9 @@ class TestInit:
         b = init_params(small_cfg(seed=2))
         assert not np.array_equal(a.embed, b.embed)
 
-    @pytest.mark.parametrize("vocab_size", [1, 1023, 1024, 3000])
-    def test_matches_one_whole_draw_bitwise(self, vocab_size):
-        cfg = ModelConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=6, seed=5)
+    @pytest.mark.parametrize("hash_bits", [8, 9, 10, 12], ids=lambda bits: str(2**bits))
+    def test_matches_one_whole_draw_bitwise(self, hash_bits):
+        cfg = ModelConfig(FeatureConfig(hash_bits=hash_bits), embed_dim=8, hidden_dim=6, seed=5)
         params, expected = init_params(cfg), init_params_reference(cfg)
         assert params.rows is None
         for (name, got), (_, want) in zip(params.arrays(), expected.arrays()):
@@ -150,23 +152,23 @@ class TestInit:
 
     @settings(max_examples=150, deadline=None)
     @given(case=replay_cases())
-    @example(case=(0, 3000, 3, "empty"))
-    @example(case=(2**64 - 1, 3000, 3, "empty"))
-    @example(case=(0, 1, 2, "every"))
-    @example(case=(0, 2049, 2, "single"))
-    @example(case=(2**64 - 1, 1025, 3, "single"))
-    @example(case=(0, 4100, 2, "ends"))
-    @example(case=(2**64 - 1, 4100, 1, "ends"))
-    @example(case=(0, 3000, 3, "boundary"))
-    @example(case=(2**64 - 1, 2050, 2, "boundary"))
-    @example(case=(0, 3001, 2, "every"))
-    @example(case=(2**64 - 1, 2047, 3, "every"))
+    @example(case=(0, 12, 3, "empty"))
+    @example(case=(2**64 - 1, 12, 3, "empty"))
+    @example(case=(0, 8, 2, "every"))
+    @example(case=(0, 11, 2, "single"))
+    @example(case=(2**64 - 1, 9, 3, "single"))
+    @example(case=(0, 12, 2, "ends"))
+    @example(case=(2**64 - 1, 12, 1, "ends"))
+    @example(case=(0, 12, 3, "boundary"))
+    @example(case=(2**64 - 1, 11, 2, "boundary"))
+    @example(case=(0, 12, 2, "every"))
+    @example(case=(2**64 - 1, 11, 3, "every"))
     def test_row_replay_matches_one_whole_draw_bitwise(self, case):
         # init_params(cfg, rows) draws only the 1024-row blocks that hold one
         # of rows; it must give their rows and the small arrays of one draw of
         # everything.
-        seed, vocab_size, embed_dim, rows = replay_rows(case)
-        cfg = ModelConfig(vocab_size=vocab_size, embed_dim=embed_dim, hidden_dim=3, seed=seed)
+        seed, hash_bits, embed_dim, rows = replay_rows(case)
+        cfg = ModelConfig(FeatureConfig(hash_bits=hash_bits), embed_dim=embed_dim, hidden_dim=3, seed=seed)
         expected = init_params_reference(cfg)
         params = init_params(cfg, rows)
         assert params.rows is rows
@@ -183,7 +185,7 @@ class TestInit:
     def test_peak_memory_is_one_table(self):
         tracemalloc.start()
         try:
-            params = init_params(ModelConfig(vocab_size=2**15))
+            params = init_params(ModelConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,10 +247,10 @@ class TestForward:
         # 0..max_tokens, plus one document far longer, must pool to the same
         # bits, and so give the same activations.
         fcfg = FeatureConfig(hash_bits=10)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, seed=4)
+        cfg = ModelConfig(fcfg, seed=4)
         path = tmp_path / "m.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
-        loaded, _, _ = load_params(path)
+        save_params(init_params(cfg), cfg, path)
+        loaded, _ = load_params(path)
         as64 = ModelParams(**{name: arr.astype(np.float64) for name, arr in loaded.arrays()})
         rng = np.random.default_rng(8)
         lengths = [*range(fcfg.max_tokens + 1), 50_000]
@@ -270,7 +272,7 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mean_pool_is_each_rows_mean_bit_for_bit(self, dtype):
         rng = np.random.default_rng(41)
-        params = init_params(ModelConfig(vocab_size=512, embed_dim=24, hidden_dim=4))
+        params = init_params(ModelConfig(FeatureConfig(hash_bits=9), embed_dim=24, hidden_dim=4))
         for scale in (1e-3, 1.0, 1e3):
             params.embed = rng.normal(0, scale, params.embed.shape).astype(dtype)
             docs = [rng.integers(0, 512, n) for n in (0, 1, 2, 3, 17, 250, 513)]
@@ -281,7 +283,7 @@ class TestForward:
     def test_forward_pooled_peak_is_about_one_hidden_array(self):
         # The tanh layer runs in place: one (N, hidden_dim) array, not the
         # three of ``np.tanh(h0 @ w1 + b1)``, and the same bits.
-        cfg = ModelConfig(vocab_size=256)
+        cfg = ModelConfig(FeatureConfig(hash_bits=8))
         params = init_params(cfg)
         h0 = np.random.default_rng(37).normal(0, 0.5, (10_000, cfg.embed_dim))
         tracemalloc.start()
@@ -441,13 +443,12 @@ class TestPredictMultilabel:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=6, seed=12)
+        cfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=6, seed=12)
         params = init_params(cfg)
         path = tmp_path / "model.hpc"
-        save_params(params, cfg, fcfg, path)
-        loaded, loaded_cfg, loaded_fcfg = load_params(path)
+        save_params(params, cfg, path)
+        loaded, loaded_cfg = load_params(path)
         assert loaded_cfg == cfg
-        assert loaded_fcfg == fcfg
         for (_, a), (_, b) in zip(params.arrays(), loaded.arrays()):
             assert np.array_equal(a, b)
 
@@ -455,15 +456,15 @@ class TestCheckpoint:
         # Arbitrary float64 params quantize once on the first save and are
         # exact thereafter.
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=6, seed=1)
+        cfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=6, seed=1)
         params = init_params(cfg)
         rng = np.random.default_rng(0)
         params.w1 += rng.normal(0, 1e-9, params.w1.shape)  # break f32 alignment
         p1 = tmp_path / "a.hpc"
         p2 = tmp_path / "b.hpc"
-        save_params(params, cfg, fcfg, p1)
-        loaded1, _, _ = load_params(p1)
-        save_params(loaded1, cfg, fcfg, p2)
+        save_params(params, cfg, p1)
+        loaded1, _ = load_params(p1)
+        save_params(loaded1, cfg, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_wrong_magic(self, tmp_path):
@@ -474,9 +475,9 @@ class TestCheckpoint:
 
     def test_unsupported_version(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=0)
         path = tmp_path / "other.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
+        save_params(init_params(cfg), cfg, path)
         blob = bytearray(path.read_bytes())
         for version in (1, 3):
             blob[4] = version
@@ -489,9 +490,9 @@ class TestCheckpoint:
         # Header slots 6 and 7 hold the class and target counts, which the
         # corpus format fixes at 4 and 5.
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=0)
         path = tmp_path / "shape.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
+        save_params(init_params(cfg), cfg, path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 9 + 4 * field, value)
         struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
@@ -504,12 +505,13 @@ class TestCheckpoint:
         (0, 0, "max_tokens must be >= 1, got 0"),
         (4, 0, "embed_dim must be >= 1, got 0"),
         (2, 3, "ngram must be 1 or 2, got 3"),
+        (3, 512, "header vocab_size 512 inconsistent with hash_bits"),
     ])
     def test_bad_header_field_names_the_file(self, tmp_path, field, value, message):
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=0)
         path = tmp_path / "field.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
+        save_params(init_params(cfg), cfg, path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 9 + 4 * field, value)
         struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
@@ -520,9 +522,9 @@ class TestCheckpoint:
     def test_largest_header_dims_give_the_exact_expected_size(self, tmp_path):
         # embed_dim * hidden_dim = (2**32 - 1)**2 overflows an int64 product.
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=0)
         path = tmp_path / "huge.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
+        save_params(init_params(cfg), cfg, path)
         blob = bytearray(path.read_bytes())
         dim = 2**32 - 1
         struct.pack_into("<2I", blob, 9 + 4 * 4, dim, dim)
@@ -536,12 +538,12 @@ class TestCheckpoint:
 
     def test_embed_loads_as_a_writable_c_contiguous_float32_array(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=3)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=3)
         params = init_params(cfg)
         params.embed[[5, 200]] += 0.25
         path = tmp_path / "m.hpc"
-        save_params(params, cfg, fcfg, path)
-        loaded, _, _ = load_params(path)
+        save_params(params, cfg, path)
+        loaded, _ = load_params(path)
         assert loaded.embed.dtype == np.float32 and loaded.rows is None
         assert loaded.embed.flags.writeable and loaded.embed.flags.c_contiguous
         assert all(arr.dtype == np.float64 for name, arr in loaded.arrays() if name != "embed")
@@ -552,16 +554,16 @@ class TestCheckpoint:
         # whole table too; a load that held the file beside the table would
         # peak at two tables.
         fcfg = FeatureConfig()
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size)
+        cfg = ModelConfig(fcfg)
         params = init_params(cfg)
         params.embed += 0.5
         path = tmp_path / "m.hpc"
-        save_params(params, cfg, fcfg, path)
+        save_params(params, cfg, path)
         assert path.stat().st_size > cfg.vocab_size * cfg.embed_dim * 4
         del params
         tracemalloc.start()
         try:
-            loaded, _, _ = load_params(path)
+            loaded, _ = load_params(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -569,9 +571,9 @@ class TestCheckpoint:
 
     def test_truncated_file(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=0)
         path = tmp_path / "cut.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
+        save_params(init_params(cfg), cfg, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="truncated|bytes"):
@@ -579,9 +581,9 @@ class TestCheckpoint:
 
     def test_crc_corruption(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=0)
         path = tmp_path / "flip.hpc"
-        save_params(init_params(cfg), cfg, fcfg, path)
+        save_params(init_params(cfg), cfg, path)
         blob = bytearray(path.read_bytes())
         blob[60] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -592,22 +594,42 @@ class TestCheckpoint:
     def test_non_finite_values_rejected(self, tmp_path, name, bad):
         # The CRC covers the bytes, so it passes a checkpoint saved with NaN parameters.
         fcfg = FeatureConfig(hash_bits=8)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4, seed=0)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4, seed=0)
         params = init_params(cfg)
         getattr(params, name).flat[-1] = bad
         path = tmp_path / "nan.hpc"
-        save_params(params, cfg, fcfg, path)
+        save_params(params, cfg, path)
         with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite values in {name}")):
             load_params(path)
+
+    @pytest.mark.parametrize("name", ModelParams.FIELDS[1:])
+    def test_signalling_nan_is_named_without_a_warning(self, tmp_path, name):
+        # Widening a float32 signalling NaN to float64 warns "invalid value
+        # encountered in cast", so an array that fails the check is not cast.
+        cfg = ModelConfig(FeatureConfig(hash_bits=8), embed_dim=4, hidden_dim=4, seed=0)
+        params = init_params(cfg)
+        path = tmp_path / "snan.hpc"
+        save_params(params, cfg, path)
+        blob = bytearray(path.read_bytes())
+        # The initial table stores no rows, so the small arrays start at byte 53.
+        before = ModelParams.FIELDS[1 : ModelParams.FIELDS.index(name)]
+        at = 53 + 4 * sum(getattr(params, field).size for field in before)
+        struct.pack_into("<I", blob, at, 0x7F800001)
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite values in {name}")):
+                load_params(path)
 
     def test_shapes_come_from_header(self, tmp_path):
         # Two checkpoints with different geometry load back with their own shapes.
         for bits, embed, hidden in [(8, 4, 6), (9, 10, 3)]:
             fcfg = FeatureConfig(hash_bits=bits)
-            cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=embed, hidden_dim=hidden, seed=bits)
+            cfg = ModelConfig(fcfg, embed_dim=embed, hidden_dim=hidden, seed=bits)
             path = tmp_path / f"m{bits}.hpc"
-            save_params(init_params(cfg), cfg, fcfg, path)
-            loaded, loaded_cfg, _ = load_params(path)
+            save_params(init_params(cfg), cfg, path)
+            loaded, loaded_cfg = load_params(path)
             assert loaded_cfg.embed_dim == embed
             assert loaded.embed.shape == (1 << bits, embed)
             assert loaded.w1.shape == (embed, hidden)
@@ -617,12 +639,12 @@ class TestCheckpoint:
         # length, header, row count, the changed rows' ids and values, the
         # small arrays, the CRC of everything before it.
         fcfg = FeatureConfig(hash_bits=8, max_tokens=20)
-        cfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=3, seed=77)
+        cfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=3, seed=77)
         params = init_params(cfg)
         params.embed[[200, 7]] += 0.5
         params.embed[9] = params.embed[9]  # the same bits: not a changed row
         path = tmp_path / "layout.hpc"
-        save_params(params, cfg, fcfg, path)
+        save_params(params, cfg, path)
         blob = path.read_bytes()
         assert blob[:4] == b"HPC1"
         assert blob[4] == 2

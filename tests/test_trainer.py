@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmkit import cli, losses, trainer
+from harmkit import cli, losses
 from harmkit.corpus import LabeledExample, split_train_val
 from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.losses import ContrastiveConfig
@@ -170,15 +170,15 @@ class DenseAdamReference:
             arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def full_table_reference(train_set, val_set, mcfg, fcfg, tcfg):
+def full_table_reference(train_set, val_set, mcfg, tcfg):
     """train over the whole embedding table, with DenseSgdReference or
     DenseAdamReference and the np.add.at pool backward: an oracle for the
     compact table, the dense optimizers and the bincount backward of train.
     Returns the best epoch's params and the report's series."""
     task = tcfg.task
-    items = list(zip(batch_encode([ex.text for ex in train_set], fcfg), _extract_labels(train_set, task)))
+    items = list(zip(batch_encode([ex.text for ex in train_set], mcfg.features), _extract_labels(train_set, task)))
     label_dtype = np.int64 if task == "harm" else np.float64
-    val_docs = batch_encode([ex.text for ex in val_set], fcfg)
+    val_docs = batch_encode([ex.text for ex in val_set], mcfg.features)
     val_labels = _extract_labels(val_set, task)
     params = init_params(mcfg)
     optimizer = (DenseAdamReference if tcfg.optimizer == "adam" else DenseSgdReference)(tcfg.learning_rate)
@@ -217,7 +217,7 @@ class TestFullTableOracle:
     def test_train_matches_full_table_reference(self, tmp_path, optimizer, learning_rate, task):
         train_set, val_set = oracle_split()
         fcfg = FeatureConfig(hash_bits=9, max_tokens=24)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=11)
+        mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=11)
         lam = 0.5 if task == "harm" else 0.0
         tcfg = TrainConfig(epochs=5, batch_size=8, learning_rate=learning_rate, optimizer=optimizer,
                            seed=11, contrastive=ContrastiveConfig(lam=lam), task=task)
@@ -225,8 +225,8 @@ class TestFullTableOracle:
         val_ids = {int(t) for doc in batch_encode([ex.text for ex in val_set], fcfg) for t in doc}
         assert val_ids - train_ids, "fixture needs val-only rows"
 
-        params, report = train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
-        best, loss_series, f1_series = full_table_reference(train_set, val_set, mcfg, fcfg, tcfg)
+        params, report = train(train_set, val_set, mcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
+        best, loss_series, f1_series = full_table_reference(train_set, val_set, mcfg, tcfg)
         assert report.train_loss == loss_series
         assert report.val_f1 == f1_series
         assert report.best_val_f1 == max(f1_series) and report.best_epoch == f1_series.index(max(f1_series))
@@ -240,7 +240,7 @@ class TestFullTableOracle:
             want = want[params.rows].astype(np.float32) if name == "embed" else want.astype(np.float64)
             assert arr.dtype == want.dtype and arr.shape == want.shape, name
             assert arr.tobytes() == want.tobytes(), name
-        save_params(best, mcfg, fcfg, tmp_path / "want.hpc")
+        save_params(best, mcfg, tmp_path / "want.hpc")
         assert (tmp_path / "got.hpc").read_bytes() == (tmp_path / "want.hpc").read_bytes()
 
 
@@ -313,13 +313,13 @@ class TestWriteBackRounding:
 
     def test_a_row_beyond_float32_max_becomes_inf_and_its_checkpoint_is_refused(self, tmp_path):
         fcfg = FeatureConfig(hash_bits=8)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=4, hidden_dim=4)
+        mcfg = ModelConfig(fcfg, embed_dim=4, hidden_dim=4)
         params = init_params(mcfg)
         params.embed = params.embed.astype(np.float32)
         with np.errstate(over="ignore"):
             params.embed[[3, 7]] = np.array([[1e39, -1e39, 1.0, 0.0], [0.5, 2.0, 3e300, -3.0]])
         assert np.isinf(params.embed).sum() == 3
-        save_params(params, mcfg, fcfg, tmp_path / "m.hpc")
+        save_params(params, mcfg, tmp_path / "m.hpc")
         with pytest.raises(ValueError, match="non-finite values in embed"):
             load_params(tmp_path / "m.hpc")
 
@@ -338,11 +338,11 @@ def encoded_for(examples, fcfg, task="harm"):
     return batch_encode([ex.text for ex in examples], fcfg), _extract_labels(examples, task)
 
 
-def reference_train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path):
+def reference_train(train_set, val_set, mcfg, tcfg, checkpoint_path):
     """train's harm loop over the full table with a full params.copy() of the
     best epoch: an oracle for the compact snapshot and write-back of train."""
-    docs, labels = encoded_for(train_set, fcfg)
-    val_docs, val_labels = encoded_for(val_set, fcfg)
+    docs, labels = encoded_for(train_set, mcfg.features)
+    val_docs, val_labels = encoded_for(val_set, mcfg.features)
     params = init_params(mcfg)
     optimizer = _make_optimizer(tcfg)
     best_f1, best_params = -1.0, None
@@ -352,7 +352,7 @@ def reference_train(train_set, val_set, mcfg, fcfg, tcfg, checkpoint_path):
         f1 = evaluate_params(params, val_docs, val_labels, "harm")
         if f1 > best_f1:
             best_f1, best_params = f1, params.copy()
-    save_params(best_params, mcfg, fcfg, checkpoint_path)
+    save_params(best_params, mcfg, checkpoint_path)
     return best_params
 
 
@@ -364,7 +364,7 @@ class TestTrainEpoch:
         docs, labels = encoded_for(keyword_corpus(), fcfg)
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-300, optimizer="sgd",
                           seed=0, contrastive=ContrastiveConfig(lam=0.0))
-        params = init_params(ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=0))
+        params = init_params(ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0))
         before = {name: arr.copy() for name, arr in params.arrays()}
         batches = make_batches(len(docs), 16, 0, 0)
         loss = train_epoch(params, docs, labels, batches, cfg, SgdOptimizer(0.0))
@@ -378,7 +378,7 @@ class TestTrainEpoch:
         docs, labels = encoded_for(keyword_corpus(), fcfg)
         cfg = TrainConfig(epochs=5, batch_size=16, learning_rate=0.05, optimizer="adam",
                           seed=3, contrastive=ContrastiveConfig(lam=0.0))
-        params = init_params(ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=16, hidden_dim=16, seed=3))
+        params = init_params(ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=3))
         opt = AdamOptimizer(0.05)
         losses = []
         for epoch in range(5):
@@ -396,37 +396,37 @@ def easy_split():
 class TestTrain:
     def test_synthetic_keyword_corpus_reaches_high_f1(self, easy_split):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=32, hidden_dim=32, seed=0)
+        mcfg = ModelConfig(fcfg, embed_dim=32, hidden_dim=32, seed=0)
         tcfg = TrainConfig(epochs=12, batch_size=32, learning_rate=0.05, seed=0,
                            contrastive=ContrastiveConfig(lam=0.5), task="harm")
-        _, report = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg)
+        _, report = train(easy_split.train, easy_split.val, mcfg, tcfg)
         assert report.best_val_f1 >= 0.95
 
     def test_deterministic_report(self, easy_split):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=16, hidden_dim=16, seed=7)
+        mcfg = ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=7)
         tcfg = TrainConfig(epochs=4, batch_size=32, learning_rate=0.05, seed=7, task="harm")
-        _, r1 = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg)
-        _, r2 = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg)
+        _, r1 = train(easy_split.train, easy_split.val, mcfg, tcfg)
+        _, r2 = train(easy_split.train, easy_split.val, mcfg, tcfg)
         assert r1.to_json() == r2.to_json()
 
     def test_best_epoch_is_argmax_of_series(self, easy_split):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=16, hidden_dim=16, seed=2)
+        mcfg = ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=2)
         tcfg = TrainConfig(epochs=6, batch_size=32, learning_rate=0.05, seed=2, task="harm")
-        _, report = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg)
+        _, report = train(easy_split.train, easy_split.val, mcfg, tcfg)
         series = report.val_f1
         assert report.best_val_f1 == max(series)
         assert report.best_epoch == series.index(max(series))
 
     def test_checkpoint_holds_best_params(self, easy_split, tmp_path):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=16, hidden_dim=16, seed=4)
+        mcfg = ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=4)
         tcfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.05, seed=4, task="harm")
         path = tmp_path / "best.hpc"
-        _, report = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg, checkpoint_path=path)
-        params, _, loaded_fcfg = load_params(path)
-        docs = batch_encode([ex.text for ex in easy_split.val], loaded_fcfg)
+        _, report = train(easy_split.train, easy_split.val, mcfg, tcfg, checkpoint_path=path)
+        params, loaded_cfg = load_params(path)
+        docs = batch_encode([ex.text for ex in easy_split.val], loaded_cfg.features)
         f1 = evaluate_params(params, docs, _extract_labels(easy_split.val, "harm"), "harm")
         # float32 checkpoint quantization can move F1 only through argmax flips;
         # none occur on this margin, so the scores agree exactly.
@@ -436,10 +436,10 @@ class TestTrain:
         data = generate_corpus(classes=4, docs_per_class=60, overlap=0.2, seed=5, with_targets=True)
         split = split_train_val(data, seed=2, stratify=True)
         fcfg = FeatureConfig(hash_bits=10, max_tokens=40)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=24, hidden_dim=24, seed=1)
+        mcfg = ModelConfig(fcfg, embed_dim=24, hidden_dim=24, seed=1)
         tcfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.05, seed=1,
                            contrastive=ContrastiveConfig(lam=0.0), task="targets")
-        _, report = train(split.train, split.val, mcfg, fcfg, tcfg)
+        _, report = train(split.train, split.val, mcfg, tcfg)
         assert report.task == "targets"
         assert report.best_val_f1 >= 0.9  # trigger tokens make the task learnable
 
@@ -447,48 +447,34 @@ class TestTrain:
         data = [ex for ex in generate_corpus(classes=4, docs_per_class=30, overlap=0.0, seed=6) if ex.harm != 3]
         split = split_train_val(data, seed=3, stratify=True)
         fcfg = FeatureConfig(hash_bits=9, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=0)
+        mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0)
         tcfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.05, seed=0,
                            contrastive=ContrastiveConfig(lam=0.5), task="harm")
         with pytest.warns(UserWarning, match="absent"):
-            train(split.train, split.val, mcfg, fcfg, tcfg)
+            train(split.train, split.val, mcfg, tcfg)
 
     def test_contrastive_ignored_for_targets_task(self):
         data = generate_corpus(classes=4, docs_per_class=20, overlap=0.0, seed=7, with_targets=True)
         split = split_train_val(data, seed=4, stratify=True)
         fcfg = FeatureConfig(hash_bits=9, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=0)
+        mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0)
         tcfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.05, seed=0,
                            contrastive=ContrastiveConfig(lam=0.5), task="targets")
         with pytest.warns(UserWarning, match="does not apply"):
-            train(split.train, split.val, mcfg, fcfg, tcfg)
-
-    def test_ids_beyond_the_model_vocab_rejected(self, easy_split, tmp_path, monkeypatch):
-        # No checkpoint holds a model whose vocab_size is not 2**hash_bits,
-        # smaller or larger: train refuses it before it encodes a document
-        # or reports an epoch, and writes nothing.
-        calls = []
-        monkeypatch.setattr(trainer, "batch_encode", lambda *args: calls.append("encode"))
-        fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        for vocab_size, path in ((512, None), (2048, tmp_path / "m.hpc")):
-            mcfg = ModelConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=8, seed=0)
-            with pytest.raises(ValueError, match=rf"model vocab_size {vocab_size} != 2\*\*hash_bits 1024"):
-                train(easy_split.train, easy_split.val, mcfg, fcfg, TrainConfig(epochs=1), checkpoint_path=path,
-                      progress=lambda *args: calls.append("progress"))
-        assert calls == [] and not (tmp_path / "m.hpc").exists()
+            train(split.train, split.val, mcfg, tcfg)
 
     def test_empty_sets_rejected(self):
         fcfg = FeatureConfig(hash_bits=9)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, seed=0)
+        mcfg = ModelConfig(fcfg, seed=0)
         with pytest.raises(ValueError, match="nonempty"):
-            train([], [], mcfg, fcfg, TrainConfig())
+            train([], [], mcfg, TrainConfig())
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_rows_no_training_token_hashes_to_keep_their_init(self, easy_split, tmp_path, optimizer):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=5)
+        mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=5)
         tcfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.05, optimizer=optimizer, seed=5)
-        train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
+        train(easy_split.train, easy_split.val, mcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
         table = load_params(tmp_path / "m.hpc")[0].embed
         used = sorted({int(t) for doc in batch_encode([ex.text for ex in easy_split.train], fcfg) for t in doc})
         unused = np.setdiff1d(np.arange(fcfg.vocab_size), used)
@@ -504,7 +490,7 @@ class TestTrain:
         for lr in (1e-2, 1e-3, 1e-4):
             cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=lr, optimizer="sgd",
                               seed=0, contrastive=ContrastiveConfig(lam=0.0))
-            params = init_params(ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=0))
+            params = init_params(ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0))
             before = {name: arr.copy() for name, arr in params.arrays()}
             batches = make_batches(len(docs), 16, 0, 0)
             train_epoch(params, docs, labels, batches, cfg, SgdOptimizer(lr))
@@ -522,11 +508,11 @@ class TestTrain:
         data = generate_corpus(classes=4, docs_per_class=30, overlap=0.4, seed=88)
         split = split_train_val(data, seed=1, stratify=True)
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=seed)
+        mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=seed)
         tcfg = TrainConfig(epochs=5, batch_size=16, learning_rate=learning_rate, optimizer=optimizer, seed=seed)
-        params, report = train(split.train, split.val, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
+        params, report = train(split.train, split.val, mcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
         assert 0 < report.best_epoch < tcfg.epochs - 1
-        expected = reference_train(split.train, split.val, mcfg, fcfg, tcfg, tmp_path / "want.hpc")
+        expected = reference_train(split.train, split.val, mcfg, tcfg, tmp_path / "want.hpc")
         for name, arr in params.arrays():
             want = getattr(expected, name)
             want = want[params.rows].astype(np.float32) if name == "embed" else want.astype(np.float64)
@@ -536,9 +522,9 @@ class TestTrain:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_returns_the_table_its_checkpoint_stores(self, easy_split, tmp_path, optimizer):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
-        mcfg = ModelConfig(vocab_size=fcfg.vocab_size, embed_dim=8, hidden_dim=8, seed=6)
+        mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=6)
         tcfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, optimizer=optimizer, seed=6)
-        params, _ = train(easy_split.train, easy_split.val, mcfg, fcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
+        params, _ = train(easy_split.train, easy_split.val, mcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
         stored = load_params(tmp_path / "m.hpc")[0].embed
         assert params.embed.dtype == stored.dtype == np.float32
         assert params.embed.tobytes() == stored[params.rows].tobytes()
@@ -549,11 +535,11 @@ class TestTrain:
         # their moments, one replayed block of the initial table and the
         # checkpoint's blocks. It held one float32 table, 1.11 of them in all.
         split = split_train_val(generate_corpus(classes=4, docs_per_class=10, overlap=0.1, seed=3), seed=1)
-        mcfg = ModelConfig(vocab_size=2**15)
+        mcfg = ModelConfig()
         tcfg = TrainConfig(epochs=2, optimizer=optimizer)
         tracemalloc.start()
         try:
-            train(split.train, split.val, mcfg, FeatureConfig(), tcfg, checkpoint_path=tmp_path / "m.hpc")
+            train(split.train, split.val, mcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -563,8 +549,8 @@ class TestTrain:
         # Predict holds one chunk of texts and ids at a time, so from 1000 to
         # 4000 long documents its traced peak grows only by what it keeps
         # per document: the pooled row and the activations computed from it.
-        fcfg, mcfg = FeatureConfig(), ModelConfig(vocab_size=2**15)
-        save_params(init_params(mcfg), mcfg, fcfg, tmp_path / "m.hpc")
+        mcfg = ModelConfig()
+        save_params(init_params(mcfg), mcfg, tmp_path / "m.hpc")
         rng = np.random.default_rng(0)
         words = np.array([f"w{k}" for k in range(5000)])
 
