@@ -9,13 +9,14 @@ comments). Unknown keys are rejected. Keys:
 
   train_file, val_file, checkpoint   paths (report is optional)
   max_tokens, hash_bits, ngram       featurizer
-  embed_dim, hidden_dim              model
-  epochs, batch_size, learning_rate, optimizer, seed, task   training
+  embed_dim, hidden_dim, seed        model
+  epochs, batch_size, learning_rate, optimizer, task   training
   tau, lambda                        contrastive loss
 
-The single ``seed`` drives both parameter initialization and batch
-shuffling. The featurizer keys make the ``FeatureConfig`` that the
-``ModelConfig`` carries, whose vocabulary size is always 2**hash_bits.
+The single ``seed`` is the ``ModelConfig`` seed, which drives both
+parameter initialization and batch shuffling. The featurizer keys make the
+``FeatureConfig`` that the ``ModelConfig`` carries, whose vocabulary size
+is always 2**hash_bits. Every ``--seed`` flag takes a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
         model_cfg = ModelConfig(features, **given("embed_dim", "hidden_dim", "seed"))
         train_cfg = TrainConfig(
             contrastive=ContrastiveConfig(**given("tau", "lambda")),
-            **given("epochs", "batch_size", "learning_rate", "optimizer", "seed", "task"),
+            **given("epochs", "batch_size", "learning_rate", "optimizer", "task"),
         )
     except ValueError as exc:
         raise ConfigError(f"{p}: {exc}") from exc
@@ -322,6 +323,13 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The value of a ``--seed`` flag: a nonnegative integer in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="harmkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="deterministic stratified train/validation split")
     p.add_argument("--input", required=True)
     p.add_argument("--ratio", default="4:1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--stratify", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--task", choices=["harm", "targets", "both"], default="harm")
     p.set_defaults(func=_cmd_split)
@@ -367,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("gen-synth", help="generate a seeded synthetic corpus")
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--docs-per-class", type=int, default=500)
     p.add_argument("--overlap", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--targets", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_gen_synth)

@@ -12,7 +12,7 @@ array, and ``classification_report`` scores that array.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,19 +28,8 @@ class MetricsReport:
     micro_f1: float
     weighted_f1: float
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": list(self.precision),
-            "recall": list(self.recall),
-            "f1": list(self.f1),
-            "support": list(self.support),
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "weighted_f1": self.weighted_f1,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _safe_div(num: float, den: float) -> float:

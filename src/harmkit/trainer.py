@@ -1,7 +1,7 @@
 """Deterministic mini-batch training with validation-F1 model selection.
 
 All randomness flows from explicit seeds: parameter init from the model
-seed, per-epoch shuffles from (train seed, epoch). Two runs with identical
+seed, per-epoch shuffles from (model seed, epoch). Two runs with identical
 configs and data produce identical reports. The checkpoint kept is the one
 from the epoch with the best validation F1 (macro-F1 for the harm task,
 micro-F1 over thresholded decisions for the targets task); ties keep the
@@ -31,17 +31,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabeledExample, NUM_CLASSES
+from .corpus import LabeledExample, NUM_CLASSES, NUM_TARGETS
 from .featurizer import batch_encode
 from .losses import ContrastiveConfig, gradients
 from .metrics import confusion, classification_report, multilabel_report
 from .model import ModelConfig, ModelParams, forward_batch, init_params, predict, save_params
 
 _GRAD_TOL = 1e-4
+_GRAD_STEP = 1e-4  # grad_check's central-difference step
 # Floor for the relative-error denominator: partials smaller than this are
 # compared absolutely, which keeps finite-difference roundoff from
 # registering as disagreement on near-zero gradients.
 _REL_FLOOR = 1e-6
+
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.05
     optimizer: str = "adam"
-    seed: int = 0
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
     task: str = "harm"
 
@@ -67,8 +71,6 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.task not in ("harm", "targets"):
             raise ValueError(f"task must be 'harm' or 'targets', got {self.task!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 @dataclass
@@ -97,17 +99,15 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    """Adam (Kingma & Ba 2015), a dense step over every array it is handed.
+    """Adam (Kingma & Ba 2015), a dense step over every array it is handed, with
+    that paper's defaults ``_ADAM_BETA1`` 0.9, ``_ADAM_BETA2`` 0.999, ``_ADAM_EPS`` 1e-8.
 
     A row whose gradient has been zero since the start has m = v = 0, and the
     step subtracts exactly 0 from it, so a row no batch reaches keeps its value.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -126,18 +126,18 @@ class AdamOptimizer:
                 a: np.ndarray, b: np.ndarray) -> None:
         """The Adam rule in place on arr, m and v, with scratch a and b: the IEEE
         operations of ``arr -= lr * m_hat / (sqrt(v_hat) + eps)`` in its order."""
-        np.multiply(g, 1.0 - self.beta1, out=a)
-        m *= self.beta1
+        np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
+        m *= _ADAM_BETA1
         m += a
-        np.multiply(g, 1.0 - self.beta2, out=a)
+        np.multiply(g, 1.0 - _ADAM_BETA2, out=a)
         a *= g
-        v *= self.beta2
+        v *= _ADAM_BETA2
         v += a
-        np.divide(m, 1.0 - self.beta1**self.t, out=a)  # m_hat
+        np.divide(m, 1.0 - _ADAM_BETA1**self.t, out=a)  # m_hat
         a *= self.learning_rate
-        np.divide(v, 1.0 - self.beta2**self.t, out=b)  # v_hat
+        np.divide(v, 1.0 - _ADAM_BETA2**self.t, out=b)  # v_hat
         np.sqrt(b, out=b)
-        b += self.eps
+        b += _ADAM_EPS
         a /= b
         arr -= a
 
@@ -260,7 +260,7 @@ def train(
     best_f1 = -1.0
     for epoch in range(train_cfg.epochs):
         batches = make_batches(
-            len(enc_train), train_cfg.batch_size, train_cfg.seed, epoch, drop_singleton=contrastive_on
+            len(enc_train), train_cfg.batch_size, model_cfg.seed, epoch, drop_singleton=contrastive_on
         )
         mean_loss = train_epoch(params, enc_train, train_labels, batches, train_cfg, optimizer)
         val_f1 = evaluate_params(params, enc_val, val_labels, train_cfg.task)
@@ -321,11 +321,11 @@ _CHECK_COMBOS = [
 ]
 
 
-def grad_check(trials: int = 30, seed: int = 0, step: float = 1e-4) -> GradCheckReport:
+def grad_check(trials: int = 30, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Each trial draws a small random model (vocab 64, dims 8) and a batch of
-    6 random documents, then perturbs every single parameter by +/-step. The
+    6 random documents, then perturbs every single parameter by +/-1e-4. The
     relative error uses max(|analytic|, |numeric|, 1e-6) as denominator (see
     _REL_FLOOR).
     """
@@ -345,27 +345,27 @@ def grad_check(trials: int = 30, seed: int = 0, step: float = 1e-4) -> GradCheck
             b1=rng.normal(0.0, 0.5, hidden_dim),
             wc=rng.normal(0.0, 0.5, (hidden_dim, NUM_CLASSES)),
             bc=rng.normal(0.0, 0.5, NUM_CLASSES),
-            wt=rng.normal(0.0, 0.5, (hidden_dim, 5)),
-            bt=rng.normal(0.0, 0.5, 5),
+            wt=rng.normal(0.0, 0.5, (hidden_dim, NUM_TARGETS)),
+            bt=rng.normal(0.0, 0.5, NUM_TARGETS),
         )
         docs = [rng.integers(0, vocab_size, size=int(rng.integers(1, 9))) for _ in range(6)]
         if task == "harm":
             # 6 draws from 3 classes guarantee at least one positive pair.
             labels = rng.integers(0, 3, size=6)
         else:
-            labels = rng.integers(0, 2, size=(6, 5)).astype(np.float64)
+            labels = rng.integers(0, 2, size=(6, NUM_TARGETS)).astype(np.float64)
 
         _, analytic = gradients(params, docs, labels, cfg, task=task)
         for name, arr in params.arrays():
             grad_arr = getattr(analytic, name)
             for index in np.ndindex(arr.shape):
                 original = arr[index]
-                arr[index] = original + step
+                arr[index] = original + _GRAD_STEP
                 loss_plus, _ = gradients(params, docs, labels, cfg, task=task)
-                arr[index] = original - step
+                arr[index] = original - _GRAD_STEP
                 loss_minus, _ = gradients(params, docs, labels, cfg, task=task)
                 arr[index] = original
-                numeric = (loss_plus - loss_minus) / (2.0 * step)
+                numeric = (loss_plus - loss_minus) / (2.0 * _GRAD_STEP)
                 a = float(grad_arr[index])
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
                 if rel > worst.max_rel_error:

@@ -19,6 +19,7 @@ from harmkit import cli, corpus, trainer
 from harmkit.corpus import load_jsonl, save_jsonl
 from harmkit.ensembles import write_prediction_file
 from harmkit.featurizer import FeatureConfig, batch_encode
+from harmkit.losses import ContrastiveConfig
 from harmkit.metrics import classification_report, confusion
 from harmkit.model import ModelConfig, ModelParams, forward_batch, init_params, load_params, predict, save_params
 from harmkit.synth import generate_corpus
@@ -279,6 +280,22 @@ class TestTrainCommand:
             runs[name] = (tmp_path / f"{name}.hpc").read_bytes(), report
         assert raw[0].text != corpus.normalize_text(raw[0].text)
         assert runs["raw"] == runs["normalized"]
+
+    def test_one_seed_key_gives_the_library_run_of_that_model_seed(self, tmp_path, split_files, capsys):
+        # The config's seed is the ModelConfig seed; train shuffles by it too.
+        train_path, val_path = split_files
+        checkpoint, report = tmp_path / "model.hpc", tmp_path / "report.json"
+        config = write_config(tmp_path / "run.cfg", train_file=train_path, val_file=val_path, checkpoint=checkpoint,
+                              report=report, seed=5)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        cli_files = checkpoint.read_bytes(), report.read_text(encoding="utf-8")
+        checkpoint.unlink()
+        mcfg = ModelConfig(FeatureConfig(hash_bits=10, max_tokens=32), embed_dim=16, hidden_dim=16, seed=5)
+        tcfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, optimizer="adam",
+                           contrastive=ContrastiveConfig(tau=0.1, lam=0.5), task="harm")
+        _, library_report = trainer.train(load_jsonl(train_path, task="harm"), load_jsonl(val_path, task="harm"),
+                                          mcfg, tcfg, checkpoint_path=checkpoint)
+        assert (checkpoint.read_bytes(), library_report.to_json() + "\n") == cli_files
 
     def test_divergence_maps_to_exit_3(self, trained, monkeypatch, capsys):
         from harmkit.losses import NonFiniteLossError
@@ -939,3 +956,16 @@ class TestGenSynthCommand:
         assert cli.main(["gen-synth", "--classes", "3", "--docs-per-class", "7",
                          "--seed", "0", "--output", str(out)]) == 0
         assert len(load_jsonl(out, task="both")) == 21
+
+
+@pytest.mark.parametrize("command", ["split", "gen-synth", "gradcheck"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, corpus_file, capsys, command):
+    corpus_copy = tmp_path / "corpus.jsonl"
+    corpus_copy.write_bytes(corpus_file.read_bytes())
+    argv = {"split": ["--input", str(corpus_copy)], "gen-synth": ["--output", str(tmp_path / "synth.jsonl")],
+            "gradcheck": ["--trials", "1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl"]

@@ -188,7 +188,7 @@ def full_table_reference(train_set, val_set, mcfg, tcfg):
         mp.setattr(losses, "_pool_backward", add_at_pool_backward_table)
         for epoch in range(tcfg.epochs):
             batch_losses = []
-            for batch in make_batches_oracle(items, tcfg.batch_size, tcfg.seed, epoch, drop_singleton=contrastive_on):
+            for batch in make_batches_oracle(items, tcfg.batch_size, mcfg.seed, epoch, drop_singleton=contrastive_on):
                 labels = np.asarray([label for _, label in batch], dtype=label_dtype)
                 loss, grads = losses.gradients(params, [doc for doc, _ in batch], labels, tcfg.contrastive, task=task)
                 optimizer.step(params, {name: getattr(grads, name) for name in params.FIELDS})
@@ -220,7 +220,7 @@ class TestFullTableOracle:
         mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=11)
         lam = 0.5 if task == "harm" else 0.0
         tcfg = TrainConfig(epochs=5, batch_size=8, learning_rate=learning_rate, optimizer=optimizer,
-                           seed=11, contrastive=ContrastiveConfig(lam=lam), task=task)
+                           contrastive=ContrastiveConfig(lam=lam), task=task)
         train_ids = {int(t) for doc in batch_encode([ex.text for ex in train_set], fcfg) for t in doc}
         val_ids = {int(t) for doc in batch_encode([ex.text for ex in val_set], fcfg) for t in doc}
         assert val_ids - train_ids, "fixture needs val-only rows"
@@ -347,7 +347,7 @@ def reference_train(train_set, val_set, mcfg, tcfg, checkpoint_path):
     optimizer = _make_optimizer(tcfg)
     best_f1, best_params = -1.0, None
     for epoch in range(tcfg.epochs):
-        batches = make_batches(len(docs), tcfg.batch_size, tcfg.seed, epoch, drop_singleton=tcfg.contrastive.lam > 0.0)
+        batches = make_batches(len(docs), tcfg.batch_size, mcfg.seed, epoch, drop_singleton=tcfg.contrastive.lam > 0.0)
         train_epoch(params, docs, labels, batches, tcfg, optimizer)
         f1 = evaluate_params(params, val_docs, val_labels, "harm")
         if f1 > best_f1:
@@ -363,7 +363,7 @@ class TestTrainEpoch:
         fcfg = FeatureConfig(hash_bits=8, max_tokens=32)
         docs, labels = encoded_for(keyword_corpus(), fcfg)
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-300, optimizer="sgd",
-                          seed=0, contrastive=ContrastiveConfig(lam=0.0))
+                          contrastive=ContrastiveConfig(lam=0.0))
         params = init_params(ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0))
         before = {name: arr.copy() for name, arr in params.arrays()}
         batches = make_batches(len(docs), 16, 0, 0)
@@ -377,12 +377,12 @@ class TestTrainEpoch:
         fcfg = FeatureConfig(hash_bits=8, max_tokens=32)
         docs, labels = encoded_for(keyword_corpus(), fcfg)
         cfg = TrainConfig(epochs=5, batch_size=16, learning_rate=0.05, optimizer="adam",
-                          seed=3, contrastive=ContrastiveConfig(lam=0.0))
+                          contrastive=ContrastiveConfig(lam=0.0))
         params = init_params(ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=3))
         opt = AdamOptimizer(0.05)
         losses = []
         for epoch in range(5):
-            batches = make_batches(len(docs), 16, cfg.seed, epoch)
+            batches = make_batches(len(docs), 16, 3, epoch)
             losses.append(train_epoch(params, docs, labels, batches, cfg, opt))
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -397,7 +397,7 @@ class TestTrain:
     def test_synthetic_keyword_corpus_reaches_high_f1(self, easy_split):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=32, hidden_dim=32, seed=0)
-        tcfg = TrainConfig(epochs=12, batch_size=32, learning_rate=0.05, seed=0,
+        tcfg = TrainConfig(epochs=12, batch_size=32, learning_rate=0.05,
                            contrastive=ContrastiveConfig(lam=0.5), task="harm")
         _, report = train(easy_split.train, easy_split.val, mcfg, tcfg)
         assert report.best_val_f1 >= 0.95
@@ -405,7 +405,7 @@ class TestTrain:
     def test_deterministic_report(self, easy_split):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=7)
-        tcfg = TrainConfig(epochs=4, batch_size=32, learning_rate=0.05, seed=7, task="harm")
+        tcfg = TrainConfig(epochs=4, batch_size=32, learning_rate=0.05, task="harm")
         _, r1 = train(easy_split.train, easy_split.val, mcfg, tcfg)
         _, r2 = train(easy_split.train, easy_split.val, mcfg, tcfg)
         assert r1.to_json() == r2.to_json()
@@ -413,7 +413,7 @@ class TestTrain:
     def test_best_epoch_is_argmax_of_series(self, easy_split):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=2)
-        tcfg = TrainConfig(epochs=6, batch_size=32, learning_rate=0.05, seed=2, task="harm")
+        tcfg = TrainConfig(epochs=6, batch_size=32, learning_rate=0.05, task="harm")
         _, report = train(easy_split.train, easy_split.val, mcfg, tcfg)
         series = report.val_f1
         assert report.best_val_f1 == max(series)
@@ -422,7 +422,7 @@ class TestTrain:
     def test_checkpoint_holds_best_params(self, easy_split, tmp_path):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=16, hidden_dim=16, seed=4)
-        tcfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.05, seed=4, task="harm")
+        tcfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.05, task="harm")
         path = tmp_path / "best.hpc"
         _, report = train(easy_split.train, easy_split.val, mcfg, tcfg, checkpoint_path=path)
         params, loaded_cfg = load_params(path)
@@ -437,7 +437,7 @@ class TestTrain:
         split = split_train_val(data, seed=2, stratify=True)
         fcfg = FeatureConfig(hash_bits=10, max_tokens=40)
         mcfg = ModelConfig(fcfg, embed_dim=24, hidden_dim=24, seed=1)
-        tcfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.05, seed=1,
+        tcfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.05,
                            contrastive=ContrastiveConfig(lam=0.0), task="targets")
         _, report = train(split.train, split.val, mcfg, tcfg)
         assert report.task == "targets"
@@ -448,7 +448,7 @@ class TestTrain:
         split = split_train_val(data, seed=3, stratify=True)
         fcfg = FeatureConfig(hash_bits=9, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0)
-        tcfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.05, seed=0,
+        tcfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.05,
                            contrastive=ContrastiveConfig(lam=0.5), task="harm")
         with pytest.warns(UserWarning, match="absent"):
             train(split.train, split.val, mcfg, tcfg)
@@ -458,7 +458,7 @@ class TestTrain:
         split = split_train_val(data, seed=4, stratify=True)
         fcfg = FeatureConfig(hash_bits=9, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0)
-        tcfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.05, seed=0,
+        tcfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.05,
                            contrastive=ContrastiveConfig(lam=0.5), task="targets")
         with pytest.warns(UserWarning, match="does not apply"):
             train(split.train, split.val, mcfg, tcfg)
@@ -473,7 +473,7 @@ class TestTrain:
     def test_rows_no_training_token_hashes_to_keep_their_init(self, easy_split, tmp_path, optimizer):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=5)
-        tcfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.05, optimizer=optimizer, seed=5)
+        tcfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.05, optimizer=optimizer)
         train(easy_split.train, easy_split.val, mcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
         table = load_params(tmp_path / "m.hpc")[0].embed
         used = sorted({int(t) for doc in batch_encode([ex.text for ex in easy_split.train], fcfg) for t in doc})
@@ -489,7 +489,7 @@ class TestTrain:
         displacements = []
         for lr in (1e-2, 1e-3, 1e-4):
             cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=lr, optimizer="sgd",
-                              seed=0, contrastive=ContrastiveConfig(lam=0.0))
+                              contrastive=ContrastiveConfig(lam=0.0))
             params = init_params(ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=0))
             before = {name: arr.copy() for name, arr in params.arrays()}
             batches = make_batches(len(docs), 16, 0, 0)
@@ -509,7 +509,7 @@ class TestTrain:
         split = split_train_val(data, seed=1, stratify=True)
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=seed)
-        tcfg = TrainConfig(epochs=5, batch_size=16, learning_rate=learning_rate, optimizer=optimizer, seed=seed)
+        tcfg = TrainConfig(epochs=5, batch_size=16, learning_rate=learning_rate, optimizer=optimizer)
         params, report = train(split.train, split.val, mcfg, tcfg, checkpoint_path=tmp_path / "got.hpc")
         assert 0 < report.best_epoch < tcfg.epochs - 1
         expected = reference_train(split.train, split.val, mcfg, tcfg, tmp_path / "want.hpc")
@@ -523,7 +523,7 @@ class TestTrain:
     def test_returns_the_table_its_checkpoint_stores(self, easy_split, tmp_path, optimizer):
         fcfg = FeatureConfig(hash_bits=10, max_tokens=32)
         mcfg = ModelConfig(fcfg, embed_dim=8, hidden_dim=8, seed=6)
-        tcfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, optimizer=optimizer, seed=6)
+        tcfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, optimizer=optimizer)
         params, _ = train(easy_split.train, easy_split.val, mcfg, tcfg, checkpoint_path=tmp_path / "m.hpc")
         stored = load_params(tmp_path / "m.hpc")[0].embed
         assert params.embed.dtype == stored.dtype == np.float32
