@@ -129,9 +129,19 @@ def _label_error(harm: object, targets: object) -> str | None:
     if harm is not None and (not isinstance(harm, int) or isinstance(harm, bool) or not 0 <= harm < NUM_CLASSES):
         return f"label {harm!r} outside {{0..{NUM_CLASSES - 1}}}"
     if targets is not None and (not isinstance(targets, (list, tuple)) or len(targets) != NUM_TARGETS
-                                or any(t not in (0, 1) for t in targets)):
+                                or not _all_flags(targets)):
         return f"targets must be an array of {NUM_TARGETS} 0/1 flags"
     return None
+
+
+def _all_flags(targets: list | tuple) -> bool:
+    """Whether every entry equals 0 or 1, as ``t in (0, 1)`` decides. One set
+    test decides it for hashable entries; an unhashable one (a list or a
+    dict) makes it raise, and then each entry is tested alone."""
+    try:
+        return set(targets) <= {0, 1}
+    except TypeError:
+        return all(t in (0, 1) for t in targets)
 
 
 @dataclass
@@ -292,7 +302,7 @@ def parse_labels(raw: dict, line_no: int, path: Path, task: str,
     harm, flags = raw.get("label"), raw.get("targets")
     if error := _label_error(harm, flags):
         raise ValueError(f"{path}:{line_no}: {error}")
-    targets = None if flags is None else tuple(int(t) for t in flags)
+    targets = None if flags is None else tuple(map(int, flags))
 
     if require_labels:
         if task == "harm" and harm is None:

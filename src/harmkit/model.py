@@ -23,8 +23,10 @@ it reads to float64, which is exact, so a float32 table and its float64 copy
 give bit-identical activations.
 
 The initial embedding table is never stored: ``_draw_initial`` replays any
-of its rows from the seed, 1024-row block by block, and ``init_params``,
-``save_params`` and ``load_params`` all draw it that way.
+of its rows from the seed. It draws the spans of ``_spans`` that cover the
+wanted rows, in pieces of at most 1024 rows, and skips the rows between
+them; the whole table is one span. ``init_params``, ``save_params`` and
+``load_params`` all draw it that way.
 
 Checkpoint layout (little-endian throughout):
   magic ``HPC1`` | version u8 (=2) | header_len u32 | header | row count
@@ -59,6 +61,10 @@ _HEADER_FMT = "<8IQ"  # 8 u32 config ints + u64 seed
 _HEADER_LEN = struct.calcsize(_HEADER_FMT)
 _PAYLOAD_OFFSET = 9 + _HEADER_LEN  # magic, version, header_len, header
 _CHUNK_ROWS = 1024  # rows per block when drawing, reading or writing embedding rows
+# The initial-table replay skips a run of at least this many unwanted rows
+# with ``advance`` and draws a shorter one: each span it draws costs a few
+# microseconds of calls, about what drawing 16 to 32 rows of 64 values does.
+_SPAN_GAP = 16
 
 
 @dataclass(frozen=True)
@@ -156,24 +162,40 @@ def _draw_initial(cfg: ModelConfig, rng: np.random.Generator, out: np.ndarray,
 
     ``rng`` is ``default_rng(cfg.seed)`` as created. ``uniform`` turns each
     PCG64 output into one value, so table row ``r`` starts at output
-    ``r * embed_dim``: only the ``_CHUNK_ROWS``-row blocks that hold one of
-    ``rows`` are drawn, and ``advance`` skips the others.
+    ``r * embed_dim``. Only the spans of ``_spans(rows)`` are drawn, each in
+    pieces of at most ``_CHUNK_ROWS`` rows, and ``advance`` skips the rows
+    between them; the whole table is one span.
     """
     bound = np.sqrt(6.0 / (cfg.vocab_size + cfg.embed_dim))
-    starts = range(0, cfg.vocab_size, _CHUNK_ROWS) if rows is None else np.unique(rows // _CHUNK_ROWS) * _CHUNK_ROWS
-    drawn = 0  # table rows the generator has passed
-    for start in map(int, starts):
-        stop = min(start + _CHUNK_ROWS, cfg.vocab_size)
+    if rows is None:
+        spans = [(0, cfg.vocab_size, cfg.vocab_size)]
+    else:
+        starts, stops = _spans(rows)
+        # Each span with the index in rows just past its last row.
+        spans = zip(starts.tolist(), stops.tolist(), np.searchsorted(rows, stops).tolist())
+    drawn = first = 0  # table rows the generator has passed; rows of out written
+    for start, stop, end in spans:
         rng.bit_generator.advance((start - drawn) * cfg.embed_dim)
-        if rows is None:
-            lo, hi, at = start, stop, slice(None)
-        else:
-            lo, hi = np.searchsorted(rows, (start, stop))
-            at = rows[lo:hi] - start
-        # Unnamed, so that no block is alive while the next one is drawn.
-        out[lo:hi] = rng.uniform(-bound, bound, size=(stop - start, cfg.embed_dim)).astype(np.float32)[at]
+        for lo in range(start, stop, _CHUNK_ROWS):
+            hi, last = min(lo + _CHUNK_ROWS, stop), end
+            if hi < stop:  # the span goes on past this piece
+                last = hi if rows is None else int(np.searchsorted(rows, hi))
+            at = slice(None) if rows is None else rows[first:last] - lo
+            # Unnamed, so that no piece is alive while the next one is drawn.
+            out[first:last] = rng.uniform(-bound, bound, size=(hi - lo, cfg.embed_dim))[at].astype(np.float32)
+            first = last
         drawn = stop
     rng.bit_generator.advance((cfg.vocab_size - drawn) * cfg.embed_dim)
+
+
+def _spans(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``[starts, stops)`` table ranges that ``_draw_initial`` draws to
+    cover the sorted distinct ids ``rows``: consecutive ids fall in one span
+    while fewer than ``_SPAN_GAP`` unwanted rows lie between them."""
+    if not rows.size:
+        return rows, rows
+    breaks = np.flatnonzero(np.diff(rows) > _SPAN_GAP) + 1
+    return rows[np.r_[0, breaks]], rows[np.r_[breaks - 1, rows.size - 1]] + 1
 
 
 def _check_rows(rows: np.ndarray, vocab_size: int, noun: str) -> None:

@@ -102,6 +102,14 @@ class AdamOptimizer:
     """Adam (Kingma & Ba 2015), a dense step over every array it is handed, with
     that paper's defaults ``_ADAM_BETA1`` 0.9, ``_ADAM_BETA2`` 0.999, ``_ADAM_EPS`` 1e-8.
 
+    The step is fused: the gradients, m, v and the scratch are each one
+    float64 vector over every value of every array, in ``FIELDS`` order.
+    Each step gathers the gradients with ``np.concatenate``, runs ``_update``
+    once over the vectors, and subtracts each array's part of the step from
+    it. Every operation is elementwise, so the bits are those of a step
+    array by array. Only float64 arrays are stepped: a float32 one would be
+    computed in float64 here and in float32 array by array, so it is refused.
+
     A row whose gradient has been zero since the start has m = v = 0, and the
     step subtracts exactly 0 from it, so a row no batch reaches keeps its value.
     """
@@ -109,23 +117,29 @@ class AdamOptimizer:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # The flat gradients, m, v and two scratch vectors.
+        self._flat: tuple[np.ndarray, ...] = ()
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
+        arrays = params.arrays()
+        grad_arrays = [(name, getattr(grads, name)) for name, _ in arrays]
+        _refuse_non_float64(arrays, "params")
+        _refuse_non_float64(grad_arrays, "grads")
+        if not self._flat:
+            self._flat = tuple(np.zeros(sum(arr.size for _, arr in arrays)) for _ in range(5))
+        g, m, v, a, b = self._flat
+        np.concatenate([arr.ravel() for _, arr in grad_arrays], out=g)
         self.t += 1
-        for name, arr in params.arrays():
-            if name not in self._m:
-                self._m[name] = np.zeros_like(arr)
-                self._v[name] = np.zeros_like(arr)
-                self._scratch[name] = (np.empty_like(arr), np.empty_like(arr))
-            self._update(arr, self._m[name], self._v[name], getattr(grads, name), *self._scratch[name])
+        self._update(m, v, g, a, b)
+        offset = 0
+        for _, arr in arrays:
+            arr -= a[offset : offset + arr.size].reshape(arr.shape)
+            offset += arr.size
 
-    def _update(self, arr: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
-                a: np.ndarray, b: np.ndarray) -> None:
-        """The Adam rule in place on arr, m and v, with scratch a and b: the IEEE
-        operations of ``arr -= lr * m_hat / (sqrt(v_hat) + eps)`` in its order."""
+    def _update(self, m: np.ndarray, v: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """The Adam rule in place on m and v, leaving the step in a, with
+        scratch b: the IEEE operations of ``lr * m_hat / (sqrt(v_hat) + eps)``
+        in its order."""
         np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
         m *= _ADAM_BETA1
         m += a
@@ -139,7 +153,13 @@ class AdamOptimizer:
         np.sqrt(b, out=b)
         b += _ADAM_EPS
         a /= b
-        arr -= a
+
+
+def _refuse_non_float64(arrays: list[tuple[str, np.ndarray]], owner: str) -> None:
+    """Raise ValueError naming the first of ``owner``'s arrays that is not float64."""
+    for name, arr in arrays:
+        if arr.dtype != np.float64:
+            raise ValueError(f"AdamOptimizer steps float64 arrays only; {owner}.{name} is {arr.dtype}")
 
 
 def _make_optimizer(cfg: TrainConfig):

@@ -1,6 +1,7 @@
 """Loading, normalization, and splitting behavior."""
 
 import json
+import math
 import re
 import sys
 import unicodedata
@@ -288,6 +289,42 @@ def test_labeled_example_and_parse_labels_accept_the_same_values(tmp_path, field
     record = {"text": "t", "label" if field == "harm" else "targets": value}
     assert accepts(lambda: LabeledExample(id="a", text="t", **{field: value})) == accepts(
         lambda: parse_labels(record, 1, tmp_path / "gold.jsonl", "both", require_labels=False))
+
+
+def label_error_reference(harm, targets):
+    """The label rule with the per-entry flag test that the set test
+    replaced, kept as its oracle."""
+    if harm is not None and (not isinstance(harm, int) or isinstance(harm, bool) or not 0 <= harm < 4):
+        return f"label {harm!r} outside {{0..3}}"
+    if targets is not None and (not isinstance(targets, (list, tuple)) or len(targets) != 5
+                                or any(t not in (0, 1) for t in targets)):
+        return "targets must be an array of 5 0/1 flags"
+    return None
+
+
+FLAG_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, True, False, 0.0, 1.0, -0.0, 0.5, 2, -1, math.nan, math.inf, None, "0", "1", ""]),
+    st.integers(-3, 3), st.floats(allow_nan=True), st.text(max_size=2),
+    st.lists(st.integers(0, 1), max_size=2), st.tuples(st.integers(0, 1)),
+    st.dictionaries(st.sampled_from(["a", "0"]), st.integers(0, 1), max_size=1),
+)
+# Entries of which five are often all flags, or all but one: the flags in
+# every form that equals 0 or 1, among them unhashable 0-d arrays that the
+# constructor accepts, and a few entries that break the rule.
+MOSTLY_FLAGS = st.sampled_from([0, 1, True, False, 0.0, 1.0, -0.0, np.array(0), np.array(1.0),
+                                0.5, math.nan, [1], {"a": 1}, "1", (0,)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(harm=st.none() | st.integers(-1, 4) | st.booleans() | st.floats(0, 3),
+       targets=st.none() | st.lists(FLAG_ENTRIES, min_size=3, max_size=7) | st.tuples(*[FLAG_ENTRIES] * 5)
+       | st.lists(MOSTLY_FLAGS, min_size=5, max_size=5)
+       | st.text(max_size=6) | st.integers(0, 1))
+def test_label_rule_matches_the_per_entry_reference(harm, targets):
+    assert corpus._label_error(harm, targets) == label_error_reference(harm, targets)
+    if targets is not None and label_error_reference(None, targets) is None:
+        got = parse_labels({"text": "t", "targets": targets}, 1, Path("gold.jsonl"), "both")[1]
+        assert got == tuple(int(t) for t in targets) and all(type(t) is int for t in got)
 
 
 def make_examples(labels):

@@ -16,8 +16,12 @@ from harmkit.corpus import NUM_CLASSES, NUM_TARGETS
 from harmkit.featurizer import FeatureConfig
 from harmkit.losses import normalize_rows
 from harmkit.model import (
+    _CHUNK_ROWS,
+    _SPAN_GAP,
     ModelConfig,
     ModelParams,
+    _draw_initial,
+    _spans,
     forward_batch,
     forward_pooled,
     init_params,
@@ -80,26 +84,29 @@ def init_params_reference(cfg):
     )
 
 
-ROW_SETS = ["empty", "single", "ends", "boundary", "every", "some"]
+ROW_SETS = ["empty", "single", "ends", "boundary", "every", "some", "near-gap", "sparse"]
 
 
 @st.composite
 def replay_cases(draw):
     """(seed, hash_bits, embed_dim, kind of row set); the tables of 256 and
-    512 rows are one partial 1024-row block, and those of 2048 and 4096 rows
-    span several blocks."""
+    512 rows are one partial 1024-row piece, and those of 2048 and 4096 rows
+    span several pieces."""
     seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
     return seed, draw(st.integers(8, 12)), draw(st.integers(1, 3)), draw(st.sampled_from(ROW_SETS))
 
 
 def replay_rows(case):
     """The case with its kind replaced by a sorted distinct row array: no row,
-    one row, the first and last rows, rows on both sides of a block boundary,
-    every row, or every third row from a seeded offset."""
+    one row, the first and last rows, rows on both sides of a piece boundary,
+    every row, every third row from a seeded offset, four rows from a seeded
+    start with gaps of _SPAN_GAP - 1, _SPAN_GAP and _SPAN_GAP + 1 unwanted
+    rows between them, or four rows a quarter of the table apart."""
     seed, hash_bits, embed_dim, kind = case
     vocab_size = 2**hash_bits
     rng = np.random.default_rng([seed, vocab_size])
     boundary = 1024 * int(rng.integers(1, vocab_size // 1024 + 1)) if vocab_size > 1024 else vocab_size // 2
+    start = int(rng.integers(0, vocab_size - 3 * _SPAN_GAP - 3))
     rows = {
         "empty": [],
         "single": [int(rng.integers(0, vocab_size))],
@@ -107,8 +114,65 @@ def replay_rows(case):
         "boundary": list(range(max(boundary - 2, 0), min(boundary + 2, vocab_size))),
         "every": range(vocab_size),
         "some": range(int(rng.integers(0, 3)), vocab_size, 3),
+        "near-gap": np.cumsum([start, _SPAN_GAP, _SPAN_GAP + 1, _SPAN_GAP + 2]),
+        "sparse": range(int(rng.integers(0, vocab_size // 4)), vocab_size, vocab_size // 4),
     }[kind]
     return seed, hash_bits, embed_dim, np.array(rows, dtype=np.int64)
+
+
+class RecordingGenerator:
+    """A Generator stand-in that records the ``uniform`` sizes and the
+    ``advance`` steps a replay asks of the real one."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+        self.bit_generator = self
+
+    def advance(self, delta):
+        self.calls.append(("advance", delta))
+        self.rng.bit_generator.advance(delta)
+
+    def uniform(self, low, high, size):
+        self.calls.append(("uniform", size))
+        return self.rng.uniform(low, high, size)
+
+
+class TestSpans:
+    # The literal rows pin _SPAN_GAP at 16.
+    @pytest.mark.parametrize("rows, starts, stops", [
+        ([], [], []),
+        ([7], [7], [8]),
+        ([0, 16], [0], [17]),           # 15 unwanted rows between: one span
+        ([0, 17], [0, 17], [1, 18]),    # 16: two spans
+        ([0, 18], [0, 18], [1, 19]),    # 17: two spans
+        ([100, 110, 126, 143, 161], [100, 143, 161], [127, 144, 162]),
+        ([1020, 1021, 1023, 1024, 1030], [1020], [1031]),  # across a 1024-row boundary
+        ([0, 32767], [0, 32767], [1, 32768]),              # the last row of the default table
+        (list(range(0, 3000, 16)), [0], [2993]),  # 15 unwanted rows between each
+    ], ids=["empty", "one", "gap-below", "gap-at", "gap-above", "mixed", "piece-boundary", "last-row", "long"])
+    def test_spans_of_hand_picked_rows(self, rows, starts, stops):
+        got_starts, got_stops = _spans(np.array(rows, dtype=np.int64))
+        assert got_starts.tolist() == starts and got_stops.tolist() == stops
+
+    def test_whole_table_is_one_span_drawn_in_1024_row_pieces(self):
+        cfg = ModelConfig(FeatureConfig(hash_bits=12), embed_dim=3, hidden_dim=2, seed=9)
+        rng = RecordingGenerator(cfg.seed)
+        _draw_initial(cfg, rng, np.empty((cfg.vocab_size, 3), np.float32))
+        assert rng.calls == [("advance", 0), *[("uniform", (_CHUNK_ROWS, 3))] * 4, ("advance", 0)]
+
+    def test_rows_draw_their_spans_and_skip_the_rest(self):
+        cfg = ModelConfig(FeatureConfig(hash_bits=12), embed_dim=2, hidden_dim=2, seed=9)
+        rows = np.array([5, 20, 1500, *range(2040, 3100, 7), 4095])
+        rng = RecordingGenerator(cfg.seed)
+        _draw_initial(cfg, rng, np.empty((rows.size, 2)), rows)
+        # Spans [5, 21), [1500, 1501), [2040, 3098) in pieces of at most 1024
+        # rows, and [4095, 4096); every skip is in values, 2 per row.
+        assert rng.calls == [
+            ("advance", 10), ("uniform", (16, 2)), ("advance", 2 * 1479), ("uniform", (1, 2)),
+            ("advance", 2 * 539), ("uniform", (1024, 2)), ("uniform", (34, 2)),
+            ("advance", 2 * 997), ("uniform", (1, 2)), ("advance", 0),
+        ]
 
 
 class TestInit:
@@ -163,10 +227,14 @@ class TestInit:
     @example(case=(2**64 - 1, 11, 2, "boundary"))
     @example(case=(0, 12, 2, "every"))
     @example(case=(2**64 - 1, 11, 3, "every"))
+    @example(case=(0, 8, 2, "near-gap"))
+    @example(case=(2**64 - 1, 12, 3, "near-gap"))
+    @example(case=(0, 12, 1, "sparse"))
+    @example(case=(2**64 - 1, 9, 2, "sparse"))
     def test_row_replay_matches_one_whole_draw_bitwise(self, case):
-        # init_params(cfg, rows) draws only the 1024-row blocks that hold one
-        # of rows; it must give their rows and the small arrays of one draw of
-        # everything.
+        # init_params(cfg, rows) draws only the spans of rows and skips the
+        # rows between them; it must give their rows and the small arrays of
+        # one draw of everything.
         seed, hash_bits, embed_dim, rows = replay_rows(case)
         cfg = ModelConfig(FeatureConfig(hash_bits=hash_bits), embed_dim=embed_dim, hidden_dim=3, seed=seed)
         expected = init_params_reference(cfg)

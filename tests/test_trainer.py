@@ -16,7 +16,7 @@ from harmkit import cli, losses
 from harmkit.corpus import LabeledExample, split_train_val
 from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.losses import ContrastiveConfig
-from harmkit.model import ModelConfig, init_params, load_params, save_params
+from harmkit.model import ModelConfig, ModelParams, init_params, load_params, save_params
 from harmkit.synth import generate_corpus
 from harmkit.trainer import (
     AdamOptimizer,
@@ -168,6 +168,59 @@ class DenseAdamReference:
             m_hat = m / (1.0 - self.beta1**self.t)
             v_hat = v / (1.0 - self.beta2**self.t)
             arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+@st.composite
+def adam_runs(draw):
+    """(seed, learning rate, rows, embed_dim, hidden_dim, steps, harm): the
+    shapes of a ModelParams and how many steps to take. Under harm, every
+    wt and bt gradient is zero, as the harm task's loss gives."""
+    return (draw(st.integers(0, 2**32)), draw(st.sampled_from([0.05, 1e-3, 0.5])), draw(st.integers(0, 12)),
+            draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(20, 30)), draw(st.booleans()))
+
+
+class TestFusedAdam:
+    @settings(max_examples=60, deadline=None)
+    @given(run=adam_runs())
+    @example(run=(0, 0.05, 0, 1, 1, 20, True))
+    @example(run=(1, 0.05, 12, 6, 6, 30, False))
+    def test_matches_the_per_array_reference_bitwise(self, run):
+        seed, learning_rate, rows, embed_dim, hidden_dim, steps, harm = run
+        rng = np.random.default_rng(seed)
+        shapes = {"embed": (rows, embed_dim), "w1": (embed_dim, hidden_dim), "b1": (hidden_dim,),
+                  "wc": (hidden_dim, 4), "bc": (4,), "wt": (hidden_dim, 5), "bt": (5,)}
+        params = ModelParams(**{name: rng.normal(0.0, 0.5, shape) for name, shape in shapes.items()})
+        expected, initial = params.copy(), params.copy()
+        never = rng.random(rows) < 0.3  # rows no gradient reaches
+        fused, reference = AdamOptimizer(learning_rate), DenseAdamReference(learning_rate)
+        for _ in range(steps):
+            # Gradients of mixed scales, a few whole rows zero in this step only.
+            grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-8, 3), shape) for name, shape in shapes.items()}
+            grads["embed"][never | (rng.random(rows) < 0.2)] = 0.0
+            if harm:
+                grads["wt"][:] = grads["bt"][:] = 0.0
+            fused.step(params, ModelParams(**grads))
+            reference.step(expected, grads)
+        for (name, got), (_, want) in zip(params.arrays(), expected.arrays()):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+        # A row or an array whose gradient was always zero keeps its bits.
+        assert params.embed[never].tobytes() == initial.embed[never].tobytes()
+        if harm:
+            assert params.wt.tobytes() == initial.wt.tobytes() and params.bt.tobytes() == initial.bt.tobytes()
+
+    @pytest.mark.parametrize("owner", ["params", "grads"])
+    @pytest.mark.parametrize("name", ModelParams.FIELDS)
+    def test_refuses_a_float32_array_naming_it(self, owner, name):
+        params = init_params(ModelConfig(FeatureConfig(hash_bits=8), embed_dim=4, hidden_dim=3))
+        grads = params.copy()
+        target = params if owner == "params" else grads
+        setattr(target, name, getattr(target, name).astype(np.float32))
+        before = [arr.copy() for _, arr in params.arrays()]
+        optimizer = AdamOptimizer(0.05)
+        with pytest.raises(ValueError, match=f"^AdamOptimizer steps float64 arrays only; {owner}.{name} is float32$"):
+            optimizer.step(params, grads)
+        assert optimizer.t == 0
+        assert all(arr.tobytes() == old.tobytes() for (_, arr), old in zip(params.arrays(), before))
 
 
 def full_table_reference(train_set, val_set, mcfg, tcfg):
