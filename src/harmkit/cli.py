@@ -143,8 +143,8 @@ def parse_run_config(path: str | Path) -> RunConfig:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     ratio_parts = args.ratio.split(":")
-    if len(ratio_parts) != 2 or not all(part.isdigit() for part in ratio_parts):
-        raise ConfigError(f"ratio must look like '4:1', got {args.ratio!r}")
+    if len(ratio_parts) != 2 or not all(map(_is_ascii_int, ratio_parts)):
+        raise ConfigError(f"--ratio must be two positive integers like '4:1', got {args.ratio!r}")
     ratio = (int(ratio_parts[0]), int(ratio_parts[1]))
     data = corpus.load_jsonl(args.input, task=args.task)
     split = corpus.split_train_val(data, ratio=ratio, seed=args.seed, stratify=args.stratify)
@@ -323,9 +323,15 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_ascii_int(text: str) -> bool:
+    """Whether ``text`` is a nonnegative integer in ASCII digits; ``isdigit``
+    alone also admits digits such as '²' and '٤'."""
+    return text.isascii() and text.isdigit()
+
+
 def _seed(text: str) -> int:
     """The value of a ``--seed`` flag: a nonnegative integer in ASCII digits."""
-    if not (text.isascii() and text.isdigit()):
+    if not _is_ascii_int(text):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
 

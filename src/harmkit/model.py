@@ -93,16 +93,17 @@ class ModelConfig:
 class ModelParams:
     """All trainable arrays, float32 in checkpoints. In memory they are
     float64, except that ``load_params`` and ``train`` return ``embed`` as
-    float32. ``rows`` is not trained: it names the table rows ``embed``
-    holds (see the module docstring)."""
+    float32. ``layer_shapes`` gives the shapes of w1 to bt. ``rows`` is not
+    trained: it names the table rows ``embed`` holds (see the module
+    docstring)."""
 
     embed: np.ndarray  # (vocab_size, embed_dim), or (len(rows), embed_dim)
-    w1: np.ndarray     # (embed_dim, hidden_dim)
-    b1: np.ndarray     # (hidden_dim,)
-    wc: np.ndarray     # (hidden_dim, num_classes)
-    bc: np.ndarray     # (num_classes,)
-    wt: np.ndarray     # (hidden_dim, num_targets)
-    bt: np.ndarray     # (num_targets,)
+    w1: np.ndarray
+    b1: np.ndarray
+    wc: np.ndarray
+    bc: np.ndarray
+    wt: np.ndarray
+    bt: np.ndarray
     rows: np.ndarray | None = None  # sorted distinct table ids, or None for the whole table
 
     FIELDS = ("embed", "w1", "b1", "wc", "bc", "wt", "bt")
@@ -125,7 +126,9 @@ class BatchActivations:
 
 
 def init_params(cfg: ModelConfig, rows: np.ndarray | None = None) -> ModelParams:
-    """Glorot-uniform weights, zero biases, deterministic for a fixed seed.
+    """Glorot-uniform weights (Glorot & Bengio 2010), zero biases,
+    deterministic for a fixed seed: the embedding table, then each array of
+    ``layer_shapes`` in ``FIELDS`` order, a matrix drawn and a bias zeroed.
 
     Values are passed through float32 once so that freshly initialized
     parameters survive the float32 checkpoint format bit-for-bit; the arrays
@@ -142,16 +145,7 @@ def init_params(cfg: ModelConfig, rows: np.ndarray | None = None) -> ModelParams
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32).astype(np.float64)
 
-    return ModelParams(
-        embed=embed,
-        w1=glorot(cfg.embed_dim, cfg.hidden_dim),
-        b1=np.zeros(cfg.hidden_dim),
-        wc=glorot(cfg.hidden_dim, NUM_CLASSES),
-        bc=np.zeros(NUM_CLASSES),
-        wt=glorot(cfg.hidden_dim, NUM_TARGETS),
-        bt=np.zeros(NUM_TARGETS),
-        rows=rows,
-    )
+    return ModelParams(embed, *(glorot(*s) if len(s) == 2 else np.zeros(s) for s in layer_shapes(cfg)), rows=rows)
 
 
 def _draw_initial(cfg: ModelConfig, rng: np.random.Generator, out: np.ndarray,
@@ -283,8 +277,9 @@ def predict(acts: BatchActivations, task: str, eta: float = 0.5) -> tuple[np.nda
     return sigmas, (sigmas >= eta).astype(np.int64)
 
 
-def _shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:
-    """The shapes of w1, b1, wc, bc, wt and bt, the arrays stored whole."""
+def layer_shapes(model_cfg: ModelConfig) -> list[tuple[int, ...]]:
+    """The shapes of w1, b1, wc, bc, wt and bt, the arrays stored whole, in
+    ``FIELDS`` order; the only place that states them."""
     return [
         (model_cfg.embed_dim, model_cfg.hidden_dim),
         (model_cfg.hidden_dim,),
@@ -303,7 +298,7 @@ def save_params(params: ModelParams, model_cfg: ModelConfig, path: str | Path) -
     if rows is not None:
         _check_rows(rows, model_cfg.vocab_size, "params.rows")
     embed_shape = (model_cfg.vocab_size if rows is None else rows.size, model_cfg.embed_dim)
-    for (name, arr), shape in zip(params.arrays(), [embed_shape, *_shapes(model_cfg)]):
+    for (name, arr), shape in zip(params.arrays(), [embed_shape, *layer_shapes(model_cfg)]):
         if arr.shape != shape:
             raise ValueError(f"parameter {name} has shape {arr.shape}, config implies {shape}")
 
@@ -363,7 +358,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig]:
         size = os.fstat(f.fileno()).st_size
         head = f.read(_PAYLOAD_OFFSET + 4)
         model_cfg, count = _parse_head(head, path)
-        small = sum(math.prod(shape) for shape in _shapes(model_cfg))
+        small = sum(math.prod(shape) for shape in layer_shapes(model_cfg))
         # math.prod and Python ints: header dims up to 2**32 - 1 overflow int64.
         expected = len(head) + 4 * count * (1 + model_cfg.embed_dim) + 4 * small + 4
         if size != expected:
@@ -394,7 +389,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, ModelConfig]:
                 non_finite.append("embed")
             embed[ids[start : start + _CHUNK_ROWS]] = rows
         arrays = [embed]
-        for name, shape in zip(ModelParams.FIELDS[1:], _shapes(model_cfg)):
+        for name, shape in zip(ModelParams.FIELDS[1:], layer_shapes(model_cfg)):
             arr = read(shape)
             if not np.all(np.isfinite(arr)):
                 non_finite.append(name)

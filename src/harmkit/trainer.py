@@ -35,7 +35,7 @@ from .corpus import LabeledExample, NUM_CLASSES, NUM_TARGETS
 from .featurizer import batch_encode
 from .losses import ContrastiveConfig, gradients
 from .metrics import confusion, classification_report, multilabel_report
-from .model import ModelConfig, ModelParams, forward_batch, init_params, predict, save_params
+from .model import ModelConfig, ModelParams, forward_batch, init_params, layer_shapes, predict, save_params
 
 _GRAD_TOL = 1e-4
 _GRAD_STEP = 1e-4  # grad_check's central-difference step
@@ -67,7 +67,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 when the contrastive weight is positive")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.task not in ("harm", "targets"):
             raise ValueError(f"task must be 'harm' or 'targets', got {self.task!r}")
@@ -162,10 +162,11 @@ def _refuse_non_float64(arrays: list[tuple[str, np.ndarray]], owner: str) -> Non
             raise ValueError(f"AdamOptimizer steps float64 arrays only; {owner}.{name} is {arr.dtype}")
 
 
+_OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
+
+
 def _make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return SgdOptimizer(cfg.learning_rate)
-    return AdamOptimizer(cfg.learning_rate)
+    return _OPTIMIZERS[cfg.optimizer](cfg.learning_rate)
 
 
 def make_batches(
@@ -250,8 +251,6 @@ def train(
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
 
-    enc_train = batch_encode([ex.text for ex in train_set], model_cfg.features)
-    enc_val = batch_encode([ex.text for ex in val_set], model_cfg.features)
     train_labels = _extract_labels(train_set, train_cfg.task)
     val_labels = _extract_labels(val_set, train_cfg.task)
 
@@ -269,8 +268,9 @@ def train(
     # Train on a float64 compact table, the rows the documents hash to. A
     # dense step moves a row with zero gradient (every val-only row) by
     # exactly 0, so the compact table follows the full table's trajectory.
-    rows, docs = _compact_ids([*enc_train, *enc_val])
-    enc_train, enc_val = docs[: len(enc_train)], docs[len(enc_train) :]
+    texts = [ex.text for split in (train_set, val_set) for ex in split]
+    rows, docs = _compact_ids(batch_encode(texts, model_cfg.features))
+    enc_train, enc_val = docs[: len(train_set)], docs[len(train_set) :]
     params = init_params(model_cfg, rows)
     optimizer = _make_optimizer(train_cfg)
 
@@ -344,30 +344,22 @@ _CHECK_COMBOS = [
 def grad_check(trials: int = 30, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Each trial draws a small random model (vocab 64, dims 8) and a batch of
-    6 random documents, then perturbs every single parameter by +/-1e-4. The
+    Each trial draws a small random model (a 64-row table, dims 8, every
+    array from N(0, 0.5**2) in ``FIELDS`` order) and a batch of 6 random
+    documents, then perturbs every single parameter by +/-1e-4. The
     relative error uses max(|analytic|, |numeric|, 1e-6) as denominator (see
     _REL_FLOOR).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    vocab_size, embed_dim, hidden_dim = 64, 8, 8
-    worst = GradCheckReport(
-        max_rel_error=0.0, worst_param="", worst_index=(), worst_combo="", analytic=0.0, numeric=0.0, trials=trials
-    )
+    vocab_size, embed_dim = 64, 8
+    shapes = [(vocab_size, embed_dim), *layer_shapes(ModelConfig(embed_dim=embed_dim, hidden_dim=8))]
+    worst = (0.0, "", (), "", 0.0, 0.0)  # max_rel_error, worst_param, worst_index, worst_combo, analytic, numeric
     for trial in range(trials):
         tau, lam, task = _CHECK_COMBOS[trial % len(_CHECK_COMBOS)]
         cfg = ContrastiveConfig(tau=tau, lam=lam)
         rng = np.random.default_rng([seed, trial])
-        params = ModelParams(
-            embed=rng.normal(0.0, 0.5, (vocab_size, embed_dim)),
-            w1=rng.normal(0.0, 0.5, (embed_dim, hidden_dim)),
-            b1=rng.normal(0.0, 0.5, hidden_dim),
-            wc=rng.normal(0.0, 0.5, (hidden_dim, NUM_CLASSES)),
-            bc=rng.normal(0.0, 0.5, NUM_CLASSES),
-            wt=rng.normal(0.0, 0.5, (hidden_dim, NUM_TARGETS)),
-            bt=rng.normal(0.0, 0.5, NUM_TARGETS),
-        )
+        params = ModelParams(*(rng.normal(0.0, 0.5, shape) for shape in shapes))
         docs = [rng.integers(0, vocab_size, size=int(rng.integers(1, 9))) for _ in range(6)]
         if task == "harm":
             # 6 draws from 3 classes guarantee at least one positive pair.
@@ -388,14 +380,6 @@ def grad_check(trials: int = 30, seed: int = 0) -> GradCheckReport:
                 numeric = (loss_plus - loss_minus) / (2.0 * _GRAD_STEP)
                 a = float(grad_arr[index])
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
-                if rel > worst.max_rel_error:
-                    worst = GradCheckReport(
-                        max_rel_error=rel,
-                        worst_param=name,
-                        worst_index=index,
-                        worst_combo=f"trial={trial} tau={tau} lam={lam} task={task}",
-                        analytic=a,
-                        numeric=numeric,
-                        trials=trials,
-                    )
-    return worst
+                if rel > worst[0]:
+                    worst = (rel, name, index, f"trial={trial} tau={tau} lam={lam} task={task}", a, numeric)
+    return GradCheckReport(*worst, trials=trials)

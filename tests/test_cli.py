@@ -111,6 +111,12 @@ class TestSplitCommand:
     def test_bad_ratio(self, corpus_file):
         assert cli.main(["split", "--input", str(corpus_file), "--ratio", "oops"]) == 2
 
+    @pytest.mark.parametrize("ratio", ["\u00b2:1", "\u0664:1", "4:\uff11"])
+    def test_ratio_needs_ascii_digits(self, corpus_file, capsys, ratio):
+        # str.isdigit admits a superscript two and an Arabic-Indic four; --seed refuses both.
+        assert cli.main(["split", "--input", str(corpus_file), "--ratio", ratio]) == 2
+        assert f"error: --ratio must be two positive integers like '4:1', got {ratio!r}" in capsys.readouterr().err
+
     def test_copies_text_verbatim(self, tmp_path):
         path = tmp_path / "raw.jsonl"
         texts = {f"d{i}": f"{text} #{i}" for i, text in enumerate(RAW_TEXTS * 2)}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmkit import cli, losses
+from harmkit import cli, losses, trainer
 from harmkit.corpus import LabeledExample, split_train_val
 from harmkit.featurizer import FeatureConfig, batch_encode
 from harmkit.losses import ContrastiveConfig
@@ -656,3 +656,35 @@ class TestGradCheck:
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
             grad_check(trials=0)
+
+    def test_inputs_pinned(self, monkeypatch):
+        """Each trial's model, docs and labels are the draws of
+        default_rng([seed, trial]) in this order: seven N(0, 0.5**2) arrays
+        in FIELDS order, then the docs, then the labels. Ten trials cover
+        every combination, the targets one included."""
+        seen = []
+
+        def record(params, docs, labels, cfg, task):
+            # The first call of a trial is the analytic one; the loss of the
+            # perturbed calls after it is not needed here.
+            if seen and seen[-1][0] is params:
+                return 0.0, None
+            seen.append((params, params.copy(), list(docs), labels.copy(), task))
+            return losses.gradients(params, docs, labels, cfg, task=task)
+
+        monkeypatch.setattr(trainer, "gradients", record)
+        grad_check(trials=10, seed=3)
+        assert [task for *_, task in seen] == ["harm"] * 9 + ["targets"]
+        shapes = [(64, 8), (8, 8), (8,), (8, 4), (4,), (8, 5), (5,)]
+        for trial, (_, params, docs, labels, task) in enumerate(seen):
+            rng = np.random.default_rng([3, trial])
+            expected = [rng.normal(0.0, 0.5, shape) for shape in shapes]
+            expected_docs = [rng.integers(0, 64, size=int(rng.integers(1, 9))) for _ in range(6)]
+            if task == "harm":
+                expected_labels = rng.integers(0, 3, size=6)
+            else:
+                expected_labels = rng.integers(0, 2, size=(6, 5)).astype(np.float64)
+            for got, want in zip([arr for _, arr in params.arrays()] + docs + [labels],
+                                 expected + expected_docs + [expected_labels], strict=True):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert params.rows is None
