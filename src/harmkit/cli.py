@@ -5,27 +5,37 @@ command mutates its input files. Exit codes: 0 success, 1 check failure,
 2 usage or config error, 3 training divergence.
 
 The training config is a strict flat key-value file (``key = value``, ``#``
-comments). Unknown keys are rejected. Keys:
+comments). Unknown keys are rejected. Its keys are the path fields of
+``RunConfig`` and the int, float and str fields of the four config
+dataclasses, each named as its field but ``lambda`` for ``lam``:
 
   train_file, val_file, checkpoint   paths (report is optional)
-  max_tokens, hash_bits, ngram       featurizer
-  embed_dim, hidden_dim, seed        model
-  epochs, batch_size, learning_rate, optimizer, task   training
-  tau, lambda                        contrastive loss
+  max_tokens, hash_bits, ngram       featurizer (FeatureConfig)
+  embed_dim, hidden_dim, seed        model (ModelConfig)
+  epochs, batch_size, learning_rate, optimizer, task   training (TrainConfig)
+  tau, lambda                        contrastive loss (ContrastiveConfig)
 
 The single ``seed`` is the ``ModelConfig`` seed, which drives both
 parameter initialization and batch shuffling. The featurizer keys make the
 ``FeatureConfig`` that the ``ModelConfig`` carries, whose vocabulary size
-is always 2**hash_bits. Every ``--seed`` flag takes a nonnegative integer.
+is always 2**hash_bits. A path may not be empty, ``train_file`` and
+``val_file`` must be regular files, and ``checkpoint`` and ``report`` must
+name files in existing directories, so that a bad path fails before training.
+
+Every number in a config file or a flag is read by one rule: an integer is
+nonnegative ASCII digits, and a float is ASCII text with no ``_`` that
+``float`` accepts. Any other value exits 2 naming its key or flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, Field, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +64,6 @@ class ConfigError(ValueError):
     """A config file or command precondition was violated."""
 
 
-_PATH_KEYS = ("train_file", "val_file", "checkpoint", "report")
-_INT_KEYS = ("max_tokens", "hash_bits", "ngram", "embed_dim", "hidden_dim", "epochs", "batch_size", "seed")
-_FLOAT_KEYS = ("learning_rate", "tau", "lambda")
-_STR_KEYS = ("optimizer", "task")
-_REQUIRED_KEYS = ("train_file", "val_file", "checkpoint")
-
-
 @dataclass
 class RunConfig:
     model: ModelConfig
@@ -68,7 +71,31 @@ class RunConfig:
     train_file: Path
     val_file: Path
     checkpoint: Path
-    report: Path | None
+    report: Path | None = None
+
+
+def _typed_fields(cls: type) -> list[tuple[Field, object]]:
+    """Each field of the dataclass ``cls`` with its annotated type."""
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+# The config file's keys. A path key is a Path field of RunConfig, required
+# unless the field has a default. A value key is an int, float or str field of a
+# config dataclass, read as its annotated type; ``lam``'s key is ``lambda``.
+_PATHS = {f.name: f.default is MISSING for f, kind in _typed_fields(RunConfig) if Path in (kind, *typing.get_args(kind))}
+_VALUES = {"lambda" if f.name == "lam" else f.name: (cls, f.name, kind)
+           for cls in (FeatureConfig, ModelConfig, TrainConfig, ContrastiveConfig)
+           for f, kind in _typed_fields(cls) if kind in (int, float, str)}
+
+
+def _number(text: str, kind: type[int] | type[float], lead: str = "must be") -> int | float:
+    """``text`` read by the number rule in the module docstring, which ``int`` and ``float``
+    alone break: they take digits such as '٤' and ``_``. A refusal's ValueError starts with ``lead``."""
+    if text.isascii() and "_" not in text and (kind is float or text.isdigit()):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    raise ValueError(f"{lead} {'a nonnegative integer' if kind is int else 'a number'}, got {text!r}")
 
 
 def parse_run_config(path: str | Path) -> RunConfig:
@@ -92,60 +119,46 @@ def parse_run_config(path: str | Path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{p}:{line_no}: expected 'key = value', got {line.strip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _PATH_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS:
-            raise ConfigError(f"{p}:{line_no}: unknown config key '{key}'")
+        if key not in _PATHS and key not in _VALUES:
+            raise ConfigError(f"{p}:{line_no}: unknown config key {key!r}")
         if key in raw:
-            raise ConfigError(f"{p}:{line_no}: duplicate config key '{key}'")
+            raise ConfigError(f"{p}:{line_no}: duplicate config key {key!r}")
+        if key in _PATHS and not value:
+            raise ConfigError(f"{p}:{line_no}: key '{key}' needs a path, got ''")
         raw[key] = value
 
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            raise ConfigError(f"{p}: missing required config key '{key}'")
+    if missing := [key for key, required in _PATHS.items() if required and key not in raw]:
+        raise ConfigError(f"{p}: missing required config key '{missing[0]}'")
 
-    def number(key: str, kind: type, noun: str) -> int | float:
-        try:
-            return kind(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{p}: key '{key}' needs {noun}, got {raw[key]!r}") from exc
-
-    values = {key: number(key, int, "an integer") for key in _INT_KEYS if key in raw}
-    values |= {key: number(key, float, "a number") for key in _FLOAT_KEYS if key in raw}
-    values |= {key: raw[key] for key in _STR_KEYS if key in raw}
-
-    def given(*keys: str) -> dict:
-        """The keys the file sets, named as their config fields; the rest keep the field defaults."""
-        return {"lam" if key == "lambda" else key: values[key] for key in keys if key in values}
-
+    kwargs: dict[type, dict] = {cls: {} for cls, _, _ in _VALUES.values()}
     try:
-        features = FeatureConfig(**given("max_tokens", "hash_bits", "ngram"))
-        model_cfg = ModelConfig(features, **given("embed_dim", "hidden_dim", "seed"))
-        train_cfg = TrainConfig(
-            contrastive=ContrastiveConfig(**given("tau", "lambda")),
-            **given("epochs", "batch_size", "learning_rate", "optimizer", "task"),
-        )
+        for key, (cls, name, kind) in _VALUES.items():
+            if key in raw:
+                kwargs[cls][name] = raw[key] if kind is str else _number(raw[key], kind, f"key '{key}' needs")
+        model_cfg = ModelConfig(FeatureConfig(**kwargs[FeatureConfig]), **kwargs[ModelConfig])
+        train_cfg = TrainConfig(contrastive=ContrastiveConfig(**kwargs[ContrastiveConfig]), **kwargs[TrainConfig])
     except ValueError as exc:
         raise ConfigError(f"{p}: {exc}") from exc
 
-    train_file = Path(raw["train_file"])
-    val_file = Path(raw["val_file"])
-    for key, file_path in (("train_file", train_file), ("val_file", val_file)):
-        if not file_path.exists():
-            raise ConfigError(f"{p}: {key} does not exist: {file_path}")
-    return RunConfig(
-        model=model_cfg,
-        train=train_cfg,
-        train_file=train_file,
-        val_file=val_file,
-        checkpoint=Path(raw["checkpoint"]),
-        report=Path(raw["report"]) if "report" in raw else None,
-    )
+    # Every path is checked here, so that none fails only after training.
+    paths = {key: Path(raw[key]) for key in _PATHS if key in raw}
+    for key in ("train_file", "val_file"):
+        if not paths[key].is_file():
+            fault = "is not a regular file" if paths[key].exists() else "does not exist"
+            raise ConfigError(f"{p}: {key} {fault}: {paths[key]}")
+    for key in ("checkpoint", "report"):
+        if key in paths and (paths[key].is_dir() or not paths[key].parent.is_dir()):
+            raise ConfigError(f"{p}: {key} must name a file in an existing directory, got {paths[key]}")
+    return RunConfig(model_cfg, train_cfg, **paths)
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    ratio_parts = args.ratio.split(":")
-    if len(ratio_parts) != 2 or not all(map(_is_ascii_int, ratio_parts)):
+    try:
+        ratio = tuple(_number(part, int) for part in args.ratio.split(":"))
+    except ValueError:
+        ratio = ()
+    if len(ratio) != 2:
         raise ConfigError(f"--ratio must be two positive integers like '4:1', got {args.ratio!r}")
-    ratio = (int(ratio_parts[0]), int(ratio_parts[1]))
     data = corpus.load_jsonl(args.input, task=args.task)
     split = corpus.split_train_val(data, ratio=ratio, seed=args.seed, stratify=args.stratify)
 
@@ -282,7 +295,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     else:
         if args.weights is not None:
             try:
-                weights = [float(x) for x in args.weights.split(",")]
+                weights = [_number(x, float) for x in args.weights.split(",")]
             except ValueError:
                 raise ConfigError(f"--weights must be comma-separated numbers, got {args.weights!r}") from None
         elif gold is not None:
@@ -323,17 +336,14 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _is_ascii_int(text: str) -> bool:
-    """Whether ``text`` is a nonnegative integer in ASCII digits; ``isdigit``
-    alone also admits digits such as '²' and '٤'."""
-    return text.isascii() and text.isdigit()
-
-
-def _seed(text: str) -> int:
-    """The value of a ``--seed`` flag: a nonnegative integer in ASCII digits."""
-    if not _is_ascii_int(text):
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
+def _flag(kind: type[int] | type[float]) -> typing.Callable[[str], int | float]:
+    """The argparse ``type`` of a flag that takes one number of ``kind``."""
+    def read(text: str) -> int | float:
+        try:
+            return _number(text, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="deterministic stratified train/validation split")
     p.add_argument("--input", required=True)
     p.add_argument("--ratio", default="4:1")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_flag(int), default=0)
     p.add_argument("--stratify", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--task", choices=["harm", "targets", "both"], default="harm")
     p.set_defaults(func=_cmd_split)
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--task", choices=["harm", "targets"], default="harm")
-    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--eta", type=_flag(float), default=0.5)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -364,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--task", choices=["harm", "targets"], default="harm")
-    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--eta", type=_flag(float), default=0.5)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -380,15 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--trials", type=_flag(int), default=30)
+    p.add_argument("--seed", type=_flag(int), default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("gen-synth", help="generate a seeded synthetic corpus")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--docs-per-class", type=int, default=500)
-    p.add_argument("--overlap", type=float, default=0.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--classes", type=_flag(int), default=4)
+    p.add_argument("--docs-per-class", type=_flag(int), default=500)
+    p.add_argument("--overlap", type=_flag(float), default=0.0)
+    p.add_argument("--seed", type=_flag(int), default=0)
     p.add_argument("--targets", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_gen_synth)

@@ -242,6 +242,86 @@ class TestConfigParsing:
         assert not (tmp_path / "r.json").exists()
 
 
+    def test_keys_are_the_fields_of_the_config_dataclasses(self, tmp_path, split_files, capsys):
+        # The schema is read from RunConfig and the four config dataclasses;
+        # lam is a field name but not a key, since its key is lambda.
+        assert {*cli._PATHS, *cli._VALUES} == {
+            "train_file", "val_file", "checkpoint", "report", "max_tokens", "hash_bits", "ngram", "embed_dim",
+            "hidden_dim", "seed", "epochs", "batch_size", "learning_rate", "optimizer", "task", "tau", "lambda"}
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "lam.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc", **{"lambda": "", "lam": 0.25})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert "unknown config key 'lam'" in capsys.readouterr().err
+
+    def test_every_key_set_builds_exactly_its_field(self, tmp_path, split_files):
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "all.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc", report=tmp_path / "r.json", max_tokens=33, hash_bits=9,
+                              ngram=2, embed_dim=5, hidden_dim=6, seed=11, epochs=2, batch_size=3, learning_rate=1,
+                              optimizer="sgd", task="targets", tau=0.25, **{"lambda": 0})
+        cfg = cli.parse_run_config(config)
+        assert cfg == cli.RunConfig(
+            model=ModelConfig(FeatureConfig(max_tokens=33, hash_bits=9, ngram=2), embed_dim=5, hidden_dim=6, seed=11),
+            train=TrainConfig(epochs=2, batch_size=3, learning_rate=1.0, optimizer="sgd",
+                              contrastive=ContrastiveConfig(tau=0.25, lam=0.0), task="targets"),
+            train_file=train_path, val_file=val_path, checkpoint=tmp_path / "m.hpc", report=tmp_path / "r.json")
+        # A float field reads its annotated type, whatever the text looks like.
+        assert type(cfg.train.learning_rate) is float and type(cfg.train.contrastive.lam) is float
+
+    @pytest.mark.parametrize("key, value, noun", [
+        ("seed", "\u0664", "a nonnegative integer"),
+        ("epochs", "1_0", "a nonnegative integer"),
+        ("learning_rate", "\u0661.\u0665e-2", "a number"),
+    ])
+    def test_numbers_follow_the_cli_number_rule(self, tmp_path, split_files, capsys, key, value, noun):
+        # int() and float() alone take digits of other scripts and _ between
+        # digits, which trained with seed 4, 10 epochs and a rate of 0.015.
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "digits.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc", **{key: value})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: key '{key}' needs {noun}, got {value!r}\n"
+        assert not (tmp_path / "m.hpc").exists()
+
+    def test_byte_order_mark_is_shown_in_the_key(self, tmp_path, split_files, capsys):
+        # The BOM is invisible when printed as is, so the message named a key that looked valid.
+        train_path, val_path = split_files
+        config = write_config(tmp_path / "bom.cfg", train_file=train_path, val_file=val_path,
+                              checkpoint=tmp_path / "m.hpc")
+        config.write_text(config.read_text(encoding="utf-8").removeprefix("# test config\n"), encoding="utf-8-sig")
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:1: unknown config key '\\ufefftrain_file'\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("checkpoint", "{tmp}/nodir/m.hpc", "checkpoint must name a file in an existing directory, got {tmp}/nodir/m.hpc"),
+        ("checkpoint", "{tmp}", "checkpoint must name a file in an existing directory, got {tmp}"),
+        ("report", "{tmp}/nodir/r.json", "report must name a file in an existing directory, got {tmp}/nodir/r.json"),
+        ("checkpoint", "", "key 'checkpoint' needs a path, got ''"),
+        ("report", "", "key 'report' needs a path, got ''"),
+        ("train_file", "", "key 'train_file' needs a path, got ''"),
+        ("val_file", "{tmp}", "val_file is not a regular file: {tmp}"),
+        ("train_file", "{tmp}/none.jsonl", "train_file does not exist: {tmp}/none.jsonl"),
+    ], ids=["checkpoint-no-dir", "checkpoint-is-dir", "report-no-dir", "empty-checkpoint", "empty-report",
+            "empty-train-file", "val-file-is-dir", "missing-train-file"])
+    def test_bad_path_fails_before_training(self, tmp_path, split_files, capsys, key, value, message):
+        # A checkpoint or report in no directory, or an empty path, once failed
+        # only after the last epoch, and an empty one named no key.
+        paths = dict(zip(("train_file", "val_file"), split_files)) | {"checkpoint": tmp_path / "m.hpc"}
+        value = value.replace("{tmp}", str(tmp_path))
+        config = write_config(tmp_path / "paths.cfg", **paths | {key: ""})
+        lines = config.read_text(encoding="utf-8").splitlines() + [f"{key} = {value}"]
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        # An empty value is refused on its line, the other faults once every key is read.
+        where = f"{config}:{len(lines)}" if not value else f"{config}"
+        assert err == f"error: {where}: {message.replace('{tmp}', str(tmp_path))}\n"
+        assert "epoch 1/" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["paths.cfg"]
+
+
 class TestTrainCommand:
     def test_artifacts_written(self, trained):
         root, _ = trained
@@ -703,7 +783,7 @@ class TestEnsembleCommand:
         assert "weights must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("weights", ["0.5,x", "0.5,", ""])
+    @pytest.mark.parametrize("weights", ["0.5,x", "0.5,", "", "\u0660.\u0665,0.5", "0.5,1_0"])
     def test_wavg_non_numeric_weights_named(self, tmp_path, capsys, weights):
         out = tmp_path / "o.jsonl"
         code = cli.main(["ensemble", "--members", *self.member_args()[:2], "--strategy", "w-avg",
@@ -975,3 +1055,23 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, corpus_file, capsys, co
     assert exc.value.code == 2
     assert "argument --seed: must be a nonnegative integer, got '-1'" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["gradcheck"], "--trials", "\u0661"),
+    (["gen-synth", "--output", "synth.jsonl"], "--classes", "\u0662"),
+    (["gen-synth", "--output", "synth.jsonl"], "--docs-per-class", "1_0"),
+    (["gen-synth", "--output", "synth.jsonl"], "--overlap", "\u0660.\u0665"),
+    (["predict", "--checkpoint", "m.hpc", "--input", "in.jsonl", "--output", "out.jsonl"], "--eta", "\u0660.\u0665"),
+    (["evaluate", "--gold", "gold.jsonl", "--pred", "pred.jsonl"], "--eta", "0_0.5"),
+], ids=["trials", "classes", "docs-per-class", "overlap", "predict-eta", "evaluate-eta"])
+def test_flag_numbers_follow_the_cli_number_rule(tmp_path, capsys, monkeypatch, argv, flag, value):
+    # int() and float() alone take digits of other scripts and _ between
+    # digits; each of these once ran as if given the ASCII number.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    assert exc.value.code == 2
+    noun = "a number" if flag in ("--overlap", "--eta") else "a nonnegative integer"
+    assert f"argument {flag}: must be {noun}, got {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
